@@ -18,10 +18,11 @@ tighter, both left-associative::
       | 'fano' '(' INT ';' flag ')'
     flag  := ('odd_trivial' '=')? ('true' | 'false')
 
-Syntax problems raise ParseError carrying the byte offset; out-of-range
-parameters raise SemanticError carrying the node path (like ``$.right.center``)
-so a caller can point at the offending subexpression.  ``render_expr`` is the
-inverse of ``parse_expr`` up to whitespace.
+INT is a run of ASCII digits 0-9.  Syntax problems raise ParseError carrying
+the byte offset into the UTF-8 encoded input; out-of-range parameters raise
+SemanticError carrying the node path (like ``$.right.center``) so a caller
+can point at the offending subexpression.  ``render_expr`` is the inverse of
+``parse_expr`` up to whitespace.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .varieties import (
 
 
 class ParseError(ValueError):
-    """Syntax error; ``offset`` is the byte position in the input."""
+    """Syntax error; ``offset`` is the byte position in the UTF-8 input."""
 
     def __init__(self, message: str, offset: int):
         super().__init__("syntax error at byte %d: %s" % (offset, message))
@@ -69,37 +70,32 @@ class Token:
 
 
 _PUNCT = set("()[],;*+=")
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> list[Token]:
     toks = []
     i = 0
     n = len(text)
+    at = 0  # UTF-8 byte offset of text[i]
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        j = i + 1
+        if ch in _DIGITS:
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            toks.append(Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            toks.append(Token("num", text[i:j], at))
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, i)
-    toks.append(Token("eof", "", n))
+            toks.append(Token("name", text[i:j], at))
+        elif ch in _PUNCT:
+            toks.append(Token(ch, ch, at))
+        elif not ch.isspace():
+            raise ParseError("unexpected character %r" % ch, at)
+        at += len(text[i:j].encode("utf-8"))
+        i = j
+    toks.append(Token("eof", "", at))
     return toks
 
 

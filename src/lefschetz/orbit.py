@@ -9,12 +9,11 @@ copy index.
 
 Because Hom(L^p, L^q) vanishes unless p == q, the grade-r matrix can have a
 nonzero entry at (i, j) only when ``target_exponent_i - r == source_exponent_j``.
-That Kronecker-delta pattern is enforced at construction time and is what
-makes the lifting algorithm below work.
-
-Composition is graded convolution: the grade-l component of ``g after f`` is
-the sum over r of ``g_{l-r} @ f_r``.  Twisting a matrix does not change its
-entries, so plain matrix products suffice.
+So entry (i, j) lives at the single grade ``target_exponent_i -
+source_exponent_j``, and the whole family is one rank(y) x rank(x) matrix:
+the grade-r component keeps the entries whose grade is r.  Twisting a matrix
+does not change its entries, so the graded convolution ``(g after f)_l =
+sum over r of g_{l-r} @ f_r`` is a single matrix product.
 
 ``decompose_via_orbit`` inverts the collapse: given that a motive m becomes
 isomorphic to a direct sum of rank(m) unit objects after the twist is
@@ -29,6 +28,7 @@ diagonal block at level l has trace equal to the multiplicity of L^l in m
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping
 
 from .tate import TateMotive, hom_dim, twist
@@ -65,8 +65,9 @@ def _as_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def _zero_matrix(nrows: int, ncols: int) -> Matrix:
-    return tuple((Fraction(0),) * ncols for _ in range(nrows))
+def _exponents(m: TateMotive) -> list[int]:
+    return [l for l, _ in term_enumeration(m)]
+
 
 def _identity_matrix(n: int) -> Matrix:
     return tuple(
@@ -74,27 +75,24 @@ def _identity_matrix(n: int) -> Matrix:
     )
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    # shapes are guaranteed by the callers; b is never empty here
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def _madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+def _matmul(a: Matrix, b: Matrix, ncols: int) -> Matrix:
+    """a @ b for a b with ncols columns; b may have no rows."""
+    cols = tuple(zip(*b)) if b else ((),) * ncols
+    zero = Fraction(0)
+    return tuple(tuple(sum(map(mul, row, col), zero) for col in cols) for row in a)
 
 
 class OrbitMorphism:
-    """A graded family of exact rational matrices between two Tate motives.
+    """A morphism of the orbit category, stored as one exact rational matrix.
 
-    ``components`` maps grade r to a rank(target) x rank(source) matrix;
-    all-zero matrices are dropped, entries may be ints, Fractions or strings
-    like ``"1/2"``.  Construction validates shapes and the delta pattern.
+    ``matrix`` is rank(target) x rank(source); entry (i, j) lives at grade
+    ``target_exponent_i - source_exponent_j``.  The constructor takes the
+    graded form instead: ``components`` maps grade r to a rank(target) x
+    rank(source) matrix whose entries may be ints, Fractions or strings like
+    ``"1/2"``.  Construction validates shapes and the delta pattern.
     """
+
+    __slots__ = ("source", "target", "matrix")
 
     def __init__(
         self,
@@ -106,9 +104,10 @@ class OrbitMorphism:
             raise TypeError("source and target must be TateMotive")
         self.source = source
         self.target = target
-        src = term_enumeration(source)
-        tgt = term_enumeration(target)
-        comps: dict[int, Matrix] = {}
+        src = _exponents(source)
+        tgt = _exponents(target)
+        matrix = [[Fraction(0)] * len(src) for _ in tgt]
+        grades: set[int] = set()
         items = components.items() if isinstance(components, Mapping) else components
         for r, rows in items:
             r = int(r)
@@ -123,33 +122,59 @@ class OrbitMorphism:
                     if entry == 0:
                         continue
                     nonzero = True
-                    if tgt[i][0] - r != src[j][0]:
+                    if tgt[i] - r != src[j]:
                         raise ValueError(
                             "grade %d entry (%d, %d) violates the delta pattern: "
                             "target exponent %d - %d != source exponent %d"
-                            % (r, i, j, tgt[i][0], r, src[j][0])
+                            % (r, i, j, tgt[i], r, src[j])
                         )
+                    # the delta pattern gives each slot a single grade
+                    matrix[i][j] = entry
             if nonzero:
-                if r in comps:
+                if r in grades:
                     raise ValueError("duplicate grade %d" % r)
-                comps[r] = mat
-        self.components = dict(sorted(comps.items()))
+                grades.add(r)
+        self.matrix: Matrix = tuple(map(tuple, matrix))
+
+    @classmethod
+    def _from_matrix(
+        cls, source: TateMotive, target: TateMotive, matrix: Matrix
+    ) -> "OrbitMorphism":
+        """Wrap a matrix that already has the right shape and delta pattern."""
+        f = cls.__new__(cls)
+        f.source = source
+        f.target = target
+        f.matrix = matrix
+        return f
 
     def component(self, r: int) -> Matrix:
         """The grade-r matrix, a zero matrix when absent."""
-        got = self.components.get(r)
-        if got is not None:
-            return got
-        return _zero_matrix(self.target.rank, self.source.rank)
+        src = _exponents(self.source)
+        zero = Fraction(0)
+        return tuple(
+            tuple(x if t - r == s else zero for x, s in zip(row, src))
+            for row, t in zip(self.matrix, _exponents(self.target))
+        )
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(self.components)
+        src = _exponents(self.source)
+        return tuple(sorted({
+            t - s
+            for row, t in zip(self.matrix, _exponents(self.target))
+            for x, s in zip(row, src)
+            if x
+        }))
+
+    @property
+    def components(self) -> dict[int, Matrix]:
+        """Grade r -> the grade-r matrix, nonzero grades only, ascending."""
+        return {r: self.component(r) for r in self.support}
 
     @property
     def is_twist_preserving(self) -> bool:
         """True when only the grade-0 component is present."""
-        return set(self.components) <= {0}
+        return set(self.support) <= {0}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitMorphism):
@@ -157,14 +182,14 @@ class OrbitMorphism:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.components == other.components
+            and self.matrix == other.matrix
         )
 
     def __repr__(self) -> str:
         return "OrbitMorphism(%s -> %s, grades %r)" % (
             self.source.text(),
             self.target.text(),
-            list(self.components),
+            list(self.support),
         )
 
     def to_json(self) -> dict:
@@ -195,7 +220,7 @@ def chow_morphism(source: TateMotive, target: TateMotive, matrix) -> OrbitMorphi
 
 
 def identity_morphism(x: TateMotive) -> OrbitMorphism:
-    return chow_morphism(x, x, _identity_matrix(x.rank))
+    return OrbitMorphism._from_matrix(x, x, _identity_matrix(x.rank))
 
 
 def orbit_hom_support(x: TateMotive, y: TateMotive) -> dict[int, int]:
@@ -214,19 +239,15 @@ def orbit_hom_support(x: TateMotive, y: TateMotive) -> dict[int, int]:
 
 
 def compose(g: OrbitMorphism, f: OrbitMorphism) -> OrbitMorphism:
-    """``g after f``; grade-l component is the sum over r of g_{l-r} @ f_r."""
+    """``g after f``: the graded convolution, which is one matrix product."""
     if f.target != g.source:
         raise CompositionError(
             "cannot compose: intermediate objects differ (%s vs %s)"
             % (f.target.text(), g.source.text())
         )
-    acc: dict[int, Matrix] = {}
-    for r, fr in f.components.items():
-        for s, gs in g.components.items():
-            prod = _matmul(gs, fr)
-            l = r + s
-            acc[l] = _madd(acc[l], prod) if l in acc else prod
-    return OrbitMorphism(f.source, g.target, acc)
+    return OrbitMorphism._from_matrix(
+        f.source, g.target, _matmul(g.matrix, f.matrix, f.source.rank)
+    )
 
 
 def project(x: TateMotive) -> TateMotive:
@@ -270,17 +291,12 @@ def block_unit_iso(m: TateMotive) -> tuple[OrbitMorphism, OrbitMorphism]:
     the i-th unit copy through the grade -l and grade l unit entries. Output
     is (f, g) with f: m -> units, g: units -> m, inverse to each other.
     """
-    enum = term_enumeration(m)
-    n = len(enum)
-    units = TateMotive({0: n})
-    f_comps: dict[int, list[list[int]]] = {}
-    g_comps: dict[int, list[list[int]]] = {}
-    for j, (l, _) in enumerate(enum):
-        f_comps.setdefault(-l, [[0] * n for _ in range(n)])[j][j] = 1
-        g_comps.setdefault(l, [[0] * n for _ in range(n)])[j][j] = 1
-    f = OrbitMorphism(m, units, f_comps)
-    g = OrbitMorphism(units, m, g_comps)
-    return f, g
+    units = TateMotive({0: m.rank})
+    ident = _identity_matrix(m.rank)
+    return (
+        OrbitMorphism._from_matrix(m, units, ident),
+        OrbitMorphism._from_matrix(units, m, ident),
+    )
 
 
 def decompose_via_orbit(
@@ -324,32 +340,11 @@ def decompose_via_orbit(
     if compose(f, g) != identity_morphism(units):
         raise NotAnIsomorphismError("f after g is not the identity of the unit sum")
 
-    # Lift both directions to block morphisms over L^0 .. L^dim and check
-    # that the round trip is still the identity at grade 0.
-    psi_phi = _zero_matrix(n, n)
-    for l in range(dim + 1):
-        fl = f.components.get(-l)
-        gl = g.components.get(l)
-        if fl is not None and gl is not None:
-            psi_phi = _madd(psi_phi, _matmul(gl, fl))
-    if psi_phi != _identity_matrix(n):
-        raise NotAnIsomorphismError("lifted round trip is not the identity")
-
-    # Diagonal idempotent blocks of the reverse round trip: multiplicity of
-    # L^l is the rank, hence the trace, of f_{-l} @ g_l.
-    multiset: list[int] = []
-    for l in range(dim + 1):
-        fl = f.components.get(-l)
-        gl = g.components.get(l)
-        if fl is None or gl is None:
-            continue
-        block = _matmul(fl, gl)
-        tr = sum(block[i][i] for i in range(len(block)))
-        if tr.denominator != 1 or not 0 <= tr <= n:
-            raise NotAnIsomorphismError(
-                "projector trace at level %d is %s, not a multiplicity" % (l, tr)
-            )
-        multiset.extend([l] * int(tr))
-    # Mutually inverse plus the delta pattern force agreement with m itself.
-    assert tuple(multiset) == m.exponent_multiset()
-    return tuple(multiset)
+    # Multiplicity of L^l is the trace of the idempotent block f_{-l} @ g_l:
+    # the sum over summands k of m with exponent l of (g f)[k][k].  Since
+    # g after f is the identity, each trace is the number of such k.
+    a, b = f.matrix, g.matrix
+    traces: dict[int, Fraction] = {}
+    for k, l in enumerate(_exponents(m)):
+        traces[l] = traces.get(l, 0) + sum(a[i][k] * b[k][i] for i in range(n))
+    return tuple(l for l, tr in traces.items() for _ in range(int(tr)))

@@ -49,6 +49,28 @@ def invert(mat):
     return [row[n:] for row in aug]
 
 
+def graded_compose(g, f):
+    """``g after f`` as grade -> matrix, by graded convolution.
+
+    The grade-l matrix is the sum over r of g_{l-r} @ f_r, built from
+    per-grade products of ``.components``; all-zero grades are dropped.
+    """
+    acc = {}
+    for r, fr in f.components.items():
+        for s, gs in g.components.items():
+            prod = matmul(gs, fr)
+            l = r + s
+            if l in acc:
+                acc[l] = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc[l], prod)]
+            else:
+                acc[l] = prod
+    return {
+        l: tuple(map(tuple, mat))
+        for l, mat in sorted(acc.items())
+        if any(x for row in mat for x in row)
+    }
+
+
 def rand_invertible(rng, n):
     """A random invertible matrix over Q together with its exact inverse."""
     while True:

@@ -84,6 +84,21 @@ class TestParseErrors:
             parse_expr("P(1) @ P(2)")
         assert exc.value.offset == 5
 
+    def test_only_ascii_digits(self):
+        for text, offset in (("Q(\u0663)", 2), ("P(\u00b2)", 2), ("P(1\u0663)", 3)):
+            with pytest.raises(ParseError, match="unexpected character") as exc:
+                parse_expr(text)
+            assert exc.value.offset == offset
+
+    def test_offset_counts_utf8_bytes(self):
+        # U+3000 is whitespace and three bytes long in UTF-8
+        with pytest.raises(ParseError, match="at byte 8: unknown constructor 'x'") as exc:
+            parse_expr("P(3)\u3000+x")
+        assert exc.value.offset == 8
+        with pytest.raises(ParseError, match="at byte 6: unexpected character") as exc:
+            parse_expr("\u00e9t\u00e9 @")
+        assert exc.value.offset == 6
+
     def test_unknown_constructor(self):
         with pytest.raises(ParseError, match="unknown constructor"):
             parse_expr("elliptic(1)")

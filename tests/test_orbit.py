@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import conjugated_unit_iso, rand_entry, rand_morphism, rand_motive
+from helpers import (
+    conjugated_unit_iso,
+    graded_compose,
+    rand_entry,
+    rand_morphism,
+    rand_motive,
+)
 from lefschetz.orbit import (
     CompositionError,
     NotAnIsomorphismError,
@@ -100,6 +106,24 @@ class TestCompose:
             assert compose(f, identity_morphism(x)) == f
             assert compose(identity_morphism(y), f) == f
             assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+
+    def test_matches_graded_convolution(self):
+        # oracle: per-grade products summed grade by grade
+        rng = random.Random(23)
+        for _ in range(200):
+            x, y, z = (rand_motive(rng) for _ in range(3))
+            f = rand_morphism(rng, x, y)
+            g = rand_morphism(rng, y, z)
+            assert compose(g, f).components == graded_compose(g, f)
+        m = TateMotive({0: 1, 2: 2})
+        for x, y, z in ((ZERO, m, m), (m, ZERO, m), (m, m, ZERO), (ZERO, ZERO, m)):
+            f = rand_morphism(rng, x, y)
+            g = rand_morphism(rng, y, z)
+            gf = compose(g, f)
+            assert gf.components == graded_compose(g, f) == {}
+            assert gf.matrix == ((Fraction(0),) * x.rank,) * z.rank
+            for r in (-2, 0, 2):
+                assert gf.component(r) == ((Fraction(0),) * x.rank,) * z.rank
 
     def test_support_contained_in_sumset(self):
         rng = random.Random(11)
