@@ -69,7 +69,7 @@ def cmd_motive(args) -> int:
             {
                 "verb": "motive",
                 "expr": render_expr(e),
-                "terms": {str(l): c for l, c in gm.tate.terms.items()},
+                "terms": gm.tate.to_json()["terms"],
                 "opaque": [p.to_json() for p in gm.opaque],
                 "text": gm.text(),
             }
@@ -87,7 +87,7 @@ def cmd_poincare(args) -> int:
             {
                 "verb": "poincare",
                 "expr": render_expr(e),
-                "coefficients": {str(n): c for n, c in p.coefficients.items()},
+                "coefficients": p.to_json()["terms"],
                 "text": p.text(),
             }
         )
@@ -122,7 +122,7 @@ def cmd_k0(args) -> int:
             {
                 "verb": "k0",
                 "expr": render_expr(e),
-                "terms": {str(l): v for l, v in c.terms.items()},
+                "terms": c.to_json()["terms"],
                 "text": c.text(),
             }
         )

@@ -1,8 +1,11 @@
 """Motivic measures on the Tate part of the Grothendieck ring of varieties.
 
 ``K0Class`` is an integer Laurent polynomial in the class Lv of the affine
-line; coefficients may be negative (virtual classes).  Two measures act on
-it:
+line; coefficients may be negative (virtual classes).  It and
+``HodgeDelignePoly`` are subclasses of ``tate.SparsePoly``, the sparse
+polynomial core shared with Tate motives and Poincare polynomials, and state
+only their own validation, term order and monomial symbols.  Two measures act
+on it:
 
 * ``chi_gs`` sends Lv to the Lefschetz motive L.  On classes with
   non-negative coefficients this is the tautological identification with
@@ -19,9 +22,7 @@ triangle the tests pin down.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
-from .tate import NonEffectiveError, TateMotive
+from .tate import NonEffectiveError, SparsePoly, TateMotive
 from .varieties import GeneralizedMotive, OpaqueMotiveError, VarietyExpr, motive_of
 
 
@@ -29,184 +30,75 @@ class VirtualClassError(ValueError):
     """A virtual class (negative coefficient) where a motive is required."""
 
 
-class K0Class:
+class K0Class(SparsePoly):
     """Integer Laurent polynomial in Lv, the class of the affine line."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _symbol = "Lv"
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for e, c in items:
-            if not isinstance(e, int) or not isinstance(c, int):
-                raise TypeError("exponents and coefficients must be integers")
-            if c:
-                acc[e] = acc.get(e, 0) + c
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("K0Class is immutable")
-
-    @property
-    def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+    @staticmethod
+    def _check(e, c):
+        if not isinstance(e, int) or not isinstance(c, int):
+            raise TypeError("exponents and coefficients must be integers")
+        return e
 
     @property
     def is_effective(self) -> bool:
         """No negative coefficients, i.e. an honest (non-virtual) class."""
-        return all(c >= 0 for _, c in self._terms)
-
-    def __add__(self, other: "K0Class") -> "K0Class":
-        acc = self.terms
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return K0Class(acc)
+        return all(c >= 0 for c in self._terms.values())
 
     def __neg__(self) -> "K0Class":
-        return K0Class({e: -c for e, c in self._terms})
+        return self._wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "K0Class") -> "K0Class":
         return self + (-other)
-
-    def __mul__(self, other: "K0Class") -> "K0Class":
-        acc: dict[int, int] = {}
-        for e, c in self._terms:
-            for f, d in other._terms:
-                acc[e + f] = acc.get(e + f, 0) + c * d
-        return K0Class(acc)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, K0Class):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        return "K0Class(%r)" % (dict(self._terms),)
-
-    def text(self) -> str:
-        """Canonical text form, e.g. ``1 + 2*Lv + Lv^2``; zero is ``0``."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self._terms:
-            if e == 0:
-                parts.append(str(c))
-                continue
-            sym = "Lv" if e == 1 else "Lv^%d" % e
-            if c == 1:
-                parts.append(sym)
-            elif c == -1:
-                parts.append("-%s" % sym)
-            else:
-                parts.append("%d*%s" % (c, sym))
-        return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        return {"terms": {str(e): c for e, c in self._terms}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "K0Class":
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), dict):
-            raise ValueError("expected an object with a 'terms' mapping")
-        return cls({int(e): c for e, c in data["terms"].items()})
 
 
 LV = K0Class({1: 1})
 
 
-class HodgeDelignePoly:
-    """Integer Laurent polynomial in u and v, keyed by the (p, q) bidegree."""
+class HodgeDelignePoly(SparsePoly):
+    """Integer Laurent polynomial in u and v, keyed by the (p, q) bidegree.
 
-    __slots__ = ("_terms",)
+    Terms are ordered by total degree p + q, then by q.
+    """
 
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = (),
-    ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], int] = {}
-        for pq, c in items:
-            p, q = pq
-            if not isinstance(p, int) or not isinstance(q, int) or not isinstance(c, int):
-                raise TypeError("bidegrees and coefficients must be integers")
-            if c:
-                acc[(p, q)] = acc.get((p, q), 0) + c
-        ordered = sorted(acc.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
-        object.__setattr__(self, "_terms", tuple(ordered))
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HodgeDelignePoly is immutable")
+    @staticmethod
+    def _check(pq, c):
+        p, q = pq
+        if not isinstance(p, int) or not isinstance(q, int) or not isinstance(c, int):
+            raise TypeError("bidegrees and coefficients must be integers")
+        return (p, q)
 
-    @property
-    def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
+    @staticmethod
+    def _order(item):
+        (p, q), _ = item
+        return p + q, q
 
-    def __add__(self, other: "HodgeDelignePoly") -> "HodgeDelignePoly":
-        acc = self.terms
-        for pq, c in other.terms.items():
-            acc[pq] = acc.get(pq, 0) + c
-        return HodgeDelignePoly(acc)
+    @staticmethod
+    def _add_keys(a, b):
+        return a[0] + b[0], a[1] + b[1]
 
-    def __mul__(self, other: "HodgeDelignePoly") -> "HodgeDelignePoly":
-        acc: dict[tuple[int, int], int] = {}
-        for (p, q), c in self._terms:
-            for (r, s), d in other._terms:
-                key = (p + r, q + s)
-                acc[key] = acc.get(key, 0) + c * d
-        return HodgeDelignePoly(acc)
+    @staticmethod
+    def _monomial(pq) -> str:
+        p, q = pq
+        factors = []
+        if p:
+            factors.append("u" if p == 1 else "u^%d" % p)
+        if q:
+            factors.append("v" if q == 1 else "v^%d" % q)
+        return "*".join(factors)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HodgeDelignePoly):
-            return NotImplemented
-        return self._terms == other._terms
+    @staticmethod
+    def _key_to_json(pq) -> str:
+        return "%d,%d" % pq
 
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        return "HodgeDelignePoly(%r)" % (dict(self._terms),)
-
-    def text(self) -> str:
-        """Canonical text form, e.g. ``1 + u*v``, ordered by total degree."""
-        if not self._terms:
-            return "0"
-
-        def monomial(p: int, q: int) -> str:
-            factors = []
-            if p:
-                factors.append("u" if p == 1 else "u^%d" % p)
-            if q:
-                factors.append("v" if q == 1 else "v^%d" % q)
-            return "*".join(factors)
-
-        parts = []
-        for (p, q), c in self._terms:
-            mono = monomial(p, q)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-%s" % mono)
-            else:
-                parts.append("%d*%s" % (c, mono))
-        return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        return {"terms": {"%d,%d" % pq: c for pq, c in self._terms}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HodgeDelignePoly":
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), dict):
-            raise ValueError("expected an object with a 'terms' mapping")
-        out: dict[tuple[int, int], int] = {}
-        for key, c in data["terms"].items():
-            p, q = key.split(",")
-            out[(int(p), int(q))] = c
-        return cls(out)
+    @staticmethod
+    def _key_from_json(key: str) -> tuple[int, int]:
+        p, q = key.split(",")
+        return int(p), int(q)
 
 
 def k0_class(e: VarietyExpr | GeneralizedMotive | TateMotive) -> K0Class:

@@ -58,7 +58,8 @@ class SODPiece:
                 raise ValueError("an exceptional piece has rank 1")
             object.__setattr__(self, "nc_rank", 1)
         elif self.nc_rank is not None:
-            if not isinstance(self.nc_rank, int) or self.nc_rank < 0:
+            rank = self.nc_rank
+            if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
                 raise ValueError("nc_rank must be a non-negative integer or None")
 
     def to_json(self) -> dict:

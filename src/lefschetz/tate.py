@@ -7,6 +7,14 @@ from exponent to multiplicity.  The unit object (the motive of a point) is
 a motive is called *effective* when every exponent is >= 0; everything in the
 variety catalog is effective.
 
+Tate motives, Poincare polynomials, and the two polynomial rings of
+``measures`` (classes in Z[Lv^+-1] and Hodge-Deligne polynomials in
+Z[u^+-1, v^+-1]) are all sparse integer polynomials.  They share one
+immutable core, ``SparsePoly``: normalization, sum, product, equality and
+hashing, ``repr``, text and JSON.  Each subclass states only its own rules:
+which items are valid, how terms are ordered, how a monomial is written, and
+how a key is spelled in JSON.
+
 All arithmetic is exact: multiplicities are Python ints, and the morphism
 calculus built on top of this module uses ``fractions.Fraction``.  No floats
 anywhere.
@@ -14,6 +22,7 @@ anywhere.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping
 
 
@@ -24,95 +33,165 @@ class NonEffectiveError(ValueError):
 TermsLike = Mapping[int, int] | Iterable[tuple[int, int]]
 
 
-class TateMotive:
+class SparsePoly:
+    """An immutable, finitely supported map from monomial keys to integers.
+
+    The terms are stored once, as a dict in canonical order with zero
+    entries absent.  A subclass states its rules as class attributes:
+
+    * ``_check(key, coeff)`` validates one input item before equal keys are
+      merged, and returns the key to store;
+    * ``_order`` is the sort key of a ``(key, coeff)`` item, or None for the
+      natural order of the keys;
+    * ``_add_keys`` multiplies two monomials;
+    * ``_monomial(key)`` writes a monomial for ``text()`` ("" for the unit),
+      by default as a power of ``_symbol``;
+    * ``_key_to_json`` and ``_key_from_json`` spell a key in JSON.
+
+    Values of different subclasses never compare equal and cannot be added
+    or multiplied together.
+    """
+
+    __slots__ = ("_terms",)
+
+    _order = None
+    _add_keys = staticmethod(operator.add)
+    _symbol = ""
+    _key_to_json = staticmethod(str)
+    _key_from_json = staticmethod(int)
+
+    def __init__(self, terms: TermsLike = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        check = self._check
+        acc: dict = {}
+        for key, c in items:
+            key = check(key, c)
+            acc[key] = acc.get(key, 0) + c
+        self._store(acc)
+
+    @classmethod
+    def _wrap(cls, acc: dict):
+        """An instance holding ``acc``, whose items are already valid."""
+        self = object.__new__(cls)
+        self._store(acc)
+        return self
+
+    def _store(self, acc: dict) -> None:
+        items = [kv for kv in acc.items() if kv[1]]
+        items.sort(key=self._order)
+        object.__setattr__(self, "_terms", dict(items))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @property
+    def terms(self) -> dict:
+        """Key -> coefficient in canonical order, zero entries absent."""
+        return self._terms.copy()
+
+    def coefficient(self, key) -> int:
+        return self._terms.get(key, 0)
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        acc = self._terms.copy()
+        for k, c in other._terms.items():
+            acc[k] = acc.get(k, 0) + c
+        return self._wrap(acc)
+
+    def __mul__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        add_keys = self._add_keys
+        acc: dict = {}
+        right = other._terms.items()
+        for k, c in self._terms.items():
+            for l, d in right:
+                key = add_keys(k, l)
+                acc[key] = acc.get(key, 0) + c * d
+        return self._wrap(acc)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return "%s(%r)" % (type(self).__name__, self._terms)
+
+    def _monomial(self, e: int) -> str:
+        if e == 0:
+            return ""
+        return self._symbol if e == 1 else "%s^%d" % (self._symbol, e)
+
+    def text(self) -> str:
+        """Canonical text form, e.g. ``1 + 2*L^2 + -L^3``; zero is ``0``."""
+        if not self._terms:
+            return "0"
+        parts = []
+        for key, c in self._terms.items():
+            mono = self._monomial(key)
+            if not mono:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append("-" + mono)
+            else:
+                parts.append("%d*%s" % (c, mono))
+        return " + ".join(parts)
+
+    def to_json(self) -> dict:
+        to_key = self._key_to_json
+        return {"terms": {to_key(k): c for k, c in self._terms.items()}}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), dict):
+            raise ValueError("expected an object with a 'terms' mapping")
+        return cls({cls._key_from_json(k): c for k, c in data["terms"].items()})
+
+
+class TateMotive(SparsePoly):
     """A finite multiset of Lefschetz exponents.
 
     ``TateMotive({0: 1, 2: 3})`` is the motive ``1 + 3*L^2``.  Instances are
     immutable and hashable; the zero motive is ``TateMotive()``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _symbol = "L"
 
-    def __init__(self, terms: TermsLike = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for exp, mult in items:
-            if not isinstance(exp, int) or not isinstance(mult, int):
-                raise TypeError("exponents and multiplicities must be integers")
-            if mult < 0:
-                raise ValueError(
-                    "negative multiplicity %d for exponent %d" % (mult, exp)
-                )
-            if mult:
-                acc[exp] = acc.get(exp, 0) + mult
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
+    @staticmethod
+    def _check(exp, mult):
+        if not isinstance(exp, int) or not isinstance(mult, int):
+            raise TypeError("exponents and multiplicities must be integers")
+        if mult < 0:
+            raise ValueError("negative multiplicity %d for exponent %d" % (mult, exp))
+        return exp
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TateMotive is immutable")
-
-    @property
-    def terms(self) -> dict[int, int]:
-        """Exponent -> multiplicity, ascending exponent, zero entries absent."""
-        return dict(self._terms)
+    multiplicity = SparsePoly.coefficient
 
     @property
     def rank(self) -> int:
         """Total number of summands, counted with multiplicity."""
-        return sum(c for _, c in self._terms)
+        return sum(self._terms.values())
 
     @property
     def is_effective(self) -> bool:
-        return all(l >= 0 for l, _ in self._terms)
+        return all(l >= 0 for l in self._terms)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def multiplicity(self, exponent: int) -> int:
-        return dict(self._terms).get(exponent, 0)
-
     def exponent_multiset(self) -> tuple[int, ...]:
         """All exponents with repetition, sorted ascending."""
-        return tuple(l for l, c in self._terms for _ in range(c))
-
-    def __add__(self, other: "TateMotive") -> "TateMotive":
-        return direct_sum(self, other)
-
-    def __mul__(self, other: "TateMotive") -> "TateMotive":
-        return tensor(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TateMotive):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        return "TateMotive(%r)" % (dict(self._terms),)
-
-    def text(self) -> str:
-        """Canonical text form, e.g. ``1 + L + 2*L^2``; the zero motive is ``0``."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for l, c in self._terms:
-            if l == 0:
-                parts.append(str(c))
-                continue
-            sym = "L" if l == 1 else "L^%d" % l
-            parts.append(sym if c == 1 else "%d*%s" % (c, sym))
-        return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        return {"terms": {str(l): c for l, c in self._terms}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TateMotive":
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), dict):
-            raise ValueError("expected an object with a 'terms' mapping")
-        return cls({int(l): c for l, c in data["terms"].items()})
+        return tuple(l for l, c in self._terms.items() for _ in range(c))
 
 
 UNIT = TateMotive({0: 1})
@@ -125,19 +204,12 @@ def lefschetz(exponent: int = 1) -> TateMotive:
 
 
 def direct_sum(a: TateMotive, b: TateMotive) -> TateMotive:
-    added = a.terms
-    for l, c in b.terms.items():
-        added[l] = added.get(l, 0) + c
-    return TateMotive(added)
+    return a + b
 
 
 def tensor(a: TateMotive, b: TateMotive) -> TateMotive:
     """L^p tensor L^q = L^{p+q}, extended biadditively."""
-    out: dict[int, int] = {}
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            out[p + q] = out.get(p + q, 0) + cp * cq
-    return TateMotive(out)
+    return a * b
 
 
 def twist(a: TateMotive, r: int) -> TateMotive:
@@ -151,8 +223,7 @@ def hom_dim(x: TateMotive, y: TateMotive) -> int:
     Hom(L^p, L^q) is Q when p == q and 0 otherwise, so the dimension is the
     sum over shared exponents of the product of multiplicities.
     """
-    yt = y.terms
-    return sum(c * yt[l] for l, c in x.terms.items() if l in yt)
+    return sum(c * y.multiplicity(l) for l, c in x.terms.items())
 
 
 def poincare(x: TateMotive) -> "PoincarePoly":
@@ -168,7 +239,7 @@ def poincare(x: TateMotive) -> "PoincarePoly":
     return PoincarePoly({2 * l: c for l, c in x.terms.items()})
 
 
-class PoincarePoly:
+class PoincarePoly(SparsePoly):
     """Polynomial in t with non-negative integer coefficients.
 
     Motives of the catalog only ever produce even degrees, but odd degrees are
@@ -176,70 +247,20 @@ class PoincarePoly:
     has them.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _symbol = "t"
 
     def __init__(self, coefficients: TermsLike = ()):
-        items = (
-            coefficients.items()
-            if isinstance(coefficients, Mapping)
-            else coefficients
-        )
-        acc: dict[int, int] = {}
-        for n, c in items:
-            if not isinstance(n, int) or not isinstance(c, int):
-                raise TypeError("degrees and coefficients must be integers")
-            if n < 0:
-                raise ValueError("negative degree %d" % n)
-            if c < 0:
-                raise ValueError("negative coefficient %d in degree %d" % (c, n))
-            if c:
-                acc[n] = acc.get(n, 0) + c
-        object.__setattr__(self, "_coeffs", tuple(sorted(acc.items())))
+        super().__init__(coefficients)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PoincarePoly is immutable")
+    @staticmethod
+    def _check(n, c):
+        if not isinstance(n, int) or not isinstance(c, int):
+            raise TypeError("degrees and coefficients must be integers")
+        if n < 0:
+            raise ValueError("negative degree %d" % n)
+        if c < 0:
+            raise ValueError("negative coefficient %d in degree %d" % (c, n))
+        return n
 
-    @property
-    def coefficients(self) -> dict[int, int]:
-        """Degree -> coefficient, ascending degree, zero entries absent."""
-        return dict(self._coeffs)
-
-    def coefficient(self, degree: int) -> int:
-        return dict(self._coeffs).get(degree, 0)
-
-    def __add__(self, other: "PoincarePoly") -> "PoincarePoly":
-        acc = self.coefficients
-        for n, c in other.coefficients.items():
-            acc[n] = acc.get(n, 0) + c
-        return PoincarePoly(acc)
-
-    def __mul__(self, other: "PoincarePoly") -> "PoincarePoly":
-        acc: dict[int, int] = {}
-        for n, c in self._coeffs:
-            for m, d in other._coeffs:
-                acc[n + m] = acc.get(n + m, 0) + c * d
-        return PoincarePoly(acc)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PoincarePoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return "PoincarePoly(%r)" % (dict(self._coeffs),)
-
-    def text(self) -> str:
-        """Canonical text form, e.g. ``1 + 2*t^2 + t^4``; zero is ``0``."""
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for n, c in self._coeffs:
-            if n == 0:
-                parts.append(str(c))
-                continue
-            sym = "t" if n == 1 else "t^%d" % n
-            parts.append(sym if c == 1 else "%d*%s" % (c, sym))
-        return " + ".join(parts)
+    coefficients = SparsePoly.terms

@@ -103,16 +103,10 @@ class GeneralizedMotive:
                 "cannot multiply two motives that both have opaque summands"
             )
         parts = [
-            p.twisted(l)
-            for p in self.opaque
-            for l, c in other.tate.terms.items()
-            for _ in range(c)
+            p.twisted(l) for p in self.opaque for l in other.tate.exponent_multiset()
         ]
         parts += [
-            p.twisted(l)
-            for p in other.opaque
-            for l, c in self.tate.terms.items()
-            for _ in range(c)
+            p.twisted(l) for p in other.opaque for l in self.tate.exponent_multiset()
         ]
         return GeneralizedMotive(tensor(self.tate, other.tate), tuple(parts))
 
@@ -532,32 +526,41 @@ def expr_from_json(data: dict) -> VarietyExpr:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("expression JSON needs a 'kind' field")
     kind = data["kind"]
-    if kind not in _KINDS:
-        raise ValueError("unknown expression kind %r" % kind)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError("unknown expression kind %r" % (kind,))
+
+    def field(name: str):
+        if name not in data:
+            raise ValueError("%s expression JSON needs a field %r" % (kind, name))
+        return data[name]
+
     if kind == "point":
         return Point()
     if kind == "projective":
-        return Projective(data["n"])
+        return Projective(field("n"))
     if kind == "quadric":
-        return Quadric(data["d"])
+        return Quadric(field("d"))
     if kind == "grassmannian":
-        return Grassmannian(data["k"], data["n"])
+        return Grassmannian(field("k"), field("n"))
     if kind == "toric":
-        return Toric(tuple(data["cone_counts"]))
+        counts = field("cone_counts")
+        if not isinstance(counts, list):
+            raise ValueError("toric expression JSON needs 'cone_counts' as a list")
+        return Toric(tuple(counts))
     if kind == "product":
-        return Product(expr_from_json(data["left"]), expr_from_json(data["right"]))
+        return Product(expr_from_json(field("left")), expr_from_json(field("right")))
     if kind == "disjoint_union":
         return DisjointUnion(
-            expr_from_json(data["left"]), expr_from_json(data["right"])
+            expr_from_json(field("left")), expr_from_json(field("right"))
         )
     if kind == "blowup":
         return Blowup(
-            expr_from_json(data["base"]),
-            expr_from_json(data["center"]),
-            data["codim"],
+            expr_from_json(field("base")),
+            expr_from_json(field("center")),
+            field("codim"),
         )
     if kind == "proj_bundle":
-        return ProjBundle(expr_from_json(data["base"]), data["fiber_rank"])
+        return ProjBundle(expr_from_json(field("base")), field("fiber_rank"))
     if kind == "moduli_m0":
-        return ModuliM0(data["n"])
-    return Fano3fold(data["b"], data["odd_trivial"])
+        return ModuliM0(field("n"))
+    return Fano3fold(field("b"), field("odd_trivial"))

@@ -113,6 +113,17 @@ class TestSodSolve:
             "nc_rank": 2,
         }
 
+    def test_bool_rank_rejected(self, capsys, tmp_path):
+        path = self.write_collection(
+            tmp_path, [{"label": "Cl0", "kind": "opaque", "nc_rank": True}]
+        )
+        for extra in ((), ("--json",)):
+            code, out, err = run(
+                capsys, "sod-solve", "Q(3)", "--collection", path, *extra
+            )
+            assert code == 2 and out == ""
+            assert err == "error: nc_rank must be a non-negative integer or None\n"
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sod-solve", "Q(3)")
         assert code == 2

@@ -15,7 +15,7 @@ from lefschetz.measures import (
     hodge_tate,
     k0_class,
 )
-from lefschetz.tate import NonEffectiveError, TateMotive
+from lefschetz.tate import NonEffectiveError, PoincarePoly, TateMotive
 from lefschetz.varieties import (
     Fano3fold,
     Grassmannian,
@@ -38,6 +38,9 @@ class TestK0Class:
     def test_normalization(self):
         assert K0Class({1: 0, 0: 2}) == K0Class({0: 2})
         assert K0Class([(1, 1), (1, 1)]) == K0Class({1: 2})
+        # items that cancel leave no zero entry behind
+        assert K0Class([(1, 1), (1, -1)]).terms == {}
+        assert HodgeDelignePoly([((0, 1), 2), ((0, 1), -2)]) == HodgeDelignePoly()
 
     def test_virtual_classes_allowed(self):
         c = K0Class({0: 1}) - LV
@@ -57,6 +60,19 @@ class TestK0Class:
         assert K0Class().text() == "0"
         assert K0Class({0: 1, 1: 2, 2: 1}).text() == "1 + 2*Lv + Lv^2"
         assert (K0Class({0: 1}) - LV).text() == "1 + -Lv"
+        assert K0Class({0: -1, 2: -3}).text() == "-1 + -3*Lv^2"
+
+    def test_repr_and_hash(self):
+        c = K0Class({3: -1, -1: 2})
+        assert repr(c) == "K0Class({-1: 2, 3: -1})"
+        d = K0Class([(3, -2), (-1, 2), (3, 1)])
+        assert c == d and hash(c) == hash(d)
+
+    def test_unequal_to_other_rings(self):
+        values = [TateMotive({0: 1}), K0Class({0: 1}), PoincarePoly({0: 1})]
+        for i, a in enumerate(values):
+            for b in values[i + 1 :]:
+                assert a != b and b != a
 
     def test_json_round_trip(self):
         c = K0Class({-1: 2, 3: -1})
@@ -143,6 +159,21 @@ class TestHodgeDelignePoly:
         assert p.text() == "1 + 3*u*v + u^2*v^2"
         assert HodgeDelignePoly({(1, 0): 1, (0, 1): 1}).text() == "u + v"
         assert HodgeDelignePoly({(2, 0): -1}).text() == "-u^2"
+        q = HodgeDelignePoly({(0, 2): 1, (1, 1): -2, (2, 0): 1})
+        assert q.text() == "u^2 + -2*u*v + v^2"
+
+    def test_repr_and_hash(self):
+        p = HodgeDelignePoly({(0, 2): 1, (1, 1): -2, (2, 0): 1})
+        assert repr(p) == "HodgeDelignePoly({(2, 0): 1, (1, 1): -2, (0, 2): 1})"
+        q = HodgeDelignePoly([((1, 1), -1), ((2, 0), 1), ((0, 2), 1), ((1, 1), -1)])
+        assert p == q and hash(p) == hash(q)
+
+    def test_immutable(self):
+        p = HodgeDelignePoly({(1, 1): 1})
+        with pytest.raises(AttributeError):
+            p.terms = {}
+        p.terms[(0, 0)] = 1
+        assert p == HodgeDelignePoly({(1, 1): 1})
 
     def test_json_round_trip(self):
         p = HodgeDelignePoly({(1, 2): -3, (0, 0): 1})

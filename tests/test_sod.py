@@ -34,6 +34,11 @@ class TestPieces:
         assert opaque("Cl0", 2).nc_rank == 2
         with pytest.raises(ValueError):
             opaque("Cl0", -1)
+        # bool is an int subclass, but JSON true is not a rank
+        with pytest.raises(ValueError):
+            opaque("Cl0", True)
+        with pytest.raises(ValueError):
+            SODPiece.from_json({"label": "Cl0", "kind": "opaque", "nc_rank": True})
 
     def test_kind_and_label_validated(self):
         with pytest.raises(ValueError):

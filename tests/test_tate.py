@@ -34,6 +34,9 @@ class TestConstruction:
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             TateMotive({0: -1})
+        # each item is checked before equal exponents are merged
+        with pytest.raises(ValueError):
+            TateMotive([(0, -1), (0, 2)])
 
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
@@ -45,6 +48,17 @@ class TestConstruction:
         m = TateMotive({0: 1})
         with pytest.raises(AttributeError):
             m.terms = {}
+        m.terms[5] = 1
+        assert m.multiplicity(5) == 0 and m == TateMotive({0: 1})
+
+    def test_repr(self):
+        assert repr(TateMotive({2: 3, 0: 1})) == "TateMotive({0: 1, 2: 3})"
+        assert repr(ZERO) == "TateMotive({})"
+
+    def test_equal_values_hash_equal(self):
+        a = TateMotive({3: 1, -1: 2, 0: 1})
+        b = TateMotive([(0, 1), (3, 1), (-1, 1), (-1, 1)])
+        assert a == b and hash(a) == hash(b)
 
     def test_accessors(self):
         m = TateMotive({0: 1, 2: 3})
@@ -179,6 +193,8 @@ class TestPoincarePoly:
             PoincarePoly({-1: 1})
         with pytest.raises(ValueError):
             PoincarePoly({1: -1})
+        with pytest.raises(ValueError):
+            PoincarePoly([(1, -1), (1, 1)])
         with pytest.raises(TypeError):
             PoincarePoly({1: 1.5})
 
@@ -189,3 +205,16 @@ class TestPoincarePoly:
     def test_odd_degrees_representable(self):
         p = PoincarePoly({1: 2, 3: 1})
         assert p.coefficient(1) == 2 and p.coefficient(3) == 1
+
+    def test_immutable(self):
+        p = PoincarePoly({0: 1})
+        with pytest.raises(AttributeError):
+            p.coefficients = {}
+        p.coefficients[2] = 1
+        assert p.coefficient(2) == 0
+
+    def test_repr_and_hash(self):
+        p = PoincarePoly({4: 2, 0: 1})
+        assert repr(p) == "PoincarePoly({0: 1, 4: 2})"
+        q = PoincarePoly([(0, 1), (4, 1), (4, 1)])
+        assert p == q and hash(p) == hash(q)

@@ -349,3 +349,24 @@ class TestExprJson:
             expr_from_json({"n": 2})
         with pytest.raises(ValueError):
             expr_from_json({"kind": "elliptic"})
+        point = {"kind": "point"}
+        cases = [
+            ({"kind": "projective"}, "projective expression JSON needs a field 'n'"),
+            (
+                {"kind": "product", "left": point},
+                "product expression JSON needs a field 'right'",
+            ),
+            (
+                {"kind": "blowup", "base": point, "center": point},
+                "blowup expression JSON needs a field 'codim'",
+            ),
+            (
+                {"kind": "toric", "cone_counts": 5},
+                "toric expression JSON needs 'cone_counts' as a list",
+            ),
+            ({"kind": ["point"]}, "unknown expression kind ['point']"),
+        ]
+        for data, message in cases:
+            with pytest.raises(ValueError) as info:
+                expr_from_json(data)
+            assert str(info.value) == message
