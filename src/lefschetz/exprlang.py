@@ -206,42 +206,37 @@ class _Parser:
         raise ParseError("unknown constructor %r" % name, tok.offset)
 
 
+# The grammar entry of each node class: the head of its raw tuple from the
+# parser, its canonical text with one %s per dataclass field, and how tightly
+# it binds as an operator ('+' looser than '*'; None for constructors).
+_SYNTAX = {
+    DisjointUnion: ("+", "%s + %s", 1),
+    Product: ("*", "%s * %s", 2),
+    Point: ("point", "point", None),
+    Projective: ("P", "P(%s)", None),
+    Quadric: ("Q", "Q(%s)", None),
+    Grassmannian: ("Gr", "Gr(%s,%s)", None),
+    Toric: ("toric", "toric[%s]", None),
+    Blowup: ("blowup", "blowup(%s; %s; %s)", None),
+    ProjBundle: ("projbundle", "projbundle(%s; %s)", None),
+    ModuliM0: ("M0", "M0(%s)", None),
+    Fano3fold: ("fano", "fano(%s; odd_trivial=%s)", None),
+}
+_CLASSES = {head: cls for cls, (head, _, _) in _SYNTAX.items()}
+
+
 def _build(raw, path: str) -> VarietyExpr:
-    head = raw[0]
+    """Type a raw tuple; a child's path extends ``path`` by its field name."""
+    cls = _CLASSES[raw[0]]
+    args = []
+    for (name, typ), value in zip(cls._fields, raw[1:]):
+        if typ is VarietyExpr:
+            value = _build(value, path + "." + name)
+        args.append(value)
     try:
-        if head == "+":
-            return DisjointUnion(
-                _build(raw[1], path + ".left"), _build(raw[2], path + ".right")
-            )
-        if head == "*":
-            return Product(
-                _build(raw[1], path + ".left"), _build(raw[2], path + ".right")
-            )
-        if head == "point":
-            return Point()
-        if head == "P":
-            return Projective(raw[1])
-        if head == "Q":
-            return Quadric(raw[1])
-        if head == "Gr":
-            return Grassmannian(raw[1], raw[2])
-        if head == "toric":
-            return Toric(tuple(raw[1]))
-        if head == "blowup":
-            return Blowup(
-                _build(raw[1], path + ".base"),
-                _build(raw[2], path + ".center"),
-                raw[3],
-            )
-        if head == "projbundle":
-            return ProjBundle(_build(raw[1], path + ".base"), raw[2])
-        if head == "M0":
-            return ModuliM0(raw[1])
-        if head == "fano":
-            return Fano3fold(raw[1], raw[2])
+        return cls(*args)
     except InvalidParameterError as exc:
         raise SemanticError(str(exc), path) from exc
-    raise AssertionError("unreachable raw node %r" % (head,))
 
 
 def parse_expr(text: str) -> VarietyExpr:
@@ -256,45 +251,31 @@ def parse_expr(text: str) -> VarietyExpr:
     return _build(raw, "$")
 
 
+def _render(e: VarietyExpr, bind: int) -> str:
+    """Text of ``e``, parenthesized if it binds less tightly than ``bind``."""
+    entry = _SYNTAX.get(type(e))
+    if entry is None:
+        raise TypeError("unknown expression node %r" % type(e).__name__)
+    _, template, strength = entry
+    args = []
+    for name, typ in e._fields:
+        value = getattr(e, name)
+        if typ is VarietyExpr:
+            # both operators are left-associative, so a right operand must
+            # bind more tightly than its operator; a constructor's own
+            # delimiters need no parentheses
+            value = _render(value, 0 if strength is None else strength + len(args))
+        elif typ is bool:
+            value = "true" if value else "false"
+        elif typ is tuple:
+            value = ",".join(str(c) for c in value)
+        else:
+            value = "%d" % value
+        args.append(value)
+    text = template % tuple(args)
+    return text if strength is None or strength >= bind else "(%s)" % text
+
+
 def render_expr(e: VarietyExpr) -> str:
     """Canonical text for an expression; ``parse_expr`` inverts it exactly."""
-    if isinstance(e, Point):
-        return "point"
-    if isinstance(e, Projective):
-        return "P(%d)" % e.n
-    if isinstance(e, Quadric):
-        return "Q(%d)" % e.d
-    if isinstance(e, Grassmannian):
-        return "Gr(%d,%d)" % (e.k, e.n)
-    if isinstance(e, Toric):
-        return "toric[%s]" % ",".join(str(c) for c in e.cone_counts)
-    if isinstance(e, Blowup):
-        return "blowup(%s; %s; %d)" % (
-            render_expr(e.base),
-            render_expr(e.center),
-            e.codim,
-        )
-    if isinstance(e, ProjBundle):
-        return "projbundle(%s; %d)" % (render_expr(e.base), e.fiber_rank)
-    if isinstance(e, ModuliM0):
-        return "M0(%d)" % e.n
-    if isinstance(e, Fano3fold):
-        return "fano(%d; odd_trivial=%s)" % (
-            e.b,
-            "true" if e.odd_trivial else "false",
-        )
-    if isinstance(e, Product):
-        left = render_expr(e.left)
-        right = render_expr(e.right)
-        if isinstance(e.left, DisjointUnion):
-            left = "(%s)" % left
-        if isinstance(e.right, (DisjointUnion, Product)):
-            right = "(%s)" % right
-        return "%s * %s" % (left, right)
-    if isinstance(e, DisjointUnion):
-        left = render_expr(e.left)
-        right = render_expr(e.right)
-        if isinstance(e.right, DisjointUnion):
-            right = "(%s)" % right
-        return "%s + %s" % (left, right)
-    raise TypeError("unknown expression node %r" % type(e).__name__)
+    return _render(e, 0)

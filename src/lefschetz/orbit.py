@@ -250,25 +250,6 @@ def compose(g: OrbitMorphism, f: OrbitMorphism) -> OrbitMorphism:
     )
 
 
-def project(x: TateMotive) -> TateMotive:
-    """The quotient functor on objects; the identity on underlying data."""
-    return x
-
-
-def project_morphism(f: OrbitMorphism) -> OrbitMorphism:
-    """Image of a twist-preserving morphism under the quotient functor.
-
-    The quotient is faithful grade by grade, so the data is unchanged; input
-    with support outside grade 0 is rejected because it is not in the image
-    of the honest category.
-    """
-    if not f.is_twist_preserving:
-        raise ValueError(
-            "not a twist-preserving morphism: support %r" % (list(f.support),)
-        )
-    return f
-
-
 def canonical_unit_iso(l: int) -> tuple[OrbitMorphism, OrbitMorphism]:
     """The mutually inverse pair between the unit and L^l in the orbit category.
 

@@ -28,6 +28,11 @@ FEC_FAILS_ODD = "fails-odd-vanishing"
 FEC_FAILS_LENGTH = "fails-length-bound"
 
 
+def _is_count(n) -> bool:
+    """A non-negative int; a bool is not one, though Python says it is an int."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 class InconsistentRanksError(ValueError):
     """Known ranks cannot add up to the rank of the total motive."""
 
@@ -57,10 +62,8 @@ class SODPiece:
             if self.nc_rank not in (None, 1):
                 raise ValueError("an exceptional piece has rank 1")
             object.__setattr__(self, "nc_rank", 1)
-        elif self.nc_rank is not None:
-            rank = self.nc_rank
-            if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-                raise ValueError("nc_rank must be a non-negative integer or None")
+        elif self.nc_rank is not None and not _is_count(self.nc_rank):
+            raise ValueError("nc_rank must be a non-negative integer or None")
 
     def to_json(self) -> dict:
         out: dict = {"label": self.label, "kind": self.kind}
@@ -124,7 +127,7 @@ class NCMotive:
     unit_rank: int
 
     def __post_init__(self):
-        if not isinstance(self.unit_rank, int) or self.unit_rank < 0:
+        if not _is_count(self.unit_rank):
             raise ValueError("unit_rank must be a non-negative integer")
 
     def __add__(self, other: "NCMotive") -> "NCMotive":
@@ -214,17 +217,3 @@ def fec_obstruction(betti: PoincarePoly, max_length: Optional[int] = None) -> Fe
     if max_length is not None and needed > max_length:
         return FecVerdict(FEC_FAILS_LENGTH, min_length=needed, bound=max_length)
     return FecVerdict(FEC_OK, min_length=needed, bound=max_length)
-
-
-def fano_fec_check(
-    b: int, m1_trivial: bool, m5_trivial: bool, m1j_trivial: bool
-) -> bool:
-    """Whether a Fano threefold's known obstructions to a full collection vanish.
-
-    The three flags assert triviality of the three odd-weight summands of the
-    motive; all must hold.  The even part never obstructs: its Betti numbers
-    are 1, b, b, 1, all bounded by the collection length 2 + 2b.
-    """
-    if not isinstance(b, int) or b < 0:
-        raise ValueError("b must be a non-negative integer")
-    return bool(m1_trivial and m5_trivial and m1j_trivial)

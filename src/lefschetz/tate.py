@@ -84,6 +84,11 @@ class SparsePoly:
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __reduce__(self):
+        # rebuild through the constructor: the default restores the slot
+        # through the __setattr__ guard above
+        return type(self), (self._terms,)
+
     @property
     def terms(self) -> dict:
         """Key -> coefficient in canonical order, zero entries absent."""

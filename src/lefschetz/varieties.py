@@ -6,6 +6,12 @@ generalized motive (a Tate part plus possibly some named opaque summands),
 returns the known full exceptional collection or the Clifford-algebra
 decomposition for quadrics, where defined.
 
+Each node class holds its own catalog entry: its JSON ``kind`` and the
+methods ``_dimension``, ``_motive`` and ``_collection(variant)``, which call
+the same methods of the children directly.  The public functions are entry
+points into those methods.  The JSON form is generic over the dataclass
+fields: a field holding an expression nests, a tuple field is a JSON list.
+
 Catalog formulas:
 
 * projective space P^n:          1 + L + ... + L^n
@@ -31,8 +37,9 @@ complete cohomological data reject motives that still carry them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
+from typing import get_origin, get_type_hints
 
 from .sod import Collection, SODPiece, exceptional, opaque
 from .tate import TateMotive, direct_sum, lefschetz, poincare, tensor
@@ -116,179 +123,6 @@ class GeneralizedMotive:
         return " + ".join(parts) if parts else "0"
 
 
-class VarietyExpr:
-    """Base class for catalog expressions."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Point(VarietyExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class Projective(VarietyExpr):
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise InvalidParameterError("projective space needs n >= 0")
-
-
-@dataclass(frozen=True)
-class Quadric(VarietyExpr):
-    d: int
-
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise InvalidParameterError("quadric needs dimension d >= 1")
-
-
-@dataclass(frozen=True)
-class Grassmannian(VarietyExpr):
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if (
-            not isinstance(self.k, int)
-            or not isinstance(self.n, int)
-            or not 0 < self.k < self.n
-        ):
-            raise InvalidParameterError("Grassmannian needs 0 < k < n")
-
-
-@dataclass(frozen=True)
-class Toric(VarietyExpr):
-    """Cone counts by dimension: cone_counts[i] cones of dimension i."""
-
-    cone_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cone_counts", tuple(self.cone_counts))
-        counts = self.cone_counts
-        if not counts or any(not isinstance(c, int) or c < 1 for c in counts):
-            raise InvalidParameterError("cone counts must be positive integers")
-        if counts[0] != 1:
-            raise InvalidParameterError("a fan has exactly one zero-dimensional cone")
-
-
-@dataclass(frozen=True)
-class Product(VarietyExpr):
-    left: VarietyExpr
-    right: VarietyExpr
-
-    def __post_init__(self):
-        _check_expr(self.left)
-        _check_expr(self.right)
-
-
-@dataclass(frozen=True)
-class DisjointUnion(VarietyExpr):
-    left: VarietyExpr
-    right: VarietyExpr
-
-    def __post_init__(self):
-        _check_expr(self.left)
-        _check_expr(self.right)
-
-
-@dataclass(frozen=True)
-class Blowup(VarietyExpr):
-    """Blowup of ``base`` along a smooth ``center`` of codimension ``codim``.
-
-    The codimension must be >= 2 and must equal the dimension gap, otherwise
-    the motive formula does not describe a blowup.
-    """
-
-    base: VarietyExpr
-    center: VarietyExpr
-    codim: int
-
-    def __post_init__(self):
-        _check_expr(self.base)
-        _check_expr(self.center)
-        if not isinstance(self.codim, int) or self.codim < 2:
-            raise InvalidParameterError("blowup center must have codimension >= 2")
-        gap = dimension_of(self.base) - dimension_of(self.center)
-        if gap != self.codim:
-            raise InvalidParameterError(
-                "stated codimension %d does not match the dimension gap %d"
-                % (self.codim, gap)
-            )
-
-
-@dataclass(frozen=True)
-class ProjBundle(VarietyExpr):
-    """Projectivization of a rank ``fiber_rank`` vector bundle on ``base``."""
-
-    base: VarietyExpr
-    fiber_rank: int
-
-    def __post_init__(self):
-        _check_expr(self.base)
-        if not isinstance(self.fiber_rank, int) or self.fiber_rank < 1:
-            raise InvalidParameterError("bundle rank must be >= 1")
-
-
-@dataclass(frozen=True)
-class ModuliM0(VarietyExpr):
-    """Moduli of genus-zero stable curves with n marked points, n <= 5."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or not 3 <= self.n <= 5:
-            raise InvalidParameterError("marked points n must be 3, 4 or 5")
-
-
-@dataclass(frozen=True)
-class Fano3fold(VarietyExpr):
-    """A Fano threefold recorded by b = b_2 = b_4 and an odd-vanishing flag."""
-
-    b: int
-    odd_trivial: bool
-
-    def __post_init__(self):
-        if not isinstance(self.b, int) or self.b < 0:
-            raise InvalidParameterError("Betti input b must be >= 0")
-        if not isinstance(self.odd_trivial, bool):
-            raise InvalidParameterError("odd_trivial must be a boolean")
-
-
-def _check_expr(e) -> None:
-    if not isinstance(e, VarietyExpr):
-        raise InvalidParameterError("expected a variety expression, got %r" % (e,))
-
-
-def dimension_of(e: VarietyExpr) -> int:
-    """Dimension of the underlying variety; unions take the maximum."""
-    if isinstance(e, Point):
-        return 0
-    if isinstance(e, Projective):
-        return e.n
-    if isinstance(e, Quadric):
-        return e.d
-    if isinstance(e, Grassmannian):
-        return e.k * (e.n - e.k)
-    if isinstance(e, Toric):
-        return len(e.cone_counts) - 1
-    if isinstance(e, Product):
-        return dimension_of(e.left) + dimension_of(e.right)
-    if isinstance(e, DisjointUnion):
-        return max(dimension_of(e.left), dimension_of(e.right))
-    if isinstance(e, Blowup):
-        return dimension_of(e.base)
-    if isinstance(e, ProjBundle):
-        return dimension_of(e.base) + e.fiber_rank - 1
-    if isinstance(e, ModuliM0):
-        return e.n - 3
-    if isinstance(e, Fano3fold):
-        return 3
-    raise TypeError("unknown expression node %r" % type(e).__name__)
-
-
 def _gaussian_binomial(n: int, k: int) -> dict[int, int]:
     """Coefficients of the q-binomial [n choose k]_q via the q-Pascal rule."""
     # row[j] holds [i choose j]_q while i runs from 0 to n
@@ -315,68 +149,6 @@ def _toric_betti(cone_counts: tuple[int, ...]) -> list[int]:
     return betti
 
 
-def _m0_space(n: int) -> VarietyExpr:
-    if n == 3:
-        return Point()
-    if n == 4:
-        return Projective(1)
-    four_points = DisjointUnion(
-        DisjointUnion(Point(), Point()), DisjointUnion(Point(), Point())
-    )
-    return Blowup(Projective(2), four_points, 2)
-
-
-def motive_of(e: VarietyExpr) -> GeneralizedMotive:
-    """Evaluate an expression to its generalized motive."""
-    if isinstance(e, Point):
-        return GeneralizedMotive(TateMotive({0: 1}))
-    if isinstance(e, Projective):
-        return GeneralizedMotive(TateMotive({i: 1 for i in range(e.n + 1)}))
-    if isinstance(e, Quadric):
-        terms = {i: 1 for i in range(e.d + 1)}
-        if e.d % 2 == 0:
-            terms[e.d // 2] += 1
-        return GeneralizedMotive(TateMotive(terms))
-    if isinstance(e, Grassmannian):
-        return GeneralizedMotive(TateMotive(_gaussian_binomial(e.n, e.k)))
-    if isinstance(e, Toric):
-        betti = _toric_betti(e.cone_counts)
-        if any(b < 0 for b in betti):
-            raise InvalidParameterError(
-                "cone counts %r give a negative Betti number" % (e.cone_counts,)
-            )
-        return GeneralizedMotive(TateMotive(dict(enumerate(betti))))
-    if isinstance(e, Product):
-        return motive_of(e.left) * motive_of(e.right)
-    if isinstance(e, DisjointUnion):
-        return motive_of(e.left) + motive_of(e.right)
-    if isinstance(e, Blowup):
-        out = motive_of(e.base)
-        center = motive_of(e.center)
-        for i in range(1, e.codim):
-            out = out + center * GeneralizedMotive(lefschetz(i))
-        return out
-    if isinstance(e, ProjBundle):
-        base = motive_of(e.base)
-        out = base
-        for i in range(1, e.fiber_rank):
-            out = out + base * GeneralizedMotive(lefschetz(i))
-        return out
-    if isinstance(e, ModuliM0):
-        return motive_of(_m0_space(e.n))
-    if isinstance(e, Fano3fold):
-        tate = TateMotive({0: 1, 1: e.b, 2: e.b, 3: 1})
-        if e.odd_trivial:
-            return GeneralizedMotive(tate)
-        parts = (
-            OpaquePart("M^1(X)", odd=True),
-            OpaquePart("M^1(J)", odd=True, twist=1),
-            OpaquePart("M^5(X)", odd=True),
-        )
-        return GeneralizedMotive(tate, parts)
-    raise TypeError("unknown expression node %r" % type(e).__name__)
-
-
 def _line_bundles(first: int) -> list[SODPiece]:
     """O(first), O(first+1), ..., O(-1), O with first <= 0."""
     return [
@@ -386,6 +158,341 @@ def _line_bundles(first: int) -> list[SODPiece]:
 
 def _generic_labels(count: int) -> Collection:
     return Collection(tuple(exceptional("E%d" % (i + 1)) for i in range(count)))
+
+
+class VarietyExpr:
+    """Base class for catalog expressions.
+
+    Each node class is a frozen dataclass that carries its JSON ``kind`` and
+    its catalog entry as three methods: ``_dimension``, ``_motive`` and
+    ``_collection(variant)``.  A node calls its children's methods directly.
+    The base methods reject a node outside the catalog; a node with no known
+    collection keeps the base ``_collection``.  ``_fields`` is filled in for
+    every node class once all are defined (see ``_register``).
+    """
+
+    __slots__ = ()
+    kind = None
+    _fields: tuple = ()
+
+    def __post_init__(self):
+        """Check that each expression-typed field holds an expression."""
+        for name, typ in self._fields:
+            if typ is VarietyExpr:
+                _check_expr(getattr(self, name))
+
+    def _dimension(self) -> int:
+        raise TypeError("unknown expression node %r" % type(self).__name__)
+
+    def _motive(self) -> GeneralizedMotive:
+        raise TypeError("unknown expression node %r" % type(self).__name__)
+
+    def _collection(self, variant: str) -> Collection:
+        raise CollectionUnavailableError(
+            "no collection in the catalog for %s" % type(self).__name__
+        )
+
+
+@dataclass(frozen=True)
+class Point(VarietyExpr):
+    kind = "point"
+
+    def _dimension(self) -> int:
+        return 0
+
+    def _motive(self) -> GeneralizedMotive:
+        return GeneralizedMotive(TateMotive({0: 1}))
+
+    def _collection(self, variant: str) -> Collection:
+        return Collection((exceptional("O"),))
+
+
+@dataclass(frozen=True)
+class Projective(VarietyExpr):
+    n: int
+    kind = "projective"
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 0:
+            raise InvalidParameterError("projective space needs n >= 0")
+
+    def _dimension(self) -> int:
+        return self.n
+
+    def _motive(self) -> GeneralizedMotive:
+        return GeneralizedMotive(TateMotive({i: 1 for i in range(self.n + 1)}))
+
+    def _collection(self, variant: str) -> Collection:
+        return Collection(tuple(_line_bundles(-self.n)))
+
+
+@dataclass(frozen=True)
+class Quadric(VarietyExpr):
+    d: int
+    kind = "quadric"
+
+    def __post_init__(self):
+        if not isinstance(self.d, int) or self.d < 1:
+            raise InvalidParameterError("quadric needs dimension d >= 1")
+
+    def _dimension(self) -> int:
+        return self.d
+
+    def _motive(self) -> GeneralizedMotive:
+        terms = {i: 1 for i in range(self.d + 1)}
+        if self.d % 2 == 0:
+            terms[self.d // 2] += 1
+        return GeneralizedMotive(TateMotive(terms))
+
+    def _collection(self, variant: str) -> Collection:
+        tail = _line_bundles(-self.d + 1)
+        if variant == "kuznetsov":
+            head = [opaque("Cl0(Q_%d)" % self.d)]
+        elif self.d % 2 == 1:
+            head = [exceptional("Sigma(%d)" % -self.d)]
+        else:
+            head = [
+                exceptional("Sigma+(%d)" % -self.d),
+                exceptional("Sigma-(%d)" % -self.d),
+            ]
+        return Collection(tuple(head + tail))
+
+
+@dataclass(frozen=True)
+class Grassmannian(VarietyExpr):
+    k: int
+    n: int
+    kind = "grassmannian"
+
+    def __post_init__(self):
+        if (
+            not isinstance(self.k, int)
+            or not isinstance(self.n, int)
+            or not 0 < self.k < self.n
+        ):
+            raise InvalidParameterError("Grassmannian needs 0 < k < n")
+
+    def _dimension(self) -> int:
+        return self.k * (self.n - self.k)
+
+    def _motive(self) -> GeneralizedMotive:
+        return GeneralizedMotive(TateMotive(_gaussian_binomial(self.n, self.k)))
+
+
+@dataclass(frozen=True)
+class Toric(VarietyExpr):
+    """Cone counts by dimension: cone_counts[i] cones of dimension i."""
+
+    cone_counts: tuple[int, ...]
+    kind = "toric"
+
+    def __post_init__(self):
+        object.__setattr__(self, "cone_counts", tuple(self.cone_counts))
+        counts = self.cone_counts
+        if not counts or any(not isinstance(c, int) or c < 1 for c in counts):
+            raise InvalidParameterError("cone counts must be positive integers")
+        if counts[0] != 1:
+            raise InvalidParameterError("a fan has exactly one zero-dimensional cone")
+
+    def _dimension(self) -> int:
+        return len(self.cone_counts) - 1
+
+    def _motive(self) -> GeneralizedMotive:
+        betti = _toric_betti(self.cone_counts)
+        if any(b < 0 for b in betti):
+            raise InvalidParameterError(
+                "cone counts %r give a negative Betti number" % (self.cone_counts,)
+            )
+        return GeneralizedMotive(TateMotive(dict(enumerate(betti))))
+
+    def _collection(self, variant: str) -> Collection:
+        return _generic_labels(self._motive().tate.rank)
+
+
+@dataclass(frozen=True)
+class Product(VarietyExpr):
+    left: VarietyExpr
+    right: VarietyExpr
+    kind = "product"
+
+    def _dimension(self) -> int:
+        return self.left._dimension() + self.right._dimension()
+
+    def _motive(self) -> GeneralizedMotive:
+        return self.left._motive() * self.right._motive()
+
+
+@dataclass(frozen=True)
+class DisjointUnion(VarietyExpr):
+    left: VarietyExpr
+    right: VarietyExpr
+    kind = "disjoint_union"
+
+    def _dimension(self) -> int:
+        return max(self.left._dimension(), self.right._dimension())
+
+    def _motive(self) -> GeneralizedMotive:
+        return self.left._motive() + self.right._motive()
+
+    def _collection(self, variant: str) -> Collection:
+        left = self.left._collection(variant)
+        right = self.right._collection(variant)
+        return Collection(left.pieces + right.pieces)
+
+
+@dataclass(frozen=True)
+class Blowup(VarietyExpr):
+    """Blowup of ``base`` along a smooth ``center`` of codimension ``codim``.
+
+    The codimension must be >= 2 and must equal the dimension gap, otherwise
+    the motive formula does not describe a blowup.
+    """
+
+    base: VarietyExpr
+    center: VarietyExpr
+    codim: int
+    kind = "blowup"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.codim, int) or self.codim < 2:
+            raise InvalidParameterError("blowup center must have codimension >= 2")
+        gap = self.base._dimension() - self.center._dimension()
+        if gap != self.codim:
+            raise InvalidParameterError(
+                "stated codimension %d does not match the dimension gap %d"
+                % (self.codim, gap)
+            )
+
+    def _dimension(self) -> int:
+        return self.base._dimension()
+
+    def _motive(self) -> GeneralizedMotive:
+        out = self.base._motive()
+        center = self.center._motive()
+        for i in range(1, self.codim):
+            out = out + center * GeneralizedMotive(lefschetz(i))
+        return out
+
+
+@dataclass(frozen=True)
+class ProjBundle(VarietyExpr):
+    """Projectivization of a rank ``fiber_rank`` vector bundle on ``base``."""
+
+    base: VarietyExpr
+    fiber_rank: int
+    kind = "proj_bundle"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.fiber_rank, int) or self.fiber_rank < 1:
+            raise InvalidParameterError("bundle rank must be >= 1")
+
+    def _dimension(self) -> int:
+        return self.base._dimension() + self.fiber_rank - 1
+
+    def _motive(self) -> GeneralizedMotive:
+        base = self.base._motive()
+        out = base
+        for i in range(1, self.fiber_rank):
+            out = out + base * GeneralizedMotive(lefschetz(i))
+        return out
+
+
+@dataclass(frozen=True)
+class ModuliM0(VarietyExpr):
+    """Moduli of genus-zero stable curves with n marked points, n <= 5."""
+
+    n: int
+    kind = "moduli_m0"
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or not 3 <= self.n <= 5:
+            raise InvalidParameterError("marked points n must be 3, 4 or 5")
+
+    def _space(self) -> VarietyExpr:
+        """A point, the line, and the plane blown up in four points."""
+        if self.n == 3:
+            return Point()
+        if self.n == 4:
+            return Projective(1)
+        four_points = DisjointUnion(
+            DisjointUnion(Point(), Point()), DisjointUnion(Point(), Point())
+        )
+        return Blowup(Projective(2), four_points, 2)
+
+    def _dimension(self) -> int:
+        return self.n - 3
+
+    def _motive(self) -> GeneralizedMotive:
+        return self._space()._motive()
+
+    def _collection(self, variant: str) -> Collection:
+        if self.n <= 4:
+            return self._space()._collection(variant)
+        return _generic_labels(self._motive().tate.rank)
+
+
+@dataclass(frozen=True)
+class Fano3fold(VarietyExpr):
+    """A Fano threefold recorded by b = b_2 = b_4 and an odd-vanishing flag."""
+
+    b: int
+    odd_trivial: bool
+    kind = "fano3fold"
+
+    def __post_init__(self):
+        if not isinstance(self.b, int) or self.b < 0:
+            raise InvalidParameterError("Betti input b must be >= 0")
+        if not isinstance(self.odd_trivial, bool):
+            raise InvalidParameterError("odd_trivial must be a boolean")
+
+    def _dimension(self) -> int:
+        return 3
+
+    def _motive(self) -> GeneralizedMotive:
+        tate = TateMotive({0: 1, 1: self.b, 2: self.b, 3: 1})
+        if self.odd_trivial:
+            return GeneralizedMotive(tate)
+        parts = (
+            OpaquePart("M^1(X)", odd=True),
+            OpaquePart("M^1(J)", odd=True, twist=1),
+            OpaquePart("M^5(X)", odd=True),
+        )
+        return GeneralizedMotive(tate, parts)
+
+    def _collection(self, variant: str) -> Collection:
+        if not self.odd_trivial:
+            raise CollectionUnavailableError(
+                "odd-weight summands were not asserted trivial, so no full "
+                "exceptional collection is available"
+            )
+        return _generic_labels(2 + 2 * self.b)
+
+
+def _check_expr(e) -> None:
+    if not isinstance(e, VarietyExpr):
+        raise InvalidParameterError("expected a variety expression, got %r" % (e,))
+
+
+def _node_class(e) -> type:
+    """The class whose methods evaluate ``e``.
+
+    Anything that is not an expression gets the base class, whose methods
+    raise the errors for an unknown node.
+    """
+    cls = type(e)
+    return cls if issubclass(cls, VarietyExpr) else VarietyExpr
+
+
+def dimension_of(e: VarietyExpr) -> int:
+    """Dimension of the underlying variety; unions take the maximum."""
+    return _node_class(e)._dimension(e)
+
+
+def motive_of(e: VarietyExpr) -> GeneralizedMotive:
+    """Evaluate an expression to its generalized motive."""
+    return _node_class(e)._motive(e)
 
 
 def exceptional_collection_of(
@@ -401,44 +508,7 @@ def exceptional_collection_of(
     """
     if quadric_variant not in ("split", "kuznetsov"):
         raise ValueError("quadric_variant must be 'split' or 'kuznetsov'")
-    if isinstance(e, Point):
-        return Collection((exceptional("O"),))
-    if isinstance(e, Projective):
-        return Collection(tuple(_line_bundles(-e.n)))
-    if isinstance(e, Quadric):
-        tail = _line_bundles(-e.d + 1)
-        if quadric_variant == "kuznetsov":
-            head = [opaque("Cl0(Q_%d)" % e.d)]
-        elif e.d % 2 == 1:
-            head = [exceptional("Sigma(%d)" % -e.d)]
-        else:
-            head = [
-                exceptional("Sigma+(%d)" % -e.d),
-                exceptional("Sigma-(%d)" % -e.d),
-            ]
-        return Collection(tuple(head + tail))
-    if isinstance(e, Toric):
-        return _generic_labels(motive_of(e).tate.rank)
-    if isinstance(e, DisjointUnion):
-        left = exceptional_collection_of(e.left, quadric_variant=quadric_variant)
-        right = exceptional_collection_of(e.right, quadric_variant=quadric_variant)
-        return Collection(left.pieces + right.pieces)
-    if isinstance(e, ModuliM0):
-        if e.n <= 4:
-            return exceptional_collection_of(
-                _m0_space(e.n), quadric_variant=quadric_variant
-            )
-        return _generic_labels(motive_of(e).tate.rank)
-    if isinstance(e, Fano3fold):
-        if not e.odd_trivial:
-            raise CollectionUnavailableError(
-                "odd-weight summands were not asserted trivial, so no full "
-                "exceptional collection is available"
-            )
-        return _generic_labels(2 + 2 * e.b)
-    raise CollectionUnavailableError(
-        "no collection in the catalog for %s" % type(e).__name__
-    )
+    return _node_class(e)._collection(e, quadric_variant)
 
 
 def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:
@@ -463,104 +533,65 @@ def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:
     return sod.fec_obstruction(betti, bound)
 
 
-_KINDS: dict[str, type] = {
-    "point": Point,
-    "projective": Projective,
-    "quadric": Quadric,
-    "grassmannian": Grassmannian,
-    "toric": Toric,
-    "product": Product,
-    "disjoint_union": DisjointUnion,
-    "blowup": Blowup,
-    "proj_bundle": ProjBundle,
-    "moduli_m0": ModuliM0,
-    "fano3fold": Fano3fold,
-}
+def _register() -> dict[str, type]:
+    """Give each node class its ``_fields`` and map each JSON kind to its class.
+
+    ``_fields`` holds ``(name, type)`` per dataclass field, in order, with
+    ``tuple[int, ...]`` recorded as ``tuple``.  The JSON form and the
+    expression language both walk a node through it.
+    """
+    kinds = {}
+    for cls in VarietyExpr.__subclasses__():
+        hints = get_type_hints(cls)
+        cls._fields = tuple(
+            (f.name, get_origin(hints[f.name]) or hints[f.name]) for f in fields(cls)
+        )
+        kinds[cls.kind] = cls
+    return kinds
 
 
-def expr_to_json(e: VarietyExpr) -> dict:
-    """Structural JSON mirror of the AST."""
-    if isinstance(e, Point):
-        return {"kind": "point"}
-    if isinstance(e, Projective):
-        return {"kind": "projective", "n": e.n}
-    if isinstance(e, Quadric):
-        return {"kind": "quadric", "d": e.d}
-    if isinstance(e, Grassmannian):
-        return {"kind": "grassmannian", "k": e.k, "n": e.n}
-    if isinstance(e, Toric):
-        return {"kind": "toric", "cone_counts": list(e.cone_counts)}
-    if isinstance(e, Product):
-        return {
-            "kind": "product",
-            "left": expr_to_json(e.left),
-            "right": expr_to_json(e.right),
-        }
-    if isinstance(e, DisjointUnion):
-        return {
-            "kind": "disjoint_union",
-            "left": expr_to_json(e.left),
-            "right": expr_to_json(e.right),
-        }
-    if isinstance(e, Blowup):
-        return {
-            "kind": "blowup",
-            "base": expr_to_json(e.base),
-            "center": expr_to_json(e.center),
-            "codim": e.codim,
-        }
-    if isinstance(e, ProjBundle):
-        return {
-            "kind": "proj_bundle",
-            "base": expr_to_json(e.base),
-            "fiber_rank": e.fiber_rank,
-        }
-    if isinstance(e, ModuliM0):
-        return {"kind": "moduli_m0", "n": e.n}
-    if isinstance(e, Fano3fold):
-        return {"kind": "fano3fold", "b": e.b, "odd_trivial": e.odd_trivial}
-    raise TypeError("unknown expression node %r" % type(e).__name__)
+_KINDS: dict[str, type] = _register()
 
 
-def expr_from_json(data: dict) -> VarietyExpr:
+def _to_json(e) -> dict:
+    kind = getattr(e, "kind", None)
+    if kind is None:
+        raise TypeError("unknown expression node %r" % type(e).__name__)
+    out = {"kind": kind}
+    for name, typ in e._fields:
+        value = getattr(e, name)
+        if typ is VarietyExpr:
+            value = _to_json(value)
+        elif typ is tuple:
+            value = list(value)
+        out[name] = value
+    return out
+
+
+def _from_json(data) -> VarietyExpr:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("expression JSON needs a 'kind' field")
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError("unknown expression kind %r" % (kind,))
-
-    def field(name: str):
+    cls = _KINDS[kind]
+    args = []
+    for name, typ in cls._fields:
         if name not in data:
             raise ValueError("%s expression JSON needs a field %r" % (kind, name))
-        return data[name]
+        value = data[name]
+        if typ is VarietyExpr:
+            value = _from_json(value)
+        elif typ is tuple and not isinstance(value, list):
+            raise ValueError("%s expression JSON needs %r as a list" % (kind, name))
+        args.append(value)
+    return cls(*args)
 
-    if kind == "point":
-        return Point()
-    if kind == "projective":
-        return Projective(field("n"))
-    if kind == "quadric":
-        return Quadric(field("d"))
-    if kind == "grassmannian":
-        return Grassmannian(field("k"), field("n"))
-    if kind == "toric":
-        counts = field("cone_counts")
-        if not isinstance(counts, list):
-            raise ValueError("toric expression JSON needs 'cone_counts' as a list")
-        return Toric(tuple(counts))
-    if kind == "product":
-        return Product(expr_from_json(field("left")), expr_from_json(field("right")))
-    if kind == "disjoint_union":
-        return DisjointUnion(
-            expr_from_json(field("left")), expr_from_json(field("right"))
-        )
-    if kind == "blowup":
-        return Blowup(
-            expr_from_json(field("base")),
-            expr_from_json(field("center")),
-            field("codim"),
-        )
-    if kind == "proj_bundle":
-        return ProjBundle(expr_from_json(field("base")), field("fiber_rank"))
-    if kind == "moduli_m0":
-        return ModuliM0(field("n"))
-    return Fano3fold(field("b"), field("odd_trivial"))
+
+def expr_to_json(e: VarietyExpr) -> dict:
+    """Structural JSON mirror of the AST: the kind, then each field in order."""
+    return _to_json(e)
+
+
+def expr_from_json(data: dict) -> VarietyExpr:
+    return _from_json(data)

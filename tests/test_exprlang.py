@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lefschetz.exprlang import ParseError, SemanticError, parse_expr, render_expr
+from lefschetz.tate import TateMotive
 from lefschetz.varieties import (
     Blowup,
+    CollectionUnavailableError,
     DisjointUnion,
     Fano3fold,
     Grassmannian,
@@ -17,6 +19,11 @@ from lefschetz.varieties import (
     Projective,
     Quadric,
     Toric,
+    dimension_of,
+    exceptional_collection_of,
+    expr_from_json,
+    expr_to_json,
+    motive_of,
 )
 
 
@@ -200,3 +207,36 @@ _exprs = st.recursive(
 @given(_exprs)
 def test_render_round_trip_property(e):
     assert parse_expr(render_expr(e)) == e
+
+
+class TestDeepInputs:
+    """Every stage handles long chains and deep nesting.
+
+    The limits are about 948 chain terms and 317 nesting levels under
+    pytest at one stack frame per tree level in the evaluators, so these
+    sizes fail if a stage spends a second frame per level.
+    """
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "+".join(["point"] * 900),
+            "*".join(["point"] * 900),
+            "point+(" * 299 + "point" + ")" * 299,
+        ],
+        ids=["sum-chain-900", "product-chain-900", "nested-300"],
+    )
+    def test_every_stage(self, text):
+        # compared as text: == on the trees recurses two levels per node
+        e = parse_expr(text)
+        canon = render_expr(e)
+        assert render_expr(parse_expr(canon)) == canon
+        assert render_expr(expr_from_json(expr_to_json(e))) == canon
+        assert dimension_of(e) == 0
+        rank = 1 if "*" in text else text.count("point")
+        assert motive_of(e).tate == TateMotive({0: rank})
+        if "*" in text:
+            with pytest.raises(CollectionUnavailableError):
+                exceptional_collection_of(e)
+        else:
+            assert len(exceptional_collection_of(e)) == rank

@@ -1,5 +1,8 @@
 """The two measures out of the Lefschetz subring and their compatibility."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -187,3 +190,26 @@ class TestHodgeNumbers:
     def test_needs_effective(self):
         with pytest.raises(NonEffectiveError):
             hodge_numbers(TateMotive({-1: 1}))
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            TateMotive({0: 1, 2: 3}),
+            PoincarePoly({0: 1, 3: 2}),
+            K0Class({-1: 2, 1: -1}),
+            HodgeDelignePoly({(1, 1): -3, (0, 0): 1}),
+            motive_of(Fano3fold(1, False)),
+        ],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_copy_deepcopy_and_pickle(self, value):
+        for twin in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)

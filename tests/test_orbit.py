@@ -25,8 +25,6 @@ from lefschetz.orbit import (
     decompose_via_orbit,
     identity_morphism,
     orbit_hom_support,
-    project,
-    project_morphism,
     term_enumeration,
 )
 from lefschetz.tate import ZERO, TateMotive, lefschetz
@@ -154,21 +152,10 @@ class TestHomSupport:
 
 
 class TestProjection:
-    def test_objects_unchanged(self):
-        m = TateMotive({0: 1, 2: 1})
-        assert project(m) == m
-
     def test_twist_preserving_pass_through(self):
         m = TateMotive({0: 2})
         f = chow_morphism(m, m, [[1, 2], [3, 4]])
-        assert project_morphism(f) == f
         assert f.is_twist_preserving
-
-    def test_graded_input_rejected(self):
-        m = TateMotive({0: 1, 1: 1})
-        f = OrbitMorphism(m, m, {-1: [[0, 1], [0, 0]]})
-        with pytest.raises(ValueError, match="twist-preserving"):
-            project_morphism(f)
 
     def test_chow_morphism_respects_delta(self):
         with pytest.raises(ValueError, match="delta pattern"):
@@ -190,9 +177,7 @@ class TestProjection:
                 for i in range(z.rank)
             ]
             composite = chow_morphism(x, z, product)
-            assert compose(project_morphism(g), project_morphism(f)) == project_morphism(
-                composite
-            )
+            assert compose(g, f) == composite
 
 
 class TestCanonicalUnitIso:

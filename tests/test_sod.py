@@ -13,7 +13,6 @@ from lefschetz.sod import (
     UnderdeterminedError,
     additive_invariant_rank,
     exceptional,
-    fano_fec_check,
     fec_obstruction,
     opaque,
     solve_nc_ranks,
@@ -140,6 +139,8 @@ class TestNCMotive:
     def test_validation(self):
         with pytest.raises(ValueError):
             NCMotive(-1)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            NCMotive(True)
 
     def test_of_piece(self):
         assert NCMotive.of_piece(exceptional("O")) == NCMotive(1)
@@ -177,15 +178,3 @@ class TestFecObstruction:
     def test_max_length_validated(self):
         with pytest.raises(ValueError):
             fec_obstruction(PoincarePoly({0: 1}), max_length=0)
-
-
-class TestFanoCheck:
-    def test_truth_table(self):
-        assert fano_fec_check(2, True, True, True)
-        assert not fano_fec_check(2, False, True, True)
-        assert not fano_fec_check(2, True, False, True)
-        assert not fano_fec_check(2, True, True, False)
-
-    def test_b_validated(self):
-        with pytest.raises(ValueError):
-            fano_fec_check(-1, True, True, True)

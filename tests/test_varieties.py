@@ -1,5 +1,6 @@
 """Catalog formulas, dimensions, collections, and the generalized motive algebra."""
 
+import json
 import math
 
 import pytest
@@ -370,3 +371,40 @@ class TestExprJson:
             with pytest.raises(ValueError) as info:
                 expr_from_json(data)
             assert str(info.value) == message
+
+    def test_exact_text(self):
+        # key order and list-valued fields are part of the format
+        expected = [
+            (Point(), '{"kind": "point"}'),
+            (Projective(2), '{"kind": "projective", "n": 2}'),
+            (Quadric(4), '{"kind": "quadric", "d": 4}'),
+            (Grassmannian(2, 5), '{"kind": "grassmannian", "k": 2, "n": 5}'),
+            (Toric((1, 4, 4)), '{"kind": "toric", "cone_counts": [1, 4, 4]}'),
+            (
+                Product(Projective(1), Point()),
+                '{"kind": "product", "left": {"kind": "projective", "n": 1}, '
+                '"right": {"kind": "point"}}',
+            ),
+            (
+                DisjointUnion(Point(), Quadric(1)),
+                '{"kind": "disjoint_union", "left": {"kind": "point"}, '
+                '"right": {"kind": "quadric", "d": 1}}',
+            ),
+            (
+                Blowup(Projective(2), Point(), 2),
+                '{"kind": "blowup", "base": {"kind": "projective", "n": 2}, '
+                '"center": {"kind": "point"}, "codim": 2}',
+            ),
+            (
+                ProjBundle(Quadric(2), 3),
+                '{"kind": "proj_bundle", "base": {"kind": "quadric", "d": 2}, '
+                '"fiber_rank": 3}',
+            ),
+            (ModuliM0(4), '{"kind": "moduli_m0", "n": 4}'),
+            (
+                Fano3fold(2, False),
+                '{"kind": "fano3fold", "b": 2, "odd_trivial": false}',
+            ),
+        ]
+        for e, text in expected:
+            assert json.dumps(expr_to_json(e)) == text
