@@ -2,10 +2,13 @@
 
 Every verb takes one catalog expression (or ``-`` to read it from stdin) and
 prints a deterministic text form; ``--json`` switches to a JSON document that
-validates against ``schemas/cli_output.json``.  Exit codes: 0 on success, 1
-when the computation ran but the domain verdict is negative (an obstruction
-fired, ranks cannot be reconciled, opaque summands block the request), 2 on
-input errors (syntax, out-of-range parameters, unreadable files).
+validates against ``schemas/cli_output.json``.  Each verb is one function
+from the parsed expression and the arguments to its JSON fields, its text
+lines and its exit status; ``run`` loads the expression and emits one of the
+two forms.  Exit codes: 0 on success, 1 when the computation ran but the
+domain verdict is negative (a ``DomainError``: an obstruction fired, ranks
+cannot be reconciled, opaque summands block the request), 2 on input errors
+(syntax, out-of-range parameters, unreadable files).
 """
 
 from __future__ import annotations
@@ -14,41 +17,12 @@ import argparse
 import json
 import sys
 
-from .exprlang import ParseError, SemanticError, parse_expr, render_expr
-from .measures import VirtualClassError, hodge_numbers, k0_class
-from .orbit import CompositionError, LiftError, block_unit_iso, decompose_via_orbit
-from .sod import Collection, InconsistentRanksError, UnderdeterminedError, solve_nc_ranks
-from .tate import NonEffectiveError, poincare
-from .varieties import (
-    CollectionUnavailableError,
-    InvalidParameterError,
-    OpaqueMotiveError,
-    dimension_of,
-    fec_verdict,
-    motive_of,
-)
-
-_DOMAIN_ERRORS = (
-    OpaqueMotiveError,
-    CollectionUnavailableError,
-    NonEffectiveError,
-    VirtualClassError,
-    InconsistentRanksError,
-    UnderdeterminedError,
-    LiftError,
-    CompositionError,
-)
-
-_INPUT_ERRORS = (ParseError, SemanticError, InvalidParameterError, OSError, ValueError)
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _load_expr(arg: str):
-    text = sys.stdin.read() if arg == "-" else arg
-    return parse_expr(text)
+from .exprlang import parse_expr, render_expr
+from .measures import hodge_numbers, k0_class
+from .orbit import block_unit_iso, decompose_via_orbit
+from .sod import Collection, solve_nc_ranks
+from .tate import DomainError, poincare
+from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
 
 
 def _pure_tate(e):
@@ -61,141 +35,90 @@ def _pure_tate(e):
     return gm.tate
 
 
-def cmd_motive(args) -> int:
-    e = _load_expr(args.expr)
+def cmd_motive(e, args):
     gm = motive_of(e)
-    if args.json:
-        _emit(
-            {
-                "verb": "motive",
-                "expr": render_expr(e),
-                "terms": gm.tate.to_json()["terms"],
-                "opaque": [p.to_json() for p in gm.opaque],
-                "text": gm.text(),
-            }
-        )
-    else:
-        print(gm.text())
-    return 0
+    text = gm.text()
+    fields = {
+        "terms": gm.tate.to_json()["terms"],
+        "opaque": [p.to_json() for p in gm.opaque],
+        "text": text,
+    }
+    return fields, [text], 0
 
 
-def cmd_poincare(args) -> int:
-    e = _load_expr(args.expr)
+def cmd_poincare(e, args):
     p = poincare(_pure_tate(e))
-    if args.json:
-        _emit(
-            {
-                "verb": "poincare",
-                "expr": render_expr(e),
-                "coefficients": p.to_json()["terms"],
-                "text": p.text(),
-            }
-        )
-    else:
-        print(p.text())
-    return 0
+    text = p.text()
+    return {"coefficients": p.to_json()["terms"], "text": text}, [text], 0
 
 
-def cmd_hodge(args) -> int:
-    e = _load_expr(args.expr)
+def cmd_hodge(e, args):
     table = hodge_numbers(_pure_tate(e))
-    if args.json:
-        _emit(
-            {
-                "verb": "hodge",
-                "expr": render_expr(e),
-                "hodge_numbers": {"%d,%d" % pq: c for pq, c in table.items()},
-                "hodge_tate": all(p == q for p, q in table),
-            }
-        )
-    else:
-        for (p, q), c in table.items():
-            print("h^{%d,%d} = %d" % (p, q, c))
-    return 0
+    fields = {
+        "hodge_numbers": {"%d,%d" % pq: c for pq, c in table.items()},
+        "hodge_tate": all(p == q for p, q in table),
+    }
+    return fields, ["h^{%d,%d} = %d" % (p, q, c) for (p, q), c in table.items()], 0
 
 
-def cmd_k0(args) -> int:
-    e = _load_expr(args.expr)
+def cmd_k0(e, args):
     c = k0_class(e)
-    if args.json:
-        _emit(
-            {
-                "verb": "k0",
-                "expr": render_expr(e),
-                "terms": c.to_json()["terms"],
-                "text": c.text(),
-            }
-        )
-    else:
-        print(c.text())
-    return 0
+    text = c.text()
+    return {"terms": c.to_json()["terms"], "text": text}, [text], 0
 
 
-def cmd_check_fec(args) -> int:
-    e = _load_expr(args.expr)
+def cmd_check_fec(e, args):
     v = fec_verdict(e)
-    if args.json:
-        _emit(
-            {
-                "verb": "check-fec",
-                "expr": render_expr(e),
-                "verdict": v.status,
-                "min_length": v.min_length,
-                "bound": v.bound,
-                "odd_degrees": list(v.odd_degrees),
-            }
-        )
-    elif v.status == "ok":
-        print("ok (min length %d)" % v.min_length)
+    fields = {
+        "verdict": v.status,
+        "min_length": v.min_length,
+        "bound": v.bound,
+        "odd_degrees": list(v.odd_degrees),
+    }
+    if v.status == "ok":
+        line = "ok (min length %d)" % v.min_length
     elif v.status == "fails-length-bound":
-        print("fails-length-bound (min length %d > bound %d)" % (v.min_length, v.bound))
+        line = "fails-length-bound (min length %d > bound %d)" % (v.min_length, v.bound)
     else:
-        print(v.status)
-    return 0 if v.ok else 1
+        line = v.status
+    return fields, [line], 0 if v.ok else 1
 
 
-def cmd_sod_solve(args) -> int:
-    e = _load_expr(args.expr)
+def cmd_sod_solve(e, args):
     with open(args.collection, "r", encoding="utf-8") as fh:
         collection = Collection.from_json(json.load(fh))
     total = _pure_tate(e)
     solved = solve_nc_ranks(collection, total)
-    if args.json:
-        _emit(
-            {
-                "verb": "sod-solve",
-                "expr": render_expr(e),
-                "total_rank": total.rank,
-                "pieces": [
-                    {"label": p.label, "kind": p.kind, "nc_rank": p.nc_rank}
-                    for p in solved.pieces
-                ],
-            }
-        )
-    else:
-        for p in solved.pieces:
-            print("%s: n_j = %d" % (p.label, p.nc_rank))
-    return 0
+    fields = {
+        "total_rank": total.rank,
+        "pieces": [
+            {"label": p.label, "kind": p.kind, "nc_rank": p.nc_rank}
+            for p in solved.pieces
+        ],
+    }
+    return fields, ["%s: n_j = %d" % (p.label, p.nc_rank) for p in solved.pieces], 0
 
 
-def cmd_orbit_demo(args) -> int:
-    e = _load_expr(args.expr)
+def cmd_orbit_demo(e, args):
     m = _pure_tate(e)
     dim = args.dim if args.dim is not None else dimension_of(e)
     f, g = block_unit_iso(m)
     exponents = decompose_via_orbit(m, f, g, dim)
+    line = "{%s}" % ", ".join(str(l) for l in exponents)
+    return {"dim": dim, "exponents": list(exponents)}, [line], 0
+
+
+def run(verb, args) -> int:
+    """Load the expression, run ``verb`` on it, emit JSON or text lines."""
+    e = parse_expr(sys.stdin.read() if args.expr == "-" else args.expr)
+    fields, lines, status = verb(e, args)
     if args.json:
-        _emit(
-            {
-                "verb": "orbit-demo",
-                "expr": render_expr(e),
-                "dim": dim,
-                "exponents": list(exponents),
-            }
-        )
+        payload = {"verb": args.verb, "expr": render_expr(e), **fields}
+        print(json.dumps(payload, indent=2))
     else:
-        print("{%s}" % ", ".join(str(l) for l in exponents))
-    return 0
+        for line in lines:
+            print(line)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,11 +170,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+        return run(args.func, args)
+    except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -18,11 +18,18 @@ tighter, both left-associative::
       | 'fano' '(' INT ';' flag ')'
     flag  := ('odd_trivial' '=')? ('true' | 'false')
 
-INT is a run of ASCII digits 0-9.  Syntax problems raise ParseError carrying
-the byte offset into the UTF-8 encoded input; out-of-range parameters raise
-SemanticError carrying the node path (like ``$.right.center``) so a caller
-can point at the offending subexpression.  ``render_expr`` is the inverse of
-``parse_expr`` up to whitespace.
+INT is a run of ASCII digits 0-9.  The parser and ``render_expr`` read one
+grammar table, ``_SYNTAX``: a constructor is its node class plus one row,
+its head and its canonical text template.  The parser has no branch per
+constructor: it expects each punctuation character of the template in turn
+and reads each dataclass field by its type (an expression, an INT, a list of
+INTs, or a flag written ``name=true`` or ``name=false``).
+
+Syntax problems raise ParseError carrying the byte offset into the UTF-8
+encoded input; out-of-range parameters raise SemanticError carrying the node
+path (like ``$.right.center``) so a caller can point at the offending
+subexpression.  ``render_expr`` is the inverse of ``parse_expr`` up to
+whitespace.
 """
 
 from __future__ import annotations
@@ -149,66 +156,47 @@ class _Parser:
             got = repr(tok.text) if tok.kind != "eof" else "end of input"
             raise ParseError("expected an expression, got %s" % got, tok.offset)
         self.advance()
-        name = tok.text
-        if name == "point":
-            return ("point",)
-        if name in ("P", "Q", "M0"):
-            self.expect("(", "'('")
-            value = self.integer()
-            self.expect(")", "')'")
-            return (name, value)
-        if name == "Gr":
-            self.expect("(", "'('")
-            k = self.integer()
-            self.expect(",", "','")
-            n = self.integer()
-            self.expect(")", "')'")
-            return ("Gr", k, n)
-        if name == "toric":
-            self.expect("[", "'['")
-            counts = [self.integer()]
-            while self.peek().kind == ",":
-                self.advance()
-                counts.append(self.integer())
-            self.expect("]", "']'")
-            return ("toric", counts)
-        if name == "blowup":
-            self.expect("(", "'('")
-            base = self.expr()
-            self.expect(";", "';'")
-            center = self.expr()
-            self.expect(";", "';'")
-            codim = self.integer()
-            self.expect(")", "')'")
-            return ("blowup", base, center, codim)
-        if name == "projbundle":
-            self.expect("(", "'('")
-            base = self.expr()
-            self.expect(";", "';'")
-            rank = self.integer()
-            self.expect(")", "')'")
-            return ("projbundle", base, rank)
-        if name == "fano":
-            self.expect("(", "'('")
-            b = self.integer()
-            self.expect(";", "';'")
-            flag_tok = self.expect("name", "'odd_trivial' or a boolean")
-            if flag_tok.text == "odd_trivial":
-                self.expect("=", "'='")
-                flag_tok = self.expect("name", "'true' or 'false'")
-            if flag_tok.text not in ("true", "false"):
-                raise ParseError(
-                    "expected 'true' or 'false', got %r" % flag_tok.text,
-                    flag_tok.offset,
-                )
-            self.expect(")", "')'")
-            return ("fano", b, flag_tok.text == "true")
-        raise ParseError("unknown constructor %r" % name, tok.offset)
+        grammar = _GRAMMAR.get(tok.text)
+        if grammar is None:
+            raise ParseError("unknown constructor %r" % tok.text, tok.offset)
+        opening, fields = grammar
+        for ch, what in opening:
+            self.expect(ch, what)
+        raw = [tok.text]
+        for name, typ, closing in fields:
+            if typ is VarietyExpr:
+                raw.append(self.expr())
+            elif typ is int:
+                raw.append(self.integer())
+            elif typ is tuple:
+                counts = [self.integer()]
+                while self.peek().kind == ",":
+                    self.advance()
+                    counts.append(self.integer())
+                raw.append(counts)
+            else:
+                raw.append(self.flag(name))
+            for ch, what in closing:
+                self.expect(ch, what)
+        return tuple(raw)
+
+    def flag(self, name: str) -> bool:
+        """``(name '=')? ('true' | 'false')``"""
+        tok = self.expect("name", "%r or a boolean" % name)
+        if tok.text == name:
+            self.expect("=", "'='")
+            tok = self.expect("name", "'true' or 'false'")
+        if tok.text not in ("true", "false"):
+            raise ParseError(
+                "expected 'true' or 'false', got %r" % tok.text, tok.offset
+            )
+        return tok.text == "true"
 
 
 # The grammar entry of each node class: the head of its raw tuple from the
 # parser, its canonical text with one %s per dataclass field, and how tightly
-# it binds as an operator ('+' looser than '*'; None for constructors).
+# it binds as an operator ('+' looser than '*'; None for constructors).  A
+# bool field is written ``name=true`` or ``name=false``.
 _SYNTAX = {
     DisjointUnion: ("+", "%s + %s", 1),
     Product: ("*", "%s * %s", 2),
@@ -220,9 +208,35 @@ _SYNTAX = {
     Blowup: ("blowup", "blowup(%s; %s; %s)", None),
     ProjBundle: ("projbundle", "projbundle(%s; %s)", None),
     ModuliM0: ("M0", "M0(%s)", None),
-    Fano3fold: ("fano", "fano(%s; odd_trivial=%s)", None),
+    Fano3fold: ("fano", "fano(%s; %s)", None),
 }
 _CLASSES = {head: cls for cls, (head, _, _) in _SYNTAX.items()}
+
+
+def _punctuation(text: str) -> tuple:
+    """The ``(token kind, what is expected)`` pairs of a template fragment."""
+    return tuple((ch, "'%s'" % ch) for ch in text if not ch.isspace())
+
+
+def _grammar() -> dict:
+    """Constructor head -> (punctuation before the first field, fields).
+
+    Each field is ``(name, type, punctuation after it)``, read off the
+    template once so the parser walks it per constructor.
+    """
+    out = {}
+    for cls, (head, template, strength) in _SYNTAX.items():
+        if strength is None:
+            first, *rest = template[len(head):].split("%s")
+            fields = tuple(
+                (name, typ, _punctuation(after))
+                for (name, typ), after in zip(cls._fields, rest)
+            )
+            out[head] = (_punctuation(first), fields)
+    return out
+
+
+_GRAMMAR = _grammar()
 
 
 def _build(raw, path: str) -> VarietyExpr:
@@ -266,7 +280,7 @@ def _render(e: VarietyExpr, bind: int) -> str:
             # delimiters need no parentheses
             value = _render(value, 0 if strength is None else strength + len(args))
         elif typ is bool:
-            value = "true" if value else "false"
+            value = "%s=%s" % (name, "true" if value else "false")
         elif typ is tuple:
             value = ",".join(str(c) for c in value)
         else:

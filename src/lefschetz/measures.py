@@ -22,11 +22,11 @@ triangle the tests pin down.
 
 from __future__ import annotations
 
-from .tate import NonEffectiveError, SparsePoly, TateMotive
+from .tate import DomainError, NonEffectiveError, SparsePoly, TateMotive
 from .varieties import GeneralizedMotive, OpaqueMotiveError, VarietyExpr, motive_of
 
 
-class VirtualClassError(ValueError):
+class VirtualClassError(DomainError):
     """A virtual class (negative coefficient) where a motive is required."""
 
 

@@ -31,16 +31,16 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping
 
-from .tate import TateMotive, hom_dim, twist
+from .tate import DomainError, TateMotive, hom_dim, is_int, twist
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-class CompositionError(ValueError):
+class CompositionError(DomainError):
     """Morphisms whose source/target do not line up."""
 
 
-class LiftError(ValueError):
+class LiftError(DomainError):
     """Base class for failures of the orbit-to-motive lifting algorithm."""
 
 
@@ -63,10 +63,6 @@ def term_enumeration(m: TateMotive) -> tuple[tuple[int, int], ...]:
 
 def _as_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _exponents(m: TateMotive) -> list[int]:
-    return [l for l, _ in term_enumeration(m)]
 
 
 def _identity_matrix(n: int) -> Matrix:
@@ -104,8 +100,8 @@ class OrbitMorphism:
             raise TypeError("source and target must be TateMotive")
         self.source = source
         self.target = target
-        src = _exponents(source)
-        tgt = _exponents(target)
+        src = source.exponent_multiset()
+        tgt = target.exponent_multiset()
         matrix = [[Fraction(0)] * len(src) for _ in tgt]
         grades: set[int] = set()
         items = components.items() if isinstance(components, Mapping) else components
@@ -149,19 +145,19 @@ class OrbitMorphism:
 
     def component(self, r: int) -> Matrix:
         """The grade-r matrix, a zero matrix when absent."""
-        src = _exponents(self.source)
+        src = self.source.exponent_multiset()
         zero = Fraction(0)
         return tuple(
             tuple(x if t - r == s else zero for x, s in zip(row, src))
-            for row, t in zip(self.matrix, _exponents(self.target))
+            for row, t in zip(self.matrix, self.target.exponent_multiset())
         )
 
     @property
     def support(self) -> tuple[int, ...]:
-        src = _exponents(self.source)
+        src = self.source.exponent_multiset()
         return tuple(sorted({
             t - s
-            for row, t in zip(self.matrix, _exponents(self.target))
+            for row, t in zip(self.matrix, self.target.exponent_multiset())
             for x, s in zip(row, src)
             if x
         }))
@@ -256,7 +252,7 @@ def canonical_unit_iso(l: int) -> tuple[OrbitMorphism, OrbitMorphism]:
     Returns (u, v) with u: 1 -> L^l concentrated at grade l and v: L^l -> 1
     at grade -l; both directions compose to identities.
     """
-    if not isinstance(l, int) or l < 0:
+    if not is_int(l) or l < 0:
         raise ValueError("twist level must be a non-negative integer")
     one = TateMotive({0: 1})
     ll = TateMotive({l: 1})
@@ -292,7 +288,7 @@ def decompose_via_orbit(
     idempotent block f_{-l} @ g_l, which is exact rational arithmetic
     throughout and an integer precisely because the block is a projector.
     """
-    if not isinstance(dim, int) or dim < 0:
+    if not is_int(dim) or dim < 0:
         raise ValueError("dim must be a non-negative integer")
     if f.source != m or g.target != m:
         raise ValueError("f must start at m and g must end at m")
@@ -316,16 +312,16 @@ def decompose_via_orbit(
             "support outside the dimension window [-%d..0]/[0..%d]: f at %r, g at %r"
             % (dim, dim, bad_f, bad_g)
         )
+    # f and g are square n x n matrices over Q, so G F = I already gives
+    # F G = I: f after g is the identity of the unit sum without a check
     if compose(g, f) != identity_morphism(m):
         raise NotAnIsomorphismError("g after f is not the identity of m")
-    if compose(f, g) != identity_morphism(units):
-        raise NotAnIsomorphismError("f after g is not the identity of the unit sum")
 
     # Multiplicity of L^l is the trace of the idempotent block f_{-l} @ g_l:
     # the sum over summands k of m with exponent l of (g f)[k][k].  Since
     # g after f is the identity, each trace is the number of such k.
     a, b = f.matrix, g.matrix
     traces: dict[int, Fraction] = {}
-    for k, l in enumerate(_exponents(m)):
+    for k, l in enumerate(m.exponent_multiset()):
         traces[l] = traces.get(l, 0) + sum(a[i][k] * b[k][i] for i in range(n))
     return tuple(l for l, tr in traces.items() for _ in range(int(tr)))

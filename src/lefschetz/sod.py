@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .tate import PoincarePoly, TateMotive
+from .tate import DomainError, PoincarePoly, TateMotive, is_int
 
 EXCEPTIONAL = "exceptional"
 OPAQUE = "opaque"
@@ -29,15 +29,15 @@ FEC_FAILS_LENGTH = "fails-length-bound"
 
 
 def _is_count(n) -> bool:
-    """A non-negative int; a bool is not one, though Python says it is an int."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+    """A non-negative int, not a bool."""
+    return is_int(n) and n >= 0
 
 
-class InconsistentRanksError(ValueError):
+class InconsistentRanksError(DomainError):
     """Known ranks cannot add up to the rank of the total motive."""
 
 
-class UnderdeterminedError(ValueError):
+class UnderdeterminedError(DomainError):
     """More than one unknown rank; the system is reported, never guessed."""
 
 
@@ -179,7 +179,7 @@ def additive_invariant_rank(piece: SODPiece, unit_value_rank: int) -> int:
     A rank-n piece contributes n copies of the invariant of the base point,
     so the answer is ``n * unit_value_rank``.
     """
-    if not isinstance(unit_value_rank, int) or unit_value_rank < 1:
+    if not is_int(unit_value_rank) or unit_value_rank < 1:
         raise ValueError("unit_value_rank must be a positive integer")
     if piece.nc_rank is None:
         raise ValueError("piece %r has unknown rank; solve it first" % piece.label)
@@ -207,7 +207,7 @@ def fec_obstruction(betti: PoincarePoly, max_length: Optional[int] = None) -> Fe
     number is the minimum possible length of a full exceptional collection;
     when ``max_length`` is given and smaller, that is reported as a failure.
     """
-    if max_length is not None and (not isinstance(max_length, int) or max_length < 1):
+    if max_length is not None and (not is_int(max_length) or max_length < 1):
         raise ValueError("max_length must be a positive integer or None")
     coeffs = betti.coefficients
     odd = tuple(n for n in coeffs if n % 2)

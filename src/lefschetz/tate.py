@@ -26,8 +26,21 @@ import operator
 from typing import Iterable, Mapping
 
 
-class NonEffectiveError(ValueError):
+class DomainError(ValueError):
+    """The computation ran, but the answer is a negative domain verdict.
+
+    Every module's error classes for such verdicts derive from it, so the
+    CLI maps exactly these to exit status 1.
+    """
+
+
+class NonEffectiveError(DomainError):
     """Raised by operations defined only for effective motives."""
+
+
+def is_int(x) -> bool:
+    """An int that is not a bool, though Python says a bool is an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 TermsLike = Mapping[int, int] | Iterable[tuple[int, int]]

@@ -42,7 +42,15 @@ from math import comb
 from typing import get_origin, get_type_hints
 
 from .sod import Collection, SODPiece, exceptional, opaque
-from .tate import TateMotive, direct_sum, lefschetz, poincare, tensor
+from .tate import (
+    DomainError,
+    TateMotive,
+    direct_sum,
+    is_int,
+    lefschetz,
+    poincare,
+    tensor,
+)
 from . import sod
 
 
@@ -50,11 +58,11 @@ class InvalidParameterError(ValueError):
     """A catalog constructor was given out-of-range or ill-typed parameters."""
 
 
-class CollectionUnavailableError(ValueError):
+class CollectionUnavailableError(DomainError):
     """No full exceptional collection is known (or possible) for the input."""
 
 
-class OpaqueMotiveError(ValueError):
+class OpaqueMotiveError(DomainError):
     """The operation needs a pure Tate motive but opaque summands remain."""
 
 
@@ -213,7 +221,7 @@ class Projective(VarietyExpr):
     kind = "projective"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if not is_int(self.n) or self.n < 0:
             raise InvalidParameterError("projective space needs n >= 0")
 
     def _dimension(self) -> int:
@@ -232,7 +240,7 @@ class Quadric(VarietyExpr):
     kind = "quadric"
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
+        if not is_int(self.d) or self.d < 1:
             raise InvalidParameterError("quadric needs dimension d >= 1")
 
     def _dimension(self) -> int:
@@ -266,8 +274,8 @@ class Grassmannian(VarietyExpr):
 
     def __post_init__(self):
         if (
-            not isinstance(self.k, int)
-            or not isinstance(self.n, int)
+            not is_int(self.k)
+            or not is_int(self.n)
             or not 0 < self.k < self.n
         ):
             raise InvalidParameterError("Grassmannian needs 0 < k < n")
@@ -289,7 +297,7 @@ class Toric(VarietyExpr):
     def __post_init__(self):
         object.__setattr__(self, "cone_counts", tuple(self.cone_counts))
         counts = self.cone_counts
-        if not counts or any(not isinstance(c, int) or c < 1 for c in counts):
+        if not counts or any(not is_int(c) or c < 1 for c in counts):
             raise InvalidParameterError("cone counts must be positive integers")
         if counts[0] != 1:
             raise InvalidParameterError("a fan has exactly one zero-dimensional cone")
@@ -355,7 +363,7 @@ class Blowup(VarietyExpr):
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.codim, int) or self.codim < 2:
+        if not is_int(self.codim) or self.codim < 2:
             raise InvalidParameterError("blowup center must have codimension >= 2")
         gap = self.base._dimension() - self.center._dimension()
         if gap != self.codim:
@@ -385,7 +393,7 @@ class ProjBundle(VarietyExpr):
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.fiber_rank, int) or self.fiber_rank < 1:
+        if not is_int(self.fiber_rank) or self.fiber_rank < 1:
             raise InvalidParameterError("bundle rank must be >= 1")
 
     def _dimension(self) -> int:
@@ -407,7 +415,7 @@ class ModuliM0(VarietyExpr):
     kind = "moduli_m0"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 3 <= self.n <= 5:
+        if not is_int(self.n) or not 3 <= self.n <= 5:
             raise InvalidParameterError("marked points n must be 3, 4 or 5")
 
     def _space(self) -> VarietyExpr:
@@ -442,7 +450,7 @@ class Fano3fold(VarietyExpr):
     kind = "fano3fold"
 
     def __post_init__(self):
-        if not isinstance(self.b, int) or self.b < 0:
+        if not is_int(self.b) or self.b < 0:
             raise InvalidParameterError("Betti input b must be >= 0")
         if not isinstance(self.odd_trivial, bool):
             raise InvalidParameterError("odd_trivial must be a boolean")

@@ -258,3 +258,41 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + L + L^2 + L^3\n"
+
+
+class TestExitStatusRule:
+    DOMAIN = (
+        "NonEffectiveError",
+        "CompositionError",
+        "LiftError",
+        "InconsistentRanksError",
+        "UnderdeterminedError",
+        "OpaqueMotiveError",
+        "CollectionUnavailableError",
+        "VirtualClassError",
+    )
+
+    def test_domain_errors_share_one_base(self):
+        import lefschetz
+
+        for name in self.DOMAIN:
+            cls = getattr(lefschetz, name)
+            assert issubclass(cls, lefschetz.DomainError)
+            assert issubclass(cls, ValueError)
+        for name in ("ParseError", "SemanticError", "InvalidParameterError"):
+            assert not issubclass(getattr(lefschetz, name), lefschetz.DomainError)
+
+    def test_any_domain_error_exits_1(self, capsys, monkeypatch):
+        import lefschetz.cli
+        from lefschetz import DomainError
+
+        class NewVerdict(DomainError):
+            pass
+
+        def fail(e):
+            raise NewVerdict("a new verdict")
+
+        monkeypatch.setattr(lefschetz.cli, "motive_of", fail)
+        for extra in ((), ("--json",)):
+            got = run(capsys, "motive", "P(1)", *extra)
+            assert got == (1, "", "error: a new verdict\n")

@@ -121,6 +121,75 @@ class TestParseErrors:
             parse_expr("fano(1; maybe)")
 
 
+# One row per punctuation slot of each constructor, a missing integer or
+# expression, and each bad form of a flag: (text, byte offset, message).
+SLOT_ERRORS = [
+    ("P", 1, "expected '(', got end of input"),
+    ("P 3)", 2, "expected '(', got '3'"),
+    ("P()", 2, "expected an integer, got ')'"),
+    ("P(3", 3, "expected ')', got end of input"),
+    ("P(3 point", 4, "expected ')', got 'point'"),
+    ("Q(", 2, "expected an integer, got end of input"),
+    ("Q[2]", 1, "expected '(', got '['"),
+    ("Q(2", 3, "expected ')', got end of input"),
+    ("M0)", 2, "expected '(', got ')'"),
+    ("M0(x)", 3, "expected an integer, got 'x'"),
+    ("M0(5", 4, "expected ')', got end of input"),
+    ("Gr 2,4)", 3, "expected '(', got '2'"),
+    ("Gr(,4)", 3, "expected an integer, got ','"),
+    ("Gr(2 4)", 5, "expected ',', got '4'"),
+    ("Gr(2,)", 5, "expected an integer, got ')'"),
+    ("Gr(2,4", 6, "expected ')', got end of input"),
+    ("toric(1)", 5, "expected '[', got '('"),
+    ("toric[]", 6, "expected an integer, got ']'"),
+    ("toric[1,]", 8, "expected an integer, got ']'"),
+    ("toric[1;2]", 7, "expected ']', got ';'"),
+    ("toric[1,2", 9, "expected ']', got end of input"),
+    ("blowup P(2); point; 2)", 7, "expected '(', got 'P'"),
+    ("blowup(; point; 2)", 7, "expected an expression, got ';'"),
+    ("blowup(P(2) point; 2)", 12, "expected ';', got 'point'"),
+    ("blowup(P(2); ; 2)", 13, "expected an expression, got ';'"),
+    ("blowup(P(2); point 2)", 19, "expected ';', got '2'"),
+    ("blowup(P(2); point; )", 20, "expected an integer, got ')'"),
+    ("blowup(P(2); point; 2", 21, "expected ')', got end of input"),
+    ("projbundle[P(1); 2]", 10, "expected '(', got '['"),
+    ("projbundle(; 2)", 11, "expected an expression, got ';'"),
+    ("projbundle(P(1) 2)", 16, "expected ';', got '2'"),
+    ("projbundle(P(1); )", 17, "expected an integer, got ')'"),
+    ("projbundle(P(1); 2", 18, "expected ')', got end of input"),
+    ("fano 1; true)", 5, "expected '(', got '1'"),
+    ("fano(; true)", 5, "expected an integer, got ';'"),
+    ("fano(1 true)", 7, "expected ';', got 'true'"),
+    ("fano(1; )", 8, "expected 'odd_trivial' or a boolean, got ')'"),
+    ("fano(1; 3)", 8, "expected 'odd_trivial' or a boolean, got '3'"),
+    ("fano(1; maybe)", 8, "expected 'true' or 'false', got 'maybe'"),
+    ("fano(1; b=true)", 8, "expected 'true' or 'false', got 'b'"),
+    ("fano(1; odd_trivial)", 19, "expected '=', got ')'"),
+    ("fano(1; odd_trivial true)", 20, "expected '=', got 'true'"),
+    ("fano(1; odd_trivial=)", 20, "expected 'true' or 'false', got ')'"),
+    ("fano(1; odd_trivial=1)", 20, "expected 'true' or 'false', got '1'"),
+    ("fano(1; odd_trivial=maybe)", 20, "expected 'true' or 'false', got 'maybe'"),
+    ("fano(1; true", 12, "expected ')', got end of input"),
+    ("fano(1; true; 2)", 12, "expected ')', got ';'"),
+    ("fano(1; odd_trivial=true=false)", 24, "expected ')', got '='"),
+    ("point(", 5, "unexpected trailing input '('"),
+    ("(P(1)", 5, "expected ')', got end of input"),
+    ("(P(1) point", 6, "expected ')', got 'point'"),
+    ("P(1) * )", 7, "expected an expression, got ')'"),
+    ("+", 0, "expected an expression, got '+'"),
+    ("odd_trivial", 0, "unknown constructor 'odd_trivial'"),
+    ("true", 0, "unknown constructor 'true'"),
+]
+
+
+@pytest.mark.parametrize("text,offset,message", SLOT_ERRORS)
+def test_slot_errors(text, offset, message):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text)
+    assert str(exc.value) == "syntax error at byte %d: %s" % (offset, message)
+    assert exc.value.offset == offset
+
+
 class TestSemanticErrors:
     def test_root_path(self):
         with pytest.raises(SemanticError) as exc:

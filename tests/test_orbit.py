@@ -191,6 +191,8 @@ class TestCanonicalUnitIso:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             canonical_unit_iso(-1)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            canonical_unit_iso(True)
 
 
 class TestDecompose:
@@ -254,3 +256,5 @@ class TestDecompose:
         f, g = block_unit_iso(m)
         with pytest.raises(ValueError):
             decompose_via_orbit(m, f, g, -1)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            decompose_via_orbit(m, f, g, True)

@@ -130,6 +130,8 @@ class TestAdditiveInvariantRank:
     def test_unit_value_validated(self):
         with pytest.raises(ValueError):
             additive_invariant_rank(exceptional("O"), 0)
+        with pytest.raises(ValueError, match="positive integer"):
+            additive_invariant_rank(exceptional("O"), True)
 
 
 class TestNCMotive:
@@ -178,3 +180,5 @@ class TestFecObstruction:
     def test_max_length_validated(self):
         with pytest.raises(ValueError):
             fec_obstruction(PoincarePoly({0: 1}), max_length=0)
+        with pytest.raises(ValueError, match="positive integer or None"):
+            fec_obstruction(PoincarePoly({0: 1}), max_length=True)

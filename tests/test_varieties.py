@@ -59,6 +59,17 @@ class TestValidation:
             Fano3fold(1, "yes")
         with pytest.raises(InvalidParameterError):
             ProjBundle(Point(), 0)
+        # a bool is not an integer parameter
+        for make in (
+            lambda: Projective(True),
+            lambda: Quadric(True),
+            lambda: Grassmannian(True, 3),
+            lambda: Toric((True, 2, 1)),
+            lambda: Fano3fold(True, True),
+            lambda: ProjBundle(Point(), True),
+        ):
+            with pytest.raises(InvalidParameterError):
+                make()
 
     def test_blowup_codim_must_match_dimension_gap(self):
         with pytest.raises(InvalidParameterError):
@@ -366,6 +377,15 @@ class TestExprJson:
                 "toric expression JSON needs 'cone_counts' as a list",
             ),
             ({"kind": ["point"]}, "unknown expression kind ['point']"),
+            ({"kind": "projective", "n": True}, "projective space needs n >= 0"),
+            (
+                {"kind": "grassmannian", "k": True, "n": 3},
+                "Grassmannian needs 0 < k < n",
+            ),
+            (
+                {"kind": "toric", "cone_counts": [True, 2, 1]},
+                "cone counts must be positive integers",
+            ),
         ]
         for data, message in cases:
             with pytest.raises(ValueError) as info:
