@@ -22,8 +22,14 @@ INT is a run of ASCII digits 0-9.  The parser and ``render_expr`` read one
 grammar table, ``_SYNTAX``: a constructor is its node class plus one row,
 its head and its canonical text template.  The parser has no branch per
 constructor: it expects each punctuation character of the template in turn
-and reads each dataclass field by its type (an expression, an INT, a list of
-INTs, or a flag written ``name=true`` or ``name=false``).
+and reads each field in the class's ``_fields`` by its type (an expression,
+an INT, a list of INTs, or a flag written ``name=true`` or ``name=false``).
+
+Tokens are plain ``(kind, text, byte offset)`` tuples.  The parser emits
+the JSON form of the expression and ``varieties.expr_from_json`` types it,
+so text and JSON input share one builder; the parser recurses only on
+parentheses.  ``render_expr`` runs ``varieties._fold`` with one step,
+``_render``, which builds a node's text from its children's.
 
 Syntax problems raise ParseError carrying the byte offset into the UTF-8
 encoded input; out-of-range parameters raise SemanticError carrying the node
@@ -33,8 +39,6 @@ whitespace.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .varieties import (
     Blowup,
@@ -50,6 +54,8 @@ from .varieties import (
     Quadric,
     Toric,
     VarietyExpr,
+    _fold,
+    expr_from_json,
 )
 
 
@@ -69,18 +75,12 @@ class SemanticError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    offset: int
-
-
 _PUNCT = set("()[],;*+=")
 _DIGITS = set("0123456789")
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, byte offset)`` per token, ending with an ``eof`` token."""
     toks = []
     i = 0
     n = len(text)
@@ -91,112 +91,102 @@ def _tokenize(text: str) -> list[Token]:
         if ch in _DIGITS:
             while j < n and text[j] in _DIGITS:
                 j += 1
-            toks.append(Token("num", text[i:j], at))
+            toks.append(("num", text[i:j], at))
         elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(Token("name", text[i:j], at))
+            toks.append(("name", text[i:j], at))
         elif ch in _PUNCT:
-            toks.append(Token(ch, ch, at))
+            toks.append((ch, ch, at))
         elif not ch.isspace():
             raise ParseError("unexpected character %r" % ch, at)
         at += len(text[i:j].encode("utf-8"))
         i = j
-    toks.append(Token("eof", "", at))
+    toks.append(("eof", "", at))
     return toks
 
 
 class _Parser:
-    """Recursive descent into a raw tuple tree; typing happens afterwards."""
+    """Recursive descent into the JSON form; ``expr_from_json`` types it."""
 
-    def __init__(self, toks: list[Token]):
+    def __init__(self, toks: list[tuple[str, str, int]]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
-    def advance(self) -> Token:
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         tok = self.toks[self.pos]
+        if tok[0] != kind:
+            got = repr(tok[1]) if tok[0] != "eof" else "end of input"
+            raise ParseError("expected %s, got %s" % (what, got), tok[2])
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise ParseError("expected %s, got %s" % (what, got), tok.offset)
-        return self.advance()
-
     def integer(self) -> int:
-        return int(self.expect("num", "an integer").text)
+        return int(self.expect("num", "an integer")[1])
 
-    def expr(self):
+    def expr(self) -> dict:
         out = self.term()
-        while self.peek().kind == "+":
-            self.advance()
-            out = ("+", out, self.term())
+        while self.peek() == "+":
+            self.pos += 1
+            out = {"kind": DisjointUnion.kind, "left": out, "right": self.term()}
         return out
 
-    def term(self):
+    def term(self) -> dict:
         out = self.atom()
-        while self.peek().kind == "*":
-            self.advance()
-            out = ("*", out, self.atom())
+        while self.peek() == "*":
+            self.pos += 1
+            out = {"kind": Product.kind, "left": out, "right": self.atom()}
         return out
 
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
+    def atom(self) -> dict:
+        if self.peek() == "(":
+            self.pos += 1
             inner = self.expr()
             self.expect(")", "')'")
             return inner
-        if tok.kind != "name":
-            got = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise ParseError("expected an expression, got %s" % got, tok.offset)
-        self.advance()
-        grammar = _GRAMMAR.get(tok.text)
+        _, text, offset = self.expect("name", "an expression")
+        grammar = _GRAMMAR.get(text)
         if grammar is None:
-            raise ParseError("unknown constructor %r" % tok.text, tok.offset)
-        opening, fields = grammar
+            raise ParseError("unknown constructor %r" % text, offset)
+        node_kind, opening, fields = grammar
         for ch, what in opening:
             self.expect(ch, what)
-        raw = [tok.text]
+        out = {"kind": node_kind}
         for name, typ, closing in fields:
             if typ is VarietyExpr:
-                raw.append(self.expr())
+                out[name] = self.expr()
             elif typ is int:
-                raw.append(self.integer())
+                out[name] = self.integer()
             elif typ is tuple:
                 counts = [self.integer()]
-                while self.peek().kind == ",":
-                    self.advance()
+                while self.peek() == ",":
+                    self.pos += 1
                     counts.append(self.integer())
-                raw.append(counts)
+                out[name] = counts
             else:
-                raw.append(self.flag(name))
+                out[name] = self.flag(name)
             for ch, what in closing:
                 self.expect(ch, what)
-        return tuple(raw)
+        return out
 
     def flag(self, name: str) -> bool:
         """``(name '=')? ('true' | 'false')``"""
-        tok = self.expect("name", "%r or a boolean" % name)
-        if tok.text == name:
+        _, text, offset = self.expect("name", "%r or a boolean" % name)
+        if text == name:
             self.expect("=", "'='")
-            tok = self.expect("name", "'true' or 'false'")
-        if tok.text not in ("true", "false"):
-            raise ParseError(
-                "expected 'true' or 'false', got %r" % tok.text, tok.offset
-            )
-        return tok.text == "true"
+            _, text, offset = self.expect("name", "'true' or 'false'")
+        if text not in ("true", "false"):
+            raise ParseError("expected 'true' or 'false', got %r" % text, offset)
+        return text == "true"
 
 
-# The grammar entry of each node class: the head of its raw tuple from the
-# parser, its canonical text with one %s per dataclass field, and how tightly
-# it binds as an operator ('+' looser than '*'; None for constructors).  A
-# bool field is written ``name=true`` or ``name=false``.
+# The grammar entry of each node class: the constructor head, its canonical
+# text with one %s per field, and how tightly it binds as an operator ('+'
+# looser than '*'; None for constructors).  A bool field is written
+# ``name=true`` or ``name=false``.
 _SYNTAX = {
     DisjointUnion: ("+", "%s + %s", 1),
     Product: ("*", "%s * %s", 2),
@@ -210,7 +200,6 @@ _SYNTAX = {
     ModuliM0: ("M0", "M0(%s)", None),
     Fano3fold: ("fano", "fano(%s; %s)", None),
 }
-_CLASSES = {head: cls for cls, (head, _, _) in _SYNTAX.items()}
 
 
 def _punctuation(text: str) -> tuple:
@@ -219,7 +208,7 @@ def _punctuation(text: str) -> tuple:
 
 
 def _grammar() -> dict:
-    """Constructor head -> (punctuation before the first field, fields).
+    """Constructor head -> (JSON kind, punctuation before the first field, fields).
 
     Each field is ``(name, type, punctuation after it)``, read off the
     template once so the parser walks it per constructor.
@@ -232,53 +221,41 @@ def _grammar() -> dict:
                 (name, typ, _punctuation(after))
                 for (name, typ), after in zip(cls._fields, rest)
             )
-            out[head] = (_punctuation(first), fields)
+            out[head] = (cls.kind, _punctuation(first), fields)
     return out
 
 
 _GRAMMAR = _grammar()
 
 
-def _build(raw, path: str) -> VarietyExpr:
-    """Type a raw tuple; a child's path extends ``path`` by its field name."""
-    cls = _CLASSES[raw[0]]
-    args = []
-    for (name, typ), value in zip(cls._fields, raw[1:]):
-        if typ is VarietyExpr:
-            value = _build(value, path + "." + name)
-        args.append(value)
-    try:
-        return cls(*args)
-    except InvalidParameterError as exc:
-        raise SemanticError(str(exc), path) from exc
-
-
 def parse_expr(text: str) -> VarietyExpr:
     """Parse a catalog expression; see the module docstring for the grammar."""
     parser = _Parser(_tokenize(text))
-    raw = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(
-            "unexpected trailing input %r" % trailing.text, trailing.offset
-        )
-    return _build(raw, "$")
+    data = parser.expr()
+    kind, trailing, offset = parser.toks[parser.pos]
+    if kind != "eof":
+        raise ParseError("unexpected trailing input %r" % trailing, offset)
+    try:
+        return expr_from_json(data)
+    except InvalidParameterError as exc:
+        raise SemanticError(str(exc), exc.path) from exc
 
 
-def _render(e: VarietyExpr, bind: int) -> str:
-    """Text of ``e``, parenthesized if it binds less tightly than ``bind``."""
+def _render(e: VarietyExpr, *children: tuple[str, int | None]) -> tuple[str, int | None]:
+    """Fold step: the text of ``e`` and how tightly it binds."""
     entry = _SYNTAX.get(type(e))
     if entry is None:
         raise TypeError("unknown expression node %r" % type(e).__name__)
     _, template, strength = entry
     args = []
-    for name, typ in e._fields:
-        value = getattr(e, name)
+    for name, typ, value in e._items(children):
         if typ is VarietyExpr:
+            value, inner = value
             # both operators are left-associative, so a right operand must
             # bind more tightly than its operator; a constructor's own
             # delimiters need no parentheses
-            value = _render(value, 0 if strength is None else strength + len(args))
+            if strength is not None and inner is not None and inner < strength + len(args):
+                value = "(%s)" % value
         elif typ is bool:
             value = "%s=%s" % (name, "true" if value else "false")
         elif typ is tuple:
@@ -286,10 +263,9 @@ def _render(e: VarietyExpr, bind: int) -> str:
         else:
             value = "%d" % value
         args.append(value)
-    text = template % tuple(args)
-    return text if strength is None or strength >= bind else "(%s)" % text
+    return template % tuple(args), strength
 
 
 def render_expr(e: VarietyExpr) -> str:
     """Canonical text for an expression; ``parse_expr`` inverts it exactly."""
-    return _render(e, 0)
+    return _fold(e, _render)[0]

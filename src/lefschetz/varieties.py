@@ -6,11 +6,19 @@ generalized motive (a Tate part plus possibly some named opaque summands),
 returns the known full exceptional collection or the Clifford-algebra
 decomposition for quadrics, where defined.
 
-Each node class holds its own catalog entry: its JSON ``kind`` and the
-methods ``_dimension``, ``_motive`` and ``_collection(variant)``, which call
-the same methods of the children directly.  The public functions are entry
-points into those methods.  The JSON form is generic over the dataclass
-fields: a field holding an expression nests, a tuple field is a JSON list.
+Each node class lists its fields in ``_fields`` and holds its own catalog
+entry: its JSON ``kind``, its parameter checks in ``_check`` and the
+methods ``_dimension``, ``_motive`` and ``_collection(variant)``.  A method
+never visits a child: ``_dimension`` and ``_motive`` take the results of
+the node's children.  One function, ``_fold``, walks a tree, children
+first and on an explicit stack, and ``dimension_of``, ``motive_of``,
+``expr_to_json``, ``exprlang.render_expr`` and ``==``, ``hash`` and
+``repr`` all go through it, so no depth of tree exhausts the Python stack.
+``exceptional_collection_of`` folds a tree to the summands of its top-level
+disjoint union and asks each summand for its collection.  The JSON form is
+generic over the fields: a field holding an expression nests, a tuple field
+is a JSON list; ``expr_from_json`` builds a tree from it on an explicit
+stack, and the text parser emits that form too.
 
 Catalog formulas:
 
@@ -37,9 +45,8 @@ complete cohomological data reject motives that still carry them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import comb
-from typing import get_origin, get_type_hints
 
 from .sod import Collection, SODPiece, exceptional, opaque
 from .tate import (
@@ -55,7 +62,11 @@ from . import sod
 
 
 class InvalidParameterError(ValueError):
-    """A catalog constructor was given out-of-range or ill-typed parameters."""
+    """A catalog constructor was given out-of-range or ill-typed parameters.
+
+    Raised from ``expr_from_json``, it carries ``path``, the node path of the
+    node whose constructor refused (the root is ``$``).
+    """
 
 
 class CollectionUnavailableError(DomainError):
@@ -171,28 +182,93 @@ def _generic_labels(count: int) -> Collection:
 class VarietyExpr:
     """Base class for catalog expressions.
 
-    Each node class is a frozen dataclass that carries its JSON ``kind`` and
-    its catalog entry as three methods: ``_dimension``, ``_motive`` and
-    ``_collection(variant)``.  A node calls its children's methods directly.
-    The base methods reject a node outside the catalog; a node with no known
-    collection keeps the base ``_collection``.  ``_fields`` is filled in for
-    every node class once all are defined (see ``_register``).
+    Each node class lists its fields in ``_fields`` as ``(name, type)``
+    pairs, in order; the type is ``VarietyExpr`` for a child expression,
+    else ``int``, ``tuple`` (of ints) or ``bool``.  The base class builds a
+    node from them: it checks that each child is an expression, stores a
+    tuple field as a tuple, runs the class's ``_check`` and then refuses
+    assignment.  ``==``, ``hash`` and ``repr`` follow the fields.
+
+    A node class also carries its JSON ``kind`` and its catalog entry: the
+    methods ``_dimension`` and ``_motive``, which take the results of the
+    node's children in field order, and ``_collection(variant)`` where the
+    catalog knows a collection.  No method visits a child: ``_fold`` does,
+    children first.  The base methods reject a node outside the catalog.
     """
 
-    __slots__ = ()
     kind = None
     _fields: tuple = ()
+    _children: tuple = ()
 
-    def __post_init__(self):
-        """Check that each expression-typed field holds an expression."""
-        for name, typ in self._fields:
-            if typ is VarietyExpr:
-                _check_expr(getattr(self, name))
+    def __init_subclass__(cls):
+        cls._children = tuple(name for name, typ in cls._fields if typ is VarietyExpr)
 
-    def _dimension(self) -> int:
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            names = [name for name, _ in self._fields]
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+            if kwargs or len(args) != len(names):
+                raise TypeError("%s takes the fields %s" % (type(self).__name__, names))
+        for (name, typ), value in zip(self._fields, args):
+            if typ is VarietyExpr and not isinstance(value, VarietyExpr):
+                raise InvalidParameterError(
+                    "expected a variety expression, got %r" % (value,)
+                )
+            object.__setattr__(self, name, tuple(value) if typ is tuple else value)
+        self._check()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _labels(self) == _labels(other)
+
+    def __hash__(self):
+        return hash(tuple(_labels(self)))
+
+    def __repr__(self):
+        return _fold(self, VarietyExpr._repr)
+
+    def _check(self) -> None:
+        """Raise InvalidParameterError for out-of-range fields."""
+
+    def _items(self, children) -> list:
+        """``(name, type, value)`` per field, a child's value taken from ``children``."""
+        children = iter(children)
+        return [
+            (name, typ, next(children) if typ is VarietyExpr else getattr(self, name))
+            for name, typ in self._fields
+        ]
+
+    def _repr(self, *children: str) -> str:
+        # one join, so a long chain copies each child's text only once
+        parts = [type(self).__qualname__, "("]
+        for i, (name, typ, value) in enumerate(self._items(children)):
+            text = value if typ is VarietyExpr else repr(value)
+            parts += (", " if i else "", name, "=", text)
+        parts.append(")")
+        return "".join(parts)
+
+    def _json(self, *children: dict) -> dict:
+        if self.kind is None:
+            raise TypeError("unknown expression node %r" % type(self).__name__)
+        out = {"kind": self.kind}
+        for name, typ, value in self._items(children):
+            out[name] = list(value) if typ is tuple else value
+        return out
+
+    def _summands(self, *children: list) -> list:
+        """The summands of this node as a disjoint union, left to right."""
+        return [self]
+
+    def _dimension(self, *children: int) -> int:
         raise TypeError("unknown expression node %r" % type(self).__name__)
 
-    def _motive(self) -> GeneralizedMotive:
+    def _motive(self, *children: GeneralizedMotive) -> GeneralizedMotive:
         raise TypeError("unknown expression node %r" % type(self).__name__)
 
     def _collection(self, variant: str) -> Collection:
@@ -201,7 +277,42 @@ class VarietyExpr:
         )
 
 
-@dataclass(frozen=True)
+def _fold(e: VarietyExpr, step):
+    """``step(node, *results of its children)`` at every node; the root's result.
+
+    The one walk over an expression tree.  It lists the nodes on an explicit
+    stack, root first and each right child before its left sibling, so the
+    reversed list has every node after its children, left to right, and a
+    node's children's results are the last ones on ``results`` when its turn
+    comes.  Nothing recurses, so the depth of the tree does not matter.
+    """
+    if not isinstance(e, VarietyExpr):
+        raise TypeError("unknown expression node %r" % type(e).__name__)
+    nodes = []
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        for name in node._children:
+            todo.append(getattr(node, name))
+    results = []
+    for node in reversed(nodes):
+        at = len(results) - len(node._children)
+        results[at:] = [step(node, *results[at:])]
+    return results[0]
+
+
+def _labels(e: VarietyExpr) -> list:
+    """Each node's class and fields, children first, with ``None`` for a child.
+
+    The number of children is fixed per class, so equal lists mean equal
+    trees.
+    """
+    labels = []
+    _fold(e, lambda node, *children: labels.append((type(node), *node._items(children))))
+    return labels
+
+
 class Point(VarietyExpr):
     kind = "point"
 
@@ -215,12 +326,11 @@ class Point(VarietyExpr):
         return Collection((exceptional("O"),))
 
 
-@dataclass(frozen=True)
 class Projective(VarietyExpr):
-    n: int
     kind = "projective"
+    _fields = (("n", int),)
 
-    def __post_init__(self):
+    def _check(self):
         if not is_int(self.n) or self.n < 0:
             raise InvalidParameterError("projective space needs n >= 0")
 
@@ -234,12 +344,11 @@ class Projective(VarietyExpr):
         return Collection(tuple(_line_bundles(-self.n)))
 
 
-@dataclass(frozen=True)
 class Quadric(VarietyExpr):
-    d: int
     kind = "quadric"
+    _fields = (("d", int),)
 
-    def __post_init__(self):
+    def _check(self):
         if not is_int(self.d) or self.d < 1:
             raise InvalidParameterError("quadric needs dimension d >= 1")
 
@@ -266,13 +375,11 @@ class Quadric(VarietyExpr):
         return Collection(tuple(head + tail))
 
 
-@dataclass(frozen=True)
 class Grassmannian(VarietyExpr):
-    k: int
-    n: int
     kind = "grassmannian"
+    _fields = (("k", int), ("n", int))
 
-    def __post_init__(self):
+    def _check(self):
         if (
             not is_int(self.k)
             or not is_int(self.n)
@@ -287,15 +394,13 @@ class Grassmannian(VarietyExpr):
         return GeneralizedMotive(TateMotive(_gaussian_binomial(self.n, self.k)))
 
 
-@dataclass(frozen=True)
 class Toric(VarietyExpr):
     """Cone counts by dimension: cone_counts[i] cones of dimension i."""
 
-    cone_counts: tuple[int, ...]
     kind = "toric"
+    _fields = (("cone_counts", tuple),)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cone_counts", tuple(self.cone_counts))
+    def _check(self):
         counts = self.cone_counts
         if not counts or any(not is_int(c) or c < 1 for c in counts):
             raise InvalidParameterError("cone counts must be positive integers")
@@ -317,38 +422,32 @@ class Toric(VarietyExpr):
         return _generic_labels(self._motive().tate.rank)
 
 
-@dataclass(frozen=True)
 class Product(VarietyExpr):
-    left: VarietyExpr
-    right: VarietyExpr
     kind = "product"
+    _fields = (("left", VarietyExpr), ("right", VarietyExpr))
 
-    def _dimension(self) -> int:
-        return self.left._dimension() + self.right._dimension()
+    def _dimension(self, left: int, right: int) -> int:
+        return left + right
 
-    def _motive(self) -> GeneralizedMotive:
-        return self.left._motive() * self.right._motive()
+    def _motive(self, left, right) -> GeneralizedMotive:
+        return left * right
 
 
-@dataclass(frozen=True)
 class DisjointUnion(VarietyExpr):
-    left: VarietyExpr
-    right: VarietyExpr
     kind = "disjoint_union"
+    _fields = (("left", VarietyExpr), ("right", VarietyExpr))
 
-    def _dimension(self) -> int:
-        return max(self.left._dimension(), self.right._dimension())
+    def _summands(self, left: list, right: list) -> list:
+        left += right
+        return left
 
-    def _motive(self) -> GeneralizedMotive:
-        return self.left._motive() + self.right._motive()
+    def _dimension(self, left: int, right: int) -> int:
+        return max(left, right)
 
-    def _collection(self, variant: str) -> Collection:
-        left = self.left._collection(variant)
-        right = self.right._collection(variant)
-        return Collection(left.pieces + right.pieces)
+    def _motive(self, left, right) -> GeneralizedMotive:
+        return left + right
 
 
-@dataclass(frozen=True)
 class Blowup(VarietyExpr):
     """Blowup of ``base`` along a smooth ``center`` of codimension ``codim``.
 
@@ -356,65 +455,56 @@ class Blowup(VarietyExpr):
     the motive formula does not describe a blowup.
     """
 
-    base: VarietyExpr
-    center: VarietyExpr
-    codim: int
     kind = "blowup"
+    _fields = (("base", VarietyExpr), ("center", VarietyExpr), ("codim", int))
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if not is_int(self.codim) or self.codim < 2:
             raise InvalidParameterError("blowup center must have codimension >= 2")
-        gap = self.base._dimension() - self.center._dimension()
+        gap = dimension_of(self.base) - dimension_of(self.center)
         if gap != self.codim:
             raise InvalidParameterError(
                 "stated codimension %d does not match the dimension gap %d"
                 % (self.codim, gap)
             )
 
-    def _dimension(self) -> int:
-        return self.base._dimension()
+    def _dimension(self, base: int, center: int) -> int:
+        return base
 
-    def _motive(self) -> GeneralizedMotive:
-        out = self.base._motive()
-        center = self.center._motive()
+    def _motive(self, base, center) -> GeneralizedMotive:
+        out = base
         for i in range(1, self.codim):
             out = out + center * GeneralizedMotive(lefschetz(i))
         return out
 
 
-@dataclass(frozen=True)
 class ProjBundle(VarietyExpr):
     """Projectivization of a rank ``fiber_rank`` vector bundle on ``base``."""
 
-    base: VarietyExpr
-    fiber_rank: int
     kind = "proj_bundle"
+    _fields = (("base", VarietyExpr), ("fiber_rank", int))
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if not is_int(self.fiber_rank) or self.fiber_rank < 1:
             raise InvalidParameterError("bundle rank must be >= 1")
 
-    def _dimension(self) -> int:
-        return self.base._dimension() + self.fiber_rank - 1
+    def _dimension(self, base: int) -> int:
+        return base + self.fiber_rank - 1
 
-    def _motive(self) -> GeneralizedMotive:
-        base = self.base._motive()
+    def _motive(self, base) -> GeneralizedMotive:
         out = base
         for i in range(1, self.fiber_rank):
             out = out + base * GeneralizedMotive(lefschetz(i))
         return out
 
 
-@dataclass(frozen=True)
 class ModuliM0(VarietyExpr):
     """Moduli of genus-zero stable curves with n marked points, n <= 5."""
 
-    n: int
     kind = "moduli_m0"
+    _fields = (("n", int),)
 
-    def __post_init__(self):
+    def _check(self):
         if not is_int(self.n) or not 3 <= self.n <= 5:
             raise InvalidParameterError("marked points n must be 3, 4 or 5")
 
@@ -433,23 +523,21 @@ class ModuliM0(VarietyExpr):
         return self.n - 3
 
     def _motive(self) -> GeneralizedMotive:
-        return self._space()._motive()
+        return motive_of(self._space())
 
     def _collection(self, variant: str) -> Collection:
         if self.n <= 4:
-            return self._space()._collection(variant)
+            return exceptional_collection_of(self._space(), quadric_variant=variant)
         return _generic_labels(self._motive().tate.rank)
 
 
-@dataclass(frozen=True)
 class Fano3fold(VarietyExpr):
     """A Fano threefold recorded by b = b_2 = b_4 and an odd-vanishing flag."""
 
-    b: int
-    odd_trivial: bool
     kind = "fano3fold"
+    _fields = (("b", int), ("odd_trivial", bool))
 
-    def __post_init__(self):
+    def _check(self):
         if not is_int(self.b) or self.b < 0:
             raise InvalidParameterError("Betti input b must be >= 0")
         if not isinstance(self.odd_trivial, bool):
@@ -478,29 +566,17 @@ class Fano3fold(VarietyExpr):
         return _generic_labels(2 + 2 * self.b)
 
 
-def _check_expr(e) -> None:
-    if not isinstance(e, VarietyExpr):
-        raise InvalidParameterError("expected a variety expression, got %r" % (e,))
-
-
-def _node_class(e) -> type:
-    """The class whose methods evaluate ``e``.
-
-    Anything that is not an expression gets the base class, whose methods
-    raise the errors for an unknown node.
-    """
-    cls = type(e)
-    return cls if issubclass(cls, VarietyExpr) else VarietyExpr
+_KINDS = {cls.kind: cls for cls in VarietyExpr.__subclasses__()}
 
 
 def dimension_of(e: VarietyExpr) -> int:
     """Dimension of the underlying variety; unions take the maximum."""
-    return _node_class(e)._dimension(e)
+    return _fold(e, lambda node, *dims: node._dimension(*dims))
 
 
 def motive_of(e: VarietyExpr) -> GeneralizedMotive:
     """Evaluate an expression to its generalized motive."""
-    return _node_class(e)._motive(e)
+    return _fold(e, lambda node, *parts: node._motive(*parts))
 
 
 def exceptional_collection_of(
@@ -512,11 +588,19 @@ def exceptional_collection_of(
     collection (spinor bundles plus line bundles, a full exceptional
     collection) and the Kuznetsov form (an opaque even Clifford algebra piece
     of initially unknown rank plus line bundles).  Expressions with no known
-    collection raise CollectionUnavailableError.
+    collection raise CollectionUnavailableError.  The collection of a
+    disjoint union joins those of its summands, left to right; the first
+    summand without one raises, whatever its children.
     """
     if quadric_variant not in ("split", "kuznetsov"):
         raise ValueError("quadric_variant must be 'split' or 'kuznetsov'")
-    return _node_class(e)._collection(e, quadric_variant)
+    if not isinstance(e, VarietyExpr):
+        # the base class raises, as it does for a node outside the catalog
+        return VarietyExpr._collection(e, quadric_variant)
+    pieces = []
+    for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
+        pieces += summand._collection(quadric_variant).pieces
+    return Collection(tuple(pieces))
 
 
 def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:
@@ -541,65 +625,49 @@ def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:
     return sod.fec_obstruction(betti, bound)
 
 
-def _register() -> dict[str, type]:
-    """Give each node class its ``_fields`` and map each JSON kind to its class.
-
-    ``_fields`` holds ``(name, type)`` per dataclass field, in order, with
-    ``tuple[int, ...]`` recorded as ``tuple``.  The JSON form and the
-    expression language both walk a node through it.
-    """
-    kinds = {}
-    for cls in VarietyExpr.__subclasses__():
-        hints = get_type_hints(cls)
-        cls._fields = tuple(
-            (f.name, get_origin(hints[f.name]) or hints[f.name]) for f in fields(cls)
-        )
-        kinds[cls.kind] = cls
-    return kinds
+def expr_to_json(e: VarietyExpr) -> dict:
+    """Structural JSON mirror of the AST: the kind, then each field in order."""
+    return _fold(e, lambda node, *children: node._json(*children))
 
 
-_KINDS: dict[str, type] = _register()
-
-
-def _to_json(e) -> dict:
-    kind = getattr(e, "kind", None)
-    if kind is None:
-        raise TypeError("unknown expression node %r" % type(e).__name__)
-    out = {"kind": kind}
-    for name, typ in e._fields:
-        value = getattr(e, name)
-        if typ is VarietyExpr:
-            value = _to_json(value)
-        elif typ is tuple:
-            value = list(value)
-        out[name] = value
-    return out
-
-
-def _from_json(data) -> VarietyExpr:
+def _frame(data, name: str) -> list:
+    """``[class, JSON, field name, arguments so far]`` for one JSON node."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("expression JSON needs a 'kind' field")
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError("unknown expression kind %r" % (kind,))
-    cls = _KINDS[kind]
-    args = []
-    for name, typ in cls._fields:
-        if name not in data:
-            raise ValueError("%s expression JSON needs a field %r" % (kind, name))
-        value = data[name]
-        if typ is VarietyExpr:
-            value = _from_json(value)
-        elif typ is tuple and not isinstance(value, list):
-            raise ValueError("%s expression JSON needs %r as a list" % (kind, name))
-        args.append(value)
-    return cls(*args)
-
-
-def expr_to_json(e: VarietyExpr) -> dict:
-    """Structural JSON mirror of the AST: the kind, then each field in order."""
-    return _to_json(e)
+    return [_KINDS[kind], data, name, []]
 
 
 def expr_from_json(data: dict) -> VarietyExpr:
-    return _from_json(data)
+    """Build an expression from its JSON form, on an explicit stack.
+
+    Fields are read in order and a child is built before the next field is
+    read, so the first problem met is the one reported.  An
+    InvalidParameterError from a constructor gets ``path``, the node path
+    of that node (the root is ``$``, a child adds ``.`` and its field name).
+    """
+    frames = [_frame(data, "$")]
+    while True:
+        cls, data, _, args = frames[-1]
+        if len(args) < len(cls._fields):
+            name, typ = cls._fields[len(args)]
+            if name not in data:
+                raise ValueError("%s expression JSON needs a field %r" % (cls.kind, name))
+            if typ is VarietyExpr:
+                frames.append(_frame(data[name], name))
+                continue
+            if typ is tuple and not isinstance(data[name], list):
+                raise ValueError("%s expression JSON needs %r as a list" % (cls.kind, name))
+            args.append(data[name])
+            continue
+        try:
+            node = cls(*args)
+        except InvalidParameterError as exc:
+            exc.path = ".".join(frame[2] for frame in frames)
+            raise
+        frames.pop()
+        if not frames:
+            return node
+        frames[-1][3].append(node)

@@ -121,6 +121,20 @@ def conjugated_unit_iso(m, rng):
     return f2, g2
 
 
+def trace_multiset(m, f, g):
+    """The exponents of m read off as traces, as the paper reads the lift.
+
+    The multiplicity of L^l is the trace of the idempotent block
+    f_{-l} @ g_l: the sum over the summands k of m with exponent l of
+    (G F)[k][k], with F = f.matrix and G = g.matrix.
+    """
+    a, b = f.matrix, g.matrix
+    traces = {}
+    for k, l in enumerate(m.exponent_multiset()):
+        traces[l] = traces.get(l, 0) + sum(a[i][k] * b[k][i] for i in range(len(a)))
+    return tuple(l for l, tr in traces.items() for _ in range(int(tr)))
+
+
 @lru_cache(maxsize=None)
 def _partitions(total, parts, largest):
     """Partitions of ``total`` into at most ``parts`` parts, each <= ``largest``."""

@@ -12,7 +12,14 @@ from importlib import resources
 
 from jsonschema import Draft202012Validator
 
-from helpers import conjugated_unit_iso, grassmannian_oracle, multisets_up_to, rand_motive, rand_morphism
+from helpers import (
+    conjugated_unit_iso,
+    grassmannian_oracle,
+    multisets_up_to,
+    rand_morphism,
+    rand_motive,
+    trace_multiset,
+)
 from lefschetz.cli import main
 from lefschetz.measures import chi_gs, chi_hd, hodge_tate, k0_class, K0Class
 from lefschetz.orbit import (
@@ -139,8 +146,10 @@ def test_criterion_4_lift_round_trip():
         assert m.exponent_multiset() == multiset
         f, g = block_unit_iso(m)
         assert decompose_via_orbit(m, f, g, 5) == multiset
+        assert trace_multiset(m, f, g) == multiset
         f2, g2 = conjugated_unit_iso(m, rng)
         assert decompose_via_orbit(m, f2, g2, 5) == multiset
+        assert trace_multiset(m, f2, g2) == multiset
     print("PASS criterion 4: 924 multisets recovered, plain and conjugated")
 
 

@@ -74,6 +74,17 @@ class TestGoldenText:
         code, out, _ = run(capsys, "motive", "-")
         assert (code, out) == (0, "1 + 2*L + L^2\n")
 
+    def test_stdin_long_chain(self):
+        # a 10000-summand union: every stage walks the tree without recursing
+        proc = subprocess.run(
+            [sys.executable, "-m", "lefschetz.cli", "motive", "-"],
+            input="+".join(["point"] * 10000),
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "10000\n")
+        assert "Traceback" not in proc.stderr
+
 
 class TestSodSolve:
     def write_collection(self, tmp_path, pieces):

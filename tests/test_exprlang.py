@@ -281,9 +281,9 @@ def test_render_round_trip_property(e):
 class TestDeepInputs:
     """Every stage handles long chains and deep nesting.
 
-    The limits are about 948 chain terms and 317 nesting levels under
-    pytest at one stack frame per tree level in the evaluators, so these
-    sizes fail if a stage spends a second frame per level.
+    No stage after tokenizing recurses on a child, so the chains pass at
+    the default recursion limit at any length; the parser recurses once
+    per parenthesis, which bounds the nesting.
     """
 
     @pytest.mark.parametrize(
@@ -291,12 +291,19 @@ class TestDeepInputs:
         [
             "+".join(["point"] * 900),
             "*".join(["point"] * 900),
+            "+".join(["point"] * 10000),
+            "*".join(["point"] * 10000),
             "point+(" * 299 + "point" + ")" * 299,
         ],
-        ids=["sum-chain-900", "product-chain-900", "nested-300"],
+        ids=[
+            "sum-chain-900",
+            "product-chain-900",
+            "sum-chain-10000",
+            "product-chain-10000",
+            "nested-300",
+        ],
     )
     def test_every_stage(self, text):
-        # compared as text: == on the trees recurses two levels per node
         e = parse_expr(text)
         canon = render_expr(e)
         assert render_expr(parse_expr(canon)) == canon
@@ -309,3 +316,6 @@ class TestDeepInputs:
                 exceptional_collection_of(e)
         else:
             assert len(exceptional_collection_of(e)) == rank
+        twin = parse_expr(canon)
+        assert twin == e and hash(twin) == hash(e)
+        assert repr(e).count("Point()") == text.count("point")

@@ -11,6 +11,7 @@ from helpers import (
     rand_entry,
     rand_morphism,
     rand_motive,
+    trace_multiset,
 )
 from lefschetz.orbit import (
     CompositionError,
@@ -211,6 +212,16 @@ class TestDecompose:
             m = rand_motive(rng, max_exp=4, max_distinct=3, max_mult=2)
             f, g = conjugated_unit_iso(m, rng)
             assert decompose_via_orbit(m, f, g, 4) == m.exponent_multiset()
+
+    def test_matches_trace_oracle(self):
+        # the lift returns the exponent multiset once its checks pass; the
+        # paper's trace reading must give the same answer on valid input
+        rng = random.Random(19)
+        cases = [(TateMotive({0: 1, 1: 2, 3: 1}), 3), (ZERO, 4), (lefschetz(2), 2)]
+        cases += [(rand_motive(rng, max_exp=4, max_distinct=3, max_mult=2), 4) for _ in range(25)]
+        for m, dim in cases:
+            for f, g in (block_unit_iso(m), conjugated_unit_iso(m, rng)):
+                assert decompose_via_orbit(m, f, g, dim) == trace_multiset(m, f, g)
 
     def test_rank_mismatch(self):
         one = TateMotive({0: 1})

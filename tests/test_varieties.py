@@ -1,11 +1,14 @@
 """Catalog formulas, dimensions, collections, and the generalized motive algebra."""
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
 from helpers import grassmannian_oracle
+from lefschetz.exprlang import parse_expr
 from lefschetz.sod import FEC_FAILS_ODD, FEC_OK
 from lefschetz.tate import TateMotive
 from lefschetz.varieties import (
@@ -428,3 +431,86 @@ class TestExprJson:
         ]
         for e, text in expected:
             assert json.dumps(expr_to_json(e)) == text
+
+
+class TestNodes:
+    def test_exact_repr(self):
+        expected = [
+            (Point(), "Point()"),
+            (Projective(3), "Projective(n=3)"),
+            (Quadric(4), "Quadric(d=4)"),
+            (Grassmannian(2, 5), "Grassmannian(k=2, n=5)"),
+            (Toric([1, 4, 4]), "Toric(cone_counts=(1, 4, 4))"),
+            (
+                Product(Projective(1), Point()),
+                "Product(left=Projective(n=1), right=Point())",
+            ),
+            (
+                DisjointUnion(Point(), Quadric(1)),
+                "DisjointUnion(left=Point(), right=Quadric(d=1))",
+            ),
+            (
+                Blowup(Projective(2), Point(), 2),
+                "Blowup(base=Projective(n=2), center=Point(), codim=2)",
+            ),
+            (ProjBundle(Quadric(2), 3), "ProjBundle(base=Quadric(d=2), fiber_rank=3)"),
+            (ModuliM0(4), "ModuliM0(n=4)"),
+            (Fano3fold(2, False), "Fano3fold(b=2, odd_trivial=False)"),
+        ]
+        for e, text in expected:
+            assert repr(e) == text
+            assert eval(text) == e
+
+    def test_equal_and_hash_three_ways(self):
+        text = "blowup(P(1) * P(1); point + point; 2) + toric[1,4,4] * fano(2; true)"
+        built = DisjointUnion(
+            Blowup(
+                Product(Projective(1), Projective(1)),
+                DisjointUnion(Point(), Point()),
+                2,
+            ),
+            Product(Toric((1, 4, 4)), Fano3fold(2, True)),
+        )
+        trees = [parse_expr(text), built, expr_from_json(expr_to_json(built))]
+        for tree in trees:
+            assert tree == built
+            assert hash(tree) == hash(built)
+        assert len(set(trees)) == 1
+        # same labels in another shape, another class, another value
+        assert Product(Point(), Projective(1)) != Product(Projective(1), Point())
+        assert DisjointUnion(Point(), Point()) != Product(Point(), Point())
+        assert Fano3fold(2, True) != Fano3fold(2, False)
+        assert Point() != "point"
+
+    def test_copy_deepcopy_and_pickle(self):
+        e = parse_expr("blowup(P(3); P(1); 2) * toric[1,4,4] + fano(1; false)")
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e
+            assert hash(twin) == hash(e)
+            assert repr(twin) == repr(e)
+            with pytest.raises(AttributeError):
+                twin.left = Point()
+
+    def test_immutable(self):
+        e = Product(Projective(2), Point())
+        for attempt in (
+            lambda: setattr(e, "left", Point()),
+            lambda: setattr(Projective(2), "n", 3),
+            lambda: setattr(Toric((1, 3, 3)), "cone_counts", (1,)),
+            lambda: delattr(e, "right"),
+        ):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert e == Product(Projective(2), Point())
+
+    def test_collection_errors_of_sums_and_products(self):
+        # a product fails as a product, before its factors are looked at
+        with pytest.raises(CollectionUnavailableError) as info:
+            exceptional_collection_of(parse_expr("fano(1; false)*P(1)"))
+        assert str(info.value) == "no collection in the catalog for Product"
+        with pytest.raises(CollectionUnavailableError) as info:
+            exceptional_collection_of(parse_expr("P(1) + fano(1; false)"))
+        assert str(info.value) == (
+            "odd-weight summands were not asserted trivial, so no full "
+            "exceptional collection is available"
+        )
