@@ -18,12 +18,14 @@ tighter, both left-associative::
       | 'fano' '(' INT ';' flag ')'
     flag  := ('odd_trivial' '=')? ('true' | 'false')
 
-INT is a run of ASCII digits 0-9.  The parser and ``render_expr`` read one
-grammar table, ``_SYNTAX``: a constructor is its node class plus one row,
-its head and its canonical text template.  The parser has no branch per
-constructor: it expects each punctuation character of the template in turn
-and reads each field in the class's ``_fields`` by its type (an expression,
-an INT, a list of INTs, or a flag written ``name=true`` or ``name=false``).
+INT is a run of ASCII digits 0-9, at most ``MAX_INT_DIGITS`` (100) of
+them; a longer run is a syntax error at its first digit.  The parser and
+``render_expr`` read one grammar table, ``_SYNTAX``: a constructor is its
+node class plus one row, its head and its canonical text template.  The
+parser has no branch per constructor: it expects each punctuation
+character of the template in turn and reads each field in the class's
+``_fields`` by its type (an expression, an INT, a list of INTs, or a flag
+written ``name=true`` or ``name=false``).
 
 Tokens are plain ``(kind, text, byte offset)`` tuples.  The parser emits
 the JSON form of the expression and ``varieties.expr_from_json`` types it,
@@ -77,6 +79,9 @@ class SemanticError(ValueError):
 
 _PUNCT = set("()[],;*+=")
 _DIGITS = set("0123456789")
+# Longest integer literal, in digits.  Far above any catalog parameter that
+# can be evaluated, and far below the interpreter's int-to-string limit.
+MAX_INT_DIGITS = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -91,6 +96,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch in _DIGITS:
             while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_INT_DIGITS:
+                raise ParseError(
+                    "integer literal too long (more than %d digits)" % MAX_INT_DIGITS, at
+                )
             toks.append(("num", text[i:j], at))
         elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):

@@ -15,6 +15,16 @@ the grade-r component keeps the entries whose grade is r.  Twisting a matrix
 does not change its entries, so the graded convolution ``(g after f)_l =
 sum over r of g_{l-r} @ f_r`` is a single matrix product.
 
+The matrix is stored as integer rows over one positive denominator, in
+canonical form: the gcd of the denominator and all entries is 1, so two
+equal morphisms store the same rows and equality is structural.  A product
+is one integer matrix product that skips the zero entries of the left
+factor, the product of the two denominators and one gcd pass: exact
+arithmetic that stays in the integers, in the spirit of Bareiss (Math.
+Comp. 22, 1968), with no ``Fraction`` arithmetic and no float.  The graded
+constructor and the views ``component``, ``components``, ``matrix`` and
+``to_json`` speak ``Fraction``.
+
 ``decompose_via_orbit`` inverts the collapse: given that a motive m becomes
 isomorphic to a direct sum of rank(m) unit objects after the twist is
 quotiented out, and a bound dim on the twists involved, it reconstructs the
@@ -32,12 +42,14 @@ the trace computation as an oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Mapping
+from itertools import chain
+from math import gcd, lcm
+from collections.abc import Iterable, Mapping
 
 from .tate import DomainError, TateMotive, hom_dim, is_int, twist
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Rows = tuple[tuple[int, ...], ...]
 
 
 class CompositionError(DomainError):
@@ -65,34 +77,36 @@ def term_enumeration(m: TateMotive) -> tuple[tuple[int, int], ...]:
     return tuple((l, i) for l, c in m.terms.items() for i in range(c))
 
 
-def _as_matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _exact(x) -> Fraction:
+    """An entry that is not an int or a Fraction, as a Fraction.
+
+    Floats and bools are refused: a float is not exact and a bool is not a
+    number.
+    """
+    if isinstance(x, (float, bool)):
+        raise TypeError("matrix entries must be exact, got %r" % (x,))
+    return Fraction(x)
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def _matmul(a: Matrix, b: Matrix, ncols: int) -> Matrix:
-    """a @ b for a b with ncols columns; b may have no rows."""
-    cols = tuple(zip(*b)) if b else ((),) * ncols
-    zero = Fraction(0)
-    return tuple(tuple(sum(map(mul, row, col), zero) for col in cols) for row in a)
+def _identity_rows(n: int) -> Rows:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 class OrbitMorphism:
-    """A morphism of the orbit category, stored as one exact rational matrix.
+    """A morphism of the orbit category: one exact matrix, as integer rows.
 
-    ``matrix`` is rank(target) x rank(source); entry (i, j) lives at grade
-    ``target_exponent_i - source_exponent_j``.  The constructor takes the
+    The matrix is rank(target) x rank(source); entry (i, j) lives at grade
+    ``target_exponent_i - source_exponent_j``.  It is stored as ``rows``,
+    a tuple of integer rows, over ``den``, one positive denominator, with
+    the gcd of ``den`` and all entries equal to 1, so the stored form is
+    canonical and ``==`` compares it directly.  The constructor takes the
     graded form instead: ``components`` maps grade r to a rank(target) x
     rank(source) matrix whose entries may be ints, Fractions or strings like
-    ``"1/2"``.  Construction validates shapes and the delta pattern.
+    ``"1/2"`` (not floats or bools).  Construction validates shapes and the
+    delta pattern.  ``matrix`` and ``component`` give Fraction views.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "den", "rows")
 
     def __init__(
         self,
@@ -106,12 +120,12 @@ class OrbitMorphism:
         self.target = target
         src = source.exponent_multiset()
         tgt = target.exponent_multiset()
-        matrix = [[Fraction(0)] * len(src) for _ in tgt]
+        nonzero_entries = []
         grades: set[int] = set()
         items = components.items() if isinstance(components, Mapping) else components
         for r, rows in items:
             r = int(r)
-            mat = _as_matrix(rows)
+            mat = [tuple(row) for row in rows]
             if len(mat) != len(tgt) or any(len(row) != len(src) for row in mat):
                 raise ValueError(
                     "grade %d component must be %d x %d" % (r, len(tgt), len(src))
@@ -119,7 +133,9 @@ class OrbitMorphism:
             nonzero = False
             for i, row in enumerate(mat):
                 for j, entry in enumerate(row):
-                    if entry == 0:
+                    if type(entry) is not int and type(entry) is not Fraction:
+                        entry = _exact(entry)
+                    if not entry:
                         continue
                     nonzero = True
                     if tgt[i] - r != src[j]:
@@ -129,31 +145,46 @@ class OrbitMorphism:
                             % (r, i, j, tgt[i], r, src[j])
                         )
                     # the delta pattern gives each slot a single grade
-                    matrix[i][j] = entry
+                    nonzero_entries.append((i, j, entry))
             if nonzero:
                 if r in grades:
                     raise ValueError("duplicate grade %d" % r)
                 grades.add(r)
-        self.matrix: Matrix = tuple(map(tuple, matrix))
+        # entries are in lowest terms, so over the lcm of their denominators
+        # the rows are already canonical
+        den = lcm(*{x.denominator for _, _, x in nonzero_entries})
+        matrix = [[0] * len(src) for _ in tgt]
+        for i, j, x in nonzero_entries:
+            matrix[i][j] = x.numerator * (den // x.denominator)
+        self.den = den
+        self.rows: Rows = tuple(map(tuple, matrix))
 
     @classmethod
-    def _from_matrix(
-        cls, source: TateMotive, target: TateMotive, matrix: Matrix
+    def _from_rows(
+        cls, source: TateMotive, target: TateMotive, den: int, rows: Rows
     ) -> "OrbitMorphism":
-        """Wrap a matrix that already has the right shape and delta pattern."""
+        """Wrap canonical rows that already have the right shape and delta pattern."""
         f = cls.__new__(cls)
         f.source = source
         f.target = target
-        f.matrix = matrix
+        f.den = den
+        f.rows = rows
         return f
+
+    @property
+    def matrix(self) -> Matrix:
+        """The whole matrix with Fraction entries."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.rows)
 
     def component(self, r: int) -> Matrix:
         """The grade-r matrix, a zero matrix when absent."""
         src = self.source.exponent_multiset()
+        den = self.den
         zero = Fraction(0)
         return tuple(
-            tuple(x if t - r == s else zero for x, s in zip(row, src))
-            for row, t in zip(self.matrix, self.target.exponent_multiset())
+            tuple(Fraction(x, den) if t - r == s else zero for x, s in zip(row, src))
+            for row, t in zip(self.rows, self.target.exponent_multiset())
         )
 
     @property
@@ -161,7 +192,7 @@ class OrbitMorphism:
         src = self.source.exponent_multiset()
         return tuple(sorted({
             t - s
-            for row, t in zip(self.matrix, self.target.exponent_multiset())
+            for row, t in zip(self.rows, self.target.exponent_multiset())
             for x, s in zip(row, src)
             if x
         }))
@@ -182,7 +213,8 @@ class OrbitMorphism:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.matrix == other.matrix
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __repr__(self) -> str:
@@ -220,7 +252,7 @@ def chow_morphism(source: TateMotive, target: TateMotive, matrix) -> OrbitMorphi
 
 
 def identity_morphism(x: TateMotive) -> OrbitMorphism:
-    return OrbitMorphism._from_matrix(x, x, _identity_matrix(x.rank))
+    return OrbitMorphism._from_rows(x, x, 1, _identity_rows(x.rank))
 
 
 def orbit_hom_support(x: TateMotive, y: TateMotive) -> dict[int, int]:
@@ -239,15 +271,32 @@ def orbit_hom_support(x: TateMotive, y: TateMotive) -> dict[int, int]:
 
 
 def compose(g: OrbitMorphism, f: OrbitMorphism) -> OrbitMorphism:
-    """``g after f``: the graded convolution, which is one matrix product."""
+    """``g after f``: the graded convolution, which is one matrix product.
+
+    The product of the integer rows skips the zero entries of g; the
+    denominators multiply and one gcd pass brings the result back to
+    canonical form.
+    """
     if f.target != g.source:
         raise CompositionError(
             "cannot compose: intermediate objects differ (%s vs %s)"
             % (f.target.text(), g.source.text())
         )
-    return OrbitMorphism._from_matrix(
-        f.source, g.target, _matmul(g.matrix, f.matrix, f.source.rank)
-    )
+    width = f.source.rank
+    f_rows = f.rows
+    rows = []
+    for g_row in g.rows:
+        acc = [0] * width
+        for g_ik, f_row in zip(g_row, f_rows):
+            if g_ik:
+                acc = [a + g_ik * b for a, b in zip(acc, f_row)]
+        rows.append(tuple(acc))
+    den = g.den * f.den
+    common = gcd(den, *chain.from_iterable(rows))
+    if common > 1:
+        den //= common
+        rows = [tuple(x // common for x in row) for row in rows]
+    return OrbitMorphism._from_rows(f.source, g.target, den, tuple(rows))
 
 
 def canonical_unit_iso(l: int) -> tuple[OrbitMorphism, OrbitMorphism]:
@@ -273,10 +322,10 @@ def block_unit_iso(m: TateMotive) -> tuple[OrbitMorphism, OrbitMorphism]:
     is (f, g) with f: m -> units, g: units -> m, inverse to each other.
     """
     units = TateMotive({0: m.rank})
-    ident = _identity_matrix(m.rank)
+    ident = _identity_rows(m.rank)
     return (
-        OrbitMorphism._from_matrix(m, units, ident),
-        OrbitMorphism._from_matrix(units, m, ident),
+        OrbitMorphism._from_rows(m, units, 1, ident),
+        OrbitMorphism._from_rows(units, m, 1, ident),
     )
 
 

@@ -23,7 +23,7 @@ anywhere.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 
 class DomainError(ValueError):

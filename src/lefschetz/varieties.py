@@ -233,6 +233,17 @@ class VarietyExpr:
     def __repr__(self):
         return _fold(self, VarietyExpr._repr)
 
+    # Nodes are immutable, so a copy is the node itself, and a pickle holds
+    # the flat ``_labels`` list, so no depth of tree recurses in either.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return _from_labels, (_labels(self),)
+
     def _check(self) -> None:
         """Raise InvalidParameterError for out-of-range fields."""
 
@@ -311,6 +322,17 @@ def _labels(e: VarietyExpr) -> list:
     labels = []
     _fold(e, lambda node, *children: labels.append((type(node), *node._items(children))))
     return labels
+
+
+def _from_labels(labels: list) -> VarietyExpr:
+    """The tree whose ``_labels`` are ``labels``, built on an explicit stack."""
+    built = []
+    for cls, *items in labels:
+        at = len(built) - len(cls._children)
+        children = iter(built[at:])
+        args = [next(children) if typ is VarietyExpr else value for _, typ, value in items]
+        built[at:] = [cls(*args)]
+    return built[0]
 
 
 class Point(VarietyExpr):

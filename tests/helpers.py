@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from lefschetz.orbit import OrbitMorphism, block_unit_iso, term_enumeration
 from lefschetz.tate import TateMotive
@@ -22,6 +23,17 @@ def matmul(a, b):
         [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
         for i in range(rows)
     ]
+
+
+def fraction_matmul(a, b, ncols):
+    """a @ b over Fractions for a b with ncols columns; b may have no rows.
+
+    The dense product ``orbit.compose`` used before morphisms were stored
+    as integer rows over one denominator.
+    """
+    cols = tuple(zip(*b)) if b else ((),) * ncols
+    zero = Fraction(0)
+    return tuple(tuple(sum(map(mul, row, col), zero) for col in cols) for row in a)
 
 
 def identity(n):

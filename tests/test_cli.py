@@ -180,6 +180,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "motive", "P(")
         assert code == 2 and "syntax error" in err
 
+    def test_long_integer_literal(self, capsys):
+        # no interpreter int-to-string limit message leaks out
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "motive", "P(%s)" % ("9" * 5000), *extra)
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: syntax error at byte 2: "
+                "integer literal too long (more than 100 digits)\n"
+            )
+
     def test_semantic_error(self, capsys):
         code, _, err = run(capsys, "motive", "Q(0)")
         assert code == 2 and "semantic error" in err

@@ -96,6 +96,8 @@ ERRORS = (
     (["orbit-demo", "P(1)", "--dim", "-1"], None),
     (["motive", "-"], "P(1) * P(1)\n"),
     (["check-fec", "-"], "fano(1; odd_trivial=false)\n"),
+    (["motive", "P(%s)" % ("9" * 101)], None),
+    (["check-fec", "-"], "toric[1,%s]\n" % ("1" * 101)),
 )
 
 # usage errors and help, printed by argparse

@@ -1,10 +1,19 @@
 """Parsing, error reporting, and the renderer round trip."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lefschetz.exprlang import ParseError, SemanticError, parse_expr, render_expr
+from lefschetz.exprlang import (
+    MAX_INT_DIGITS,
+    ParseError,
+    SemanticError,
+    parse_expr,
+    render_expr,
+)
 from lefschetz.tate import TateMotive
 from lefschetz.varieties import (
     Blowup,
@@ -121,8 +130,11 @@ class TestParseErrors:
             parse_expr("fano(1; maybe)")
 
 
+_TOO_LONG = "integer literal too long (more than %d digits)" % MAX_INT_DIGITS
+
 # One row per punctuation slot of each constructor, a missing integer or
-# expression, and each bad form of a flag: (text, byte offset, message).
+# expression, each bad form of a flag, and integer literals over the cap
+# (an error at their first digit): (text, byte offset, message).
 SLOT_ERRORS = [
     ("P", 1, "expected '(', got end of input"),
     ("P 3)", 2, "expected '(', got '3'"),
@@ -179,6 +191,9 @@ SLOT_ERRORS = [
     ("+", 0, "expected an expression, got '+'"),
     ("odd_trivial", 0, "unknown constructor 'odd_trivial'"),
     ("true", 0, "unknown constructor 'true'"),
+    ("P(%s)" % ("9" * (MAX_INT_DIGITS + 1)), 2, _TOO_LONG),
+    ("toric[1,%s]" % ("0" * (MAX_INT_DIGITS + 1)), 8, _TOO_LONG),
+    ("point + Gr(2,%s" % ("7" * (MAX_INT_DIGITS + 1)), 13, _TOO_LONG),
 ]
 
 
@@ -188,6 +203,13 @@ def test_slot_errors(text, offset, message):
         parse_expr(text)
     assert str(exc.value) == "syntax error at byte %d: %s" % (offset, message)
     assert exc.value.offset == offset
+
+
+def test_longest_integer_literal_parses():
+    b = int("9" * MAX_INT_DIGITS)
+    e = parse_expr("fano(%s; true)" % ("0" + "9" * (MAX_INT_DIGITS - 1)))
+    assert e == Fano3fold(b // 10, True)
+    assert parse_expr(render_expr(Fano3fold(b, True))) == Fano3fold(b, True)
 
 
 class TestSemanticErrors:
@@ -319,3 +341,19 @@ class TestDeepInputs:
         twin = parse_expr(canon)
         assert twin == e and hash(twin) == hash(e)
         assert repr(e).count("Point()") == text.count("point")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["+".join(["point"] * 10000), "*".join(["point"] * 10000)],
+        ids=["sum-chain-10000", "product-chain-10000"],
+    )
+    def test_copy_and_pickle(self, text):
+        # a node is its own copy; a pickle holds the flat post-order labels
+        e = parse_expr(text)
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert copy.deepcopy([e, e])[0] is e
+        twin = pickle.loads(pickle.dumps(e))
+        assert twin is not e
+        assert twin == e and hash(twin) == hash(e)
+        assert render_expr(twin) == render_expr(e)

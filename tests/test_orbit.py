@@ -1,13 +1,20 @@
 """Graded morphism calculus and the lift back out of the orbit category."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
 from helpers import (
     conjugated_unit_iso,
+    fraction_matmul,
     graded_compose,
+    invert,
+    matmul,
     rand_entry,
     rand_morphism,
     rand_motive,
@@ -81,6 +88,70 @@ class TestConstruction:
             OrbitMorphism.from_json({"source": x.to_json()})
 
 
+def _assert_canonical(f):
+    """The stored form: one positive denominator, coprime to the entries."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(x) is int for x in chain.from_iterable(f.rows))
+    assert gcd(f.den, *chain.from_iterable(f.rows)) == 1
+
+
+class TestOrbitMorphism:
+    def test_equal_entries_give_equal_morphisms(self):
+        m = TateMotive({0: 1})
+        half = OrbitMorphism(m, m, {0: [["2/4"]]})
+        assert half == OrbitMorphism(m, m, {0: [[Fraction(1, 2)]]})
+        assert half == OrbitMorphism(m, m, {0: [["1/2"]]})
+        assert (half.den, half.rows) == (2, ((1,),))
+        # the same rows over another denominator are another morphism
+        assert half != identity_morphism(m)
+        assert OrbitMorphism(m, m, {0: [[Fraction(4, 2)]]}) == OrbitMorphism(m, m, {0: [[2]]})
+
+    def test_scalar_multiples_of_identity_compose_to_identity(self):
+        m = TateMotive({0: 1, 1: 2, 3: 1})
+        n = m.rank
+        double = OrbitMorphism(m, m, {0: [[2 * (i == j) for j in range(n)] for i in range(n)]})
+        half = OrbitMorphism(
+            m, m, {0: [[Fraction(int(i == j), 2) for j in range(n)] for i in range(n)]}
+        )
+        for f in (compose(double, half), compose(half, double)):
+            assert f == identity_morphism(m)
+            assert (f.den, f.rows) == (1, identity_morphism(m).rows)
+
+    def test_stored_form_is_canonical(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            x, y, z = (rand_motive(rng) for _ in range(3))
+            f = rand_morphism(rng, x, y)
+            g = rand_morphism(rng, y, z)
+            for h in (f, g, compose(g, f), identity_morphism(x), *block_unit_iso(x)):
+                _assert_canonical(h)
+        zero = OrbitMorphism(TateMotive({0: 2}), TateMotive({0: 2}), {0: [["0/3", 0], [0, 0]]})
+        assert (zero.den, zero.rows) == (1, ((0, 0), (0, 0)))
+
+    @pytest.mark.parametrize(
+        "entry", [0.1, 0.0, 1.0, float("nan"), True, False], ids=repr
+    )
+    def test_float_and_bool_entries_rejected(self, entry):
+        m = TateMotive({0: 1})
+        with pytest.raises(TypeError, match="must be exact"):
+            OrbitMorphism(m, m, {0: [[entry]]})
+
+    def test_matrix_is_read_only(self):
+        f = identity_morphism(TateMotive({0: 2}))
+        assert f.matrix == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        with pytest.raises(AttributeError):
+            f.matrix = ((Fraction(2),),)
+
+    def test_copy_deepcopy_and_pickle(self):
+        rng = random.Random(31)
+        x, y = TateMotive({0: 1, 1: 2}), TateMotive({0: 2, 2: 1})
+        f = rand_morphism(rng, x, y)
+        for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == f
+            assert (twin.den, twin.rows) == (f.den, f.rows)
+            assert twin.to_json() == f.to_json()
+
+
 class TestCompose:
     def test_graded_convolution_literal(self):
         one = TateMotive({0: 1})
@@ -123,6 +194,54 @@ class TestCompose:
             assert gf.matrix == ((Fraction(0),) * x.rank,) * z.rank
             for r in (-2, 0, 2):
                 assert gf.component(r) == ((Fraction(0),) * x.rank,) * z.rank
+
+    def test_matches_fraction_oracle(self):
+        # oracle: the dense Fraction product of the two matrices, on the
+        # seeded triples of test_matches_graded_convolution, then with every
+        # combination of rank-0 source, middle and target
+        def check(x, y, z):
+            f = rand_morphism(rng, x, y)
+            g = rand_morphism(rng, y, z)
+            gf = compose(g, f)
+            assert gf.matrix == fraction_matmul(g.matrix, f.matrix, x.rank)
+            _assert_canonical(gf)
+
+        rng = random.Random(23)
+        for _ in range(200):
+            check(*(rand_motive(rng) for _ in range(3)))
+        m = TateMotive({0: 1, 2: 2})
+        for x in (ZERO, m):
+            for y in (ZERO, m):
+                for z in (ZERO, m):
+                    check(x, y, z)
+
+    def test_matches_fraction_oracle_on_conjugated_pairs(self):
+        # the shape of a lift: the block unit isomorphism conjugated by a
+        # random invertible rational matrix A, ranks 1 to 8
+        rng = random.Random(37)
+        for rank in range(1, 9):
+            for _ in range(3):
+                m = TateMotive([(rng.randint(0, 6), 1) for _ in range(rank)])
+                while True:
+                    a = [
+                        [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rank)]
+                        for _ in range(rank)
+                    ]
+                    a_inv = invert(a)
+                    if a_inv is not None:
+                        break
+                f, g = block_unit_iso(m)
+                units = f.target
+                f = OrbitMorphism(m, units, {r: matmul(a, c) for r, c in f.components.items()})
+                g = OrbitMorphism(units, m, {s: matmul(c, a_inv) for s, c in g.components.items()})
+                gf, fg = compose(g, f), compose(f, g)
+                assert gf.matrix == fraction_matmul(g.matrix, f.matrix, rank)
+                assert fg.matrix == fraction_matmul(f.matrix, g.matrix, rank)
+                assert gf == identity_morphism(m)
+                assert fg == identity_morphism(units)
+                fgf = compose(f, gf)
+                assert fgf.matrix == fraction_matmul(f.matrix, gf.matrix, rank)
+                assert fgf == f
 
     def test_support_contained_in_sumset(self):
         rng = random.Random(11)
