@@ -77,17 +77,6 @@ def term_enumeration(m: TateMotive) -> tuple[tuple[int, int], ...]:
     return tuple((l, i) for l, c in m.terms.items() for i in range(c))
 
 
-def _exact(x) -> Fraction:
-    """An entry that is not an int or a Fraction, as a Fraction.
-
-    Floats and bools are refused: a float is not exact and a bool is not a
-    number.
-    """
-    if isinstance(x, (float, bool)):
-        raise TypeError("matrix entries must be exact, got %r" % (x,))
-    return Fraction(x)
-
-
 def _identity_rows(n: int) -> Rows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -100,10 +89,10 @@ class OrbitMorphism:
     a tuple of integer rows, over ``den``, one positive denominator, with
     the gcd of ``den`` and all entries equal to 1, so the stored form is
     canonical and ``==`` compares it directly.  The constructor takes the
-    graded form instead: ``components`` maps grade r to a rank(target) x
-    rank(source) matrix whose entries may be ints, Fractions or strings like
-    ``"1/2"`` (not floats or bools).  Construction validates shapes and the
-    delta pattern.  ``matrix`` and ``component`` give Fraction views.
+    graded form instead: ``components`` maps an integer grade r to a
+    rank(target) x rank(source) matrix whose entries may be ints, Fractions
+    or strings like ``"1/2"`` (floats and bools are refused, as grades and
+    as entries).  Construction validates shapes and the delta pattern.  ``matrix`` and ``component`` give Fraction views.
     """
 
     __slots__ = ("source", "target", "den", "rows")
@@ -124,6 +113,9 @@ class OrbitMorphism:
         grades: set[int] = set()
         items = components.items() if isinstance(components, Mapping) else components
         for r, rows in items:
+            # a float is not exact and a bool is not a number
+            if isinstance(r, (float, bool)):
+                raise TypeError("grades must be exact integers, got %r" % (r,))
             r = int(r)
             mat = [tuple(row) for row in rows]
             if len(mat) != len(tgt) or any(len(row) != len(src) for row in mat):
@@ -134,7 +126,9 @@ class OrbitMorphism:
             for i, row in enumerate(mat):
                 for j, entry in enumerate(row):
                     if type(entry) is not int and type(entry) is not Fraction:
-                        entry = _exact(entry)
+                        if isinstance(entry, (float, bool)):
+                            raise TypeError("matrix entries must be exact, got %r" % (entry,))
+                        entry = Fraction(entry)
                     if not entry:
                         continue
                     nonzero = True

@@ -179,18 +179,35 @@ class TateMotive(SparsePoly):
 
     ``TateMotive({0: 1, 2: 3})`` is the motive ``1 + 3*L^2``.  Instances are
     immutable and hashable; the zero motive is ``TateMotive()``.
+
+    Every motive of the catalog and every orbit lift builds Tate motives, so
+    the constructor checks its items inline rather than through a ``_check``
+    call per item.
     """
 
     __slots__ = ()
     _symbol = "L"
 
-    @staticmethod
-    def _check(exp, mult):
-        if not isinstance(exp, int) or not isinstance(mult, int):
-            raise TypeError("exponents and multiplicities must be integers")
-        if mult < 0:
-            raise ValueError("negative multiplicity %d for exponent %d" % (mult, exp))
-        return exp
+    def __init__(self, terms: TermsLike = ()):
+        # a dict first: the Mapping check alone costs a Python-level call
+        if isinstance(terms, dict) or isinstance(terms, Mapping):
+            terms = terms.items()
+        acc: dict = {}
+        for exp, mult in terms:
+            if not isinstance(exp, int) or not isinstance(mult, int):
+                raise TypeError("exponents and multiplicities must be integers")
+            if mult < 0:
+                raise ValueError("negative multiplicity %d for exponent %d" % (mult, exp))
+            # multiplicities are non-negative, so no merged entry is zero
+            if mult:
+                acc[exp] = acc.get(exp, 0) + mult
+        if len(acc) > 1:
+            # inputs mostly come in ascending order; sorting ints is cheaper
+            # than sorting items
+            exps = sorted(acc)
+            if exps != list(acc):
+                acc = {l: acc[l] for l in exps}
+        object.__setattr__(self, "_terms", acc)
 
     multiplicity = SparsePoly.coefficient
 

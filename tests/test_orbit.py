@@ -136,6 +136,12 @@ class TestOrbitMorphism:
         with pytest.raises(TypeError, match="must be exact"):
             OrbitMorphism(m, m, {0: [[entry]]})
 
+    @pytest.mark.parametrize("grade", [0.5, 0.0, True, False], ids=repr)
+    def test_float_and_bool_grades_rejected(self, grade):
+        m = TateMotive({0: 1})
+        with pytest.raises(TypeError, match="grades must be exact"):
+            OrbitMorphism(m, m, {grade: [[1]]})
+
     def test_matrix_is_read_only(self):
         f = identity_morphism(TateMotive({0: 2}))
         assert f.matrix == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))

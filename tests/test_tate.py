@@ -31,6 +31,15 @@ class TestConstruction:
         assert TateMotive({2: 0, 1: 1}) == TateMotive({1: 1})
         assert TateMotive([(1, 1), (1, 2), (0, 1)]) == TateMotive({0: 1, 1: 3})
 
+    @given(st.lists(st.tuples(st.integers(-4, 6), st.integers(0, 3)), max_size=6))
+    def test_terms_in_ascending_order(self, pairs):
+        merged = {}
+        for l, c in pairs:
+            merged[l] = merged.get(l, 0) + c
+        want = sorted((l, c) for l, c in merged.items() if c)
+        assert list(TateMotive(pairs).terms.items()) == want
+        assert list(TateMotive(dict(reversed(want))).terms.items()) == want
+
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             TateMotive({0: -1})
