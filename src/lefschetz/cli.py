@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .exprlang import parse_expr, render_expr
+from .exprlang import INT_TOO_LONG, MAX_INT_DIGITS, parse_expr, render_expr
 from .measures import hodge_numbers, k0_class
 from .orbit import block_unit_iso, decompose_via_orbit
 from .sod import Collection, solve_nc_ranks
@@ -84,9 +84,16 @@ def cmd_check_fec(e, args):
     return fields, [line], 0 if v.ok else 1
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer, capped in length as an expression's literals are."""
+    if len(text) - text.startswith("-") > MAX_INT_DIGITS:
+        raise ValueError(INT_TOO_LONG)
+    return int(text)
+
+
 def cmd_sod_solve(e, args):
     with open(args.collection, "r", encoding="utf-8") as fh:
-        collection = Collection.from_json(json.load(fh))
+        collection = Collection.from_json(json.load(fh, parse_int=_json_int))
     total = _pure_tate(e)
     solved = solve_nc_ranks(collection, total)
     fields = {

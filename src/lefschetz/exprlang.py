@@ -19,13 +19,15 @@ tighter, both left-associative::
     flag  := ('odd_trivial' '=')? ('true' | 'false')
 
 INT is a run of ASCII digits 0-9, at most ``MAX_INT_DIGITS`` (100) of
-them; a longer run is a syntax error at its first digit.  The parser and
-``render_expr`` read one grammar table, ``_SYNTAX``: a constructor is its
-node class plus one row, its head and its canonical text template.  The
-parser has no branch per constructor: it expects each punctuation
-character of the template in turn and reads each field in the class's
-``_fields`` by its type (an expression, an INT, a list of INTs, or a flag
-written ``name=true`` or ``name=false``).
+them; a longer run is a syntax error at its first digit.  This module holds
+no table of constructors: each node class in ``varieties`` carries its
+``syntax``, its head and its canonical text template with one ``%s`` per
+field.  The parser looks a head up in ``_CONSTRUCTORS``, built once from
+``varieties._KINDS``, and has no branch per constructor: it expects each
+punctuation character of the template in turn and reads each field in the
+class's ``_fields`` by its type (an expression, an INT, a list of INTs, or
+a flag written ``name=true`` or ``name=false``).  ``render_expr`` fills
+the template.
 
 Tokens are plain ``(kind, text, byte offset)`` tuples.  The parser emits
 the JSON form of the expression and ``varieties.expr_from_json`` types it,
@@ -43,19 +45,11 @@ whitespace.
 from __future__ import annotations
 
 from .varieties import (
-    Blowup,
     DisjointUnion,
-    Fano3fold,
-    Grassmannian,
     InvalidParameterError,
-    ModuliM0,
-    Point,
     Product,
-    ProjBundle,
-    Projective,
-    Quadric,
-    Toric,
     VarietyExpr,
+    _KINDS,
     _fold,
     expr_from_json,
 )
@@ -82,6 +76,7 @@ _DIGITS = set("0123456789")
 # Longest integer literal, in digits.  Far above any catalog parameter that
 # can be evaluated, and far below the interpreter's int-to-string limit.
 MAX_INT_DIGITS = 100
+INT_TOO_LONG = "integer literal too long (more than %d digits)" % MAX_INT_DIGITS
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -97,9 +92,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             while j < n and text[j] in _DIGITS:
                 j += 1
             if j - i > MAX_INT_DIGITS:
-                raise ParseError(
-                    "integer literal too long (more than %d digits)" % MAX_INT_DIGITS, at
-                )
+                raise ParseError(INT_TOO_LONG, at)
             toks.append(("num", text[i:j], at))
         elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -125,11 +118,12 @@ class _Parser:
     def peek(self) -> str:
         return self.toks[self.pos][0]
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+    def expect(self, kind: str, what: str = "") -> tuple[str, str, int]:
+        # a punctuation token names itself in the error message
         tok = self.toks[self.pos]
         if tok[0] != kind:
             got = repr(tok[1]) if tok[0] != "eof" else "end of input"
-            raise ParseError("expected %s, got %s" % (what, got), tok[2])
+            raise ParseError("expected %s, got %s" % (what or "'%s'" % kind, got), tok[2])
         self.pos += 1
         return tok
 
@@ -154,17 +148,20 @@ class _Parser:
         if self.peek() == "(":
             self.pos += 1
             inner = self.expr()
-            self.expect(")", "')'")
+            self.expect(")")
             return inner
         _, text, offset = self.expect("name", "an expression")
-        grammar = _GRAMMAR.get(text)
-        if grammar is None:
+        entry = _CONSTRUCTORS.get(text)
+        if entry is None:
             raise ParseError("unknown constructor %r" % text, offset)
-        node_kind, opening, fields = grammar
-        for ch, what in opening:
-            self.expect(ch, what)
-        out = {"kind": node_kind}
-        for name, typ, closing in fields:
+        cls, pattern = entry
+        out = {"kind": cls.kind}
+        fields = iter(cls._fields)
+        for ch in pattern:
+            if ch != "%":
+                self.expect(ch)
+                continue
+            name, typ = next(fields)
             if typ is VarietyExpr:
                 out[name] = self.expr()
             elif typ is int:
@@ -177,64 +174,27 @@ class _Parser:
                 out[name] = counts
             else:
                 out[name] = self.flag(name)
-            for ch, what in closing:
-                self.expect(ch, what)
         return out
 
     def flag(self, name: str) -> bool:
         """``(name '=')? ('true' | 'false')``"""
         _, text, offset = self.expect("name", "%r or a boolean" % name)
         if text == name:
-            self.expect("=", "'='")
+            self.expect("=")
             _, text, offset = self.expect("name", "'true' or 'false'")
         if text not in ("true", "false"):
             raise ParseError("expected 'true' or 'false', got %r" % text, offset)
         return text == "true"
 
 
-# The grammar entry of each node class: the constructor head, its canonical
-# text with one %s per field, and how tightly it binds as an operator ('+'
-# looser than '*'; None for constructors).  A bool field is written
-# ``name=true`` or ``name=false``.
-_SYNTAX = {
-    DisjointUnion: ("+", "%s + %s", 1),
-    Product: ("*", "%s * %s", 2),
-    Point: ("point", "point", None),
-    Projective: ("P", "P(%s)", None),
-    Quadric: ("Q", "Q(%s)", None),
-    Grassmannian: ("Gr", "Gr(%s,%s)", None),
-    Toric: ("toric", "toric[%s]", None),
-    Blowup: ("blowup", "blowup(%s; %s; %s)", None),
-    ProjBundle: ("projbundle", "projbundle(%s; %s)", None),
-    ModuliM0: ("M0", "M0(%s)", None),
-    Fano3fold: ("fano", "fano(%s; %s)", None),
+# Constructor head -> (node class, its template after the head with each
+# field slot written '%' and no spaces), read off each class's ``syntax``.
+_CONSTRUCTORS = {
+    head: (cls, template[len(head):].replace("%s", "%").replace(" ", ""))
+    for cls in _KINDS.values()
+    for head, template, binding in [cls.syntax]
+    if binding is None
 }
-
-
-def _punctuation(text: str) -> tuple:
-    """The ``(token kind, what is expected)`` pairs of a template fragment."""
-    return tuple((ch, "'%s'" % ch) for ch in text if not ch.isspace())
-
-
-def _grammar() -> dict:
-    """Constructor head -> (JSON kind, punctuation before the first field, fields).
-
-    Each field is ``(name, type, punctuation after it)``, read off the
-    template once so the parser walks it per constructor.
-    """
-    out = {}
-    for cls, (head, template, strength) in _SYNTAX.items():
-        if strength is None:
-            first, *rest = template[len(head):].split("%s")
-            fields = tuple(
-                (name, typ, _punctuation(after))
-                for (name, typ), after in zip(cls._fields, rest)
-            )
-            out[head] = (cls.kind, _punctuation(first), fields)
-    return out
-
-
-_GRAMMAR = _grammar()
 
 
 def parse_expr(text: str) -> VarietyExpr:
@@ -252,10 +212,10 @@ def parse_expr(text: str) -> VarietyExpr:
 
 def _render(e: VarietyExpr, *children: tuple[str, int | None]) -> tuple[str, int | None]:
     """Fold step: the text of ``e`` and how tightly it binds."""
-    entry = _SYNTAX.get(type(e))
-    if entry is None:
+    syntax = type(e).syntax
+    if syntax is None:
         raise TypeError("unknown expression node %r" % type(e).__name__)
-    _, template, strength = entry
+    _, template, strength = syntax
     args = []
     for name, typ, value in e._items(children):
         if typ is VarietyExpr:

@@ -22,7 +22,7 @@ triangle the tests pin down.
 
 from __future__ import annotations
 
-from .tate import DomainError, NonEffectiveError, SparsePoly, TateMotive
+from .tate import DomainError, NonEffectiveError, SparsePoly, TateMotive, is_int
 from .varieties import GeneralizedMotive, OpaqueMotiveError, VarietyExpr, motive_of
 
 
@@ -38,7 +38,7 @@ class K0Class(SparsePoly):
 
     @staticmethod
     def _check(e, c):
-        if not isinstance(e, int) or not isinstance(c, int):
+        if not is_int(e) or not is_int(c):
             raise TypeError("exponents and coefficients must be integers")
         return e
 
@@ -68,7 +68,7 @@ class HodgeDelignePoly(SparsePoly):
     @staticmethod
     def _check(pq, c):
         p, q = pq
-        if not isinstance(p, int) or not isinstance(q, int) or not isinstance(c, int):
+        if not is_int(p) or not is_int(q) or not is_int(c):
             raise TypeError("bidegrees and coefficients must be integers")
         return (p, q)
 

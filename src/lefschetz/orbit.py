@@ -89,10 +89,11 @@ class OrbitMorphism:
     a tuple of integer rows, over ``den``, one positive denominator, with
     the gcd of ``den`` and all entries equal to 1, so the stored form is
     canonical and ``==`` compares it directly.  The constructor takes the
-    graded form instead: ``components`` maps an integer grade r to a
-    rank(target) x rank(source) matrix whose entries may be ints, Fractions
-    or strings like ``"1/2"`` (floats and bools are refused, as grades and
-    as entries).  Construction validates shapes and the delta pattern.  ``matrix`` and ``component`` give Fraction views.
+    graded form instead: ``components`` maps an integer grade r (an int,
+    not a bool, as ``tate.is_int`` says) to a rank(target) x rank(source)
+    matrix whose entries may be ints, Fractions or strings like ``"1/2"``
+    (floats and bools are refused).  Construction validates shapes and the
+    delta pattern.  ``matrix`` and ``component`` give Fraction views.
     """
 
     __slots__ = ("source", "target", "den", "rows")
@@ -113,10 +114,8 @@ class OrbitMorphism:
         grades: set[int] = set()
         items = components.items() if isinstance(components, Mapping) else components
         for r, rows in items:
-            # a float is not exact and a bool is not a number
-            if isinstance(r, (float, bool)):
+            if not is_int(r):
                 raise TypeError("grades must be exact integers, got %r" % (r,))
-            r = int(r)
             mat = [tuple(row) for row in rows]
             if len(mat) != len(tgt) or any(len(row) != len(src) for row in mat):
                 raise ValueError(

@@ -194,8 +194,10 @@ class TateMotive(SparsePoly):
             terms = terms.items()
         acc: dict = {}
         for exp, mult in terms:
-            if not isinstance(exp, int) or not isinstance(mult, int):
-                raise TypeError("exponents and multiplicities must be integers")
+            # plain ints pass the first test; a bool is not an integer here
+            if exp.__class__ is not int or mult.__class__ is not int:
+                if not is_int(exp) or not is_int(mult):
+                    raise TypeError("exponents and multiplicities must be integers")
             if mult < 0:
                 raise ValueError("negative multiplicity %d for exponent %d" % (mult, exp))
             # multiplicities are non-negative, so no merged entry is zero
@@ -290,7 +292,7 @@ class PoincarePoly(SparsePoly):
 
     @staticmethod
     def _check(n, c):
-        if not isinstance(n, int) or not isinstance(c, int):
+        if not is_int(n) or not is_int(c):
             raise TypeError("degrees and coefficients must be integers")
         if n < 0:
             raise ValueError("negative degree %d" % n)

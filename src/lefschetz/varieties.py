@@ -7,8 +7,10 @@ returns the known full exceptional collection or the Clifford-algebra
 decomposition for quadrics, where defined.
 
 Each node class lists its fields in ``_fields`` and holds its own catalog
-entry: its JSON ``kind``, its parameter checks in ``_check`` and the
-methods ``_dimension``, ``_motive`` and ``_collection(variant)``.  A method
+entry: its JSON ``kind``, its text ``syntax`` (the head and canonical
+template that ``exprlang`` parses and renders), its parameter checks in
+``_check`` and the methods ``_dimension``, ``_motive`` and
+``_collection(variant)``.  A method
 never visits a child: ``_dimension`` and ``_motive`` take the results of
 the node's children.  One function, ``_fold``, walks a tree, children
 first and on an explicit stack, and ``dimension_of``, ``motive_of``,
@@ -26,7 +28,8 @@ Catalog formulas:
 * smooth quadric of dimension d: 1 + L + ... + L^d, one extra L^{d/2} when d
   is even (so rank d+1 for odd d, d+2 for even d)
 * Grassmannian Gr(k, n):         Gaussian binomial [n choose k]_q with q = L;
-  the coefficient of L^j counts partitions of j inside a k x (n-k) box
+  the coefficient of L^j counts partitions of j inside a k x (n-k) box,
+  computed by the product formula prod_{i=1..k} (1 - q^{n-k+i}) / (1 - q^i)
 * smooth complete toric variety: even Betti numbers from the cone counts,
   b_{2k} = sum_{i=k}^{n} (-1)^{i-k} C(i, k) d_{n-i}; smoothness and
   completeness are the caller's assertion
@@ -34,7 +37,7 @@ Catalog formulas:
   M(X~) = M(X) + M(Z) L + ... + M(Z) L^{c-1}
 * projectivized rank-r bundle:   M(P(E)) = M(X) (1 + L + ... + L^{r-1})
 * genus-zero moduli M0(n), n <= 5: a point, the line, and the plane blown up
-  in four points
+  in four points, read from a table of their three motives
 * Fano threefold with Betti-number input b = b_2 = b_4: even part
   1 + b L + b L^2 + L^3 plus three opaque odd-weight summands unless they are
   asserted trivial
@@ -143,17 +146,25 @@ class GeneralizedMotive:
 
 
 def _gaussian_binomial(n: int, k: int) -> dict[int, int]:
-    """Coefficients of the q-binomial [n choose k]_q via the q-Pascal rule."""
-    # row[j] holds [i choose j]_q while i runs from 0 to n
-    row: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
-    for i in range(1, n + 1):
-        for j in range(min(i, k), 0, -1):
-            # [i j]_q = [i-1 j-1]_q + q^j [i-1 j]_q
-            acc = dict(row[j - 1])
-            for e, c in row[j].items():
-                acc[e + j] = acc.get(e + j, 0) + c
-            row[j] = acc
-    return row[k]
+    """Coefficients of the q-binomial [n choose k]_q by the product formula.
+
+    [n k]_q = prod_{i=1..k} (1 - q^{n-k+i}) / (1 - q^i), on one list of
+    coefficients: a running difference multiplies by 1 - q^{n-k+i}, and a
+    running sum divides by 1 - q^i exactly.
+    """
+    # [n k]_q = [n n-k]_q, and the smaller k takes fewer passes
+    k, r = sorted((k, n - k))
+    c = [1] + [0] * (k * (r + 1))
+    for i in range(1, k + 1):
+        # the product up to factor i - 1 has degree (i - 1) r, so times
+        # 1 - q^m it has degree top ...
+        m, top = r + i, i * (r + 1)
+        for j in range(top, m - 1, -1):
+            c[j] -= c[j - m]
+        # ... and dividing by 1 - q^i leaves its top i coefficients zero
+        for j in range(i, top + 1):
+            c[j] += c[j - i]
+    return dict(enumerate(c[: k * r + 1]))
 
 
 def _toric_betti(cone_counts: tuple[int, ...]) -> list[int]:
@@ -189,14 +200,22 @@ class VarietyExpr:
     tuple field as a tuple, runs the class's ``_check`` and then refuses
     assignment.  ``==``, ``hash`` and ``repr`` follow the fields.
 
-    A node class also carries its JSON ``kind`` and its catalog entry: the
-    methods ``_dimension`` and ``_motive``, which take the results of the
-    node's children in field order, and ``_collection(variant)`` where the
-    catalog knows a collection.  No method visits a child: ``_fold`` does,
-    children first.  The base methods reject a node outside the catalog.
+    A node class also carries its JSON ``kind``, its text ``syntax`` and its
+    catalog entry: the methods ``_dimension`` and ``_motive``, which take
+    the results of the node's children in field order, and
+    ``_collection(variant)`` where the catalog knows a collection.  No
+    method visits a child: ``_fold`` does, children first.  The base methods
+    reject a node outside the catalog.
+
+    ``syntax`` is ``(head, template, binding)``: the name or operator that
+    ``exprlang`` reads, the canonical text with one ``%s`` per field, in
+    field order, and how tightly an operator binds ('+' looser than '*';
+    None for a constructor).  A bool field is written ``name=true`` or
+    ``name=false``.
     """
 
     kind = None
+    syntax = None
     _fields: tuple = ()
     _children: tuple = ()
 
@@ -337,6 +356,7 @@ def _from_labels(labels: list) -> VarietyExpr:
 
 class Point(VarietyExpr):
     kind = "point"
+    syntax = ("point", "point", None)
 
     def _dimension(self) -> int:
         return 0
@@ -350,6 +370,7 @@ class Point(VarietyExpr):
 
 class Projective(VarietyExpr):
     kind = "projective"
+    syntax = ("P", "P(%s)", None)
     _fields = (("n", int),)
 
     def _check(self):
@@ -368,6 +389,7 @@ class Projective(VarietyExpr):
 
 class Quadric(VarietyExpr):
     kind = "quadric"
+    syntax = ("Q", "Q(%s)", None)
     _fields = (("d", int),)
 
     def _check(self):
@@ -399,6 +421,7 @@ class Quadric(VarietyExpr):
 
 class Grassmannian(VarietyExpr):
     kind = "grassmannian"
+    syntax = ("Gr", "Gr(%s,%s)", None)
     _fields = (("k", int), ("n", int))
 
     def _check(self):
@@ -420,6 +443,7 @@ class Toric(VarietyExpr):
     """Cone counts by dimension: cone_counts[i] cones of dimension i."""
 
     kind = "toric"
+    syntax = ("toric", "toric[%s]", None)
     _fields = (("cone_counts", tuple),)
 
     def _check(self):
@@ -446,6 +470,7 @@ class Toric(VarietyExpr):
 
 class Product(VarietyExpr):
     kind = "product"
+    syntax = ("*", "%s * %s", 2)
     _fields = (("left", VarietyExpr), ("right", VarietyExpr))
 
     def _dimension(self, left: int, right: int) -> int:
@@ -457,6 +482,7 @@ class Product(VarietyExpr):
 
 class DisjointUnion(VarietyExpr):
     kind = "disjoint_union"
+    syntax = ("+", "%s + %s", 1)
     _fields = (("left", VarietyExpr), ("right", VarietyExpr))
 
     def _summands(self, left: list, right: list) -> list:
@@ -478,6 +504,7 @@ class Blowup(VarietyExpr):
     """
 
     kind = "blowup"
+    syntax = ("blowup", "blowup(%s; %s; %s)", None)
     _fields = (("base", VarietyExpr), ("center", VarietyExpr), ("codim", int))
 
     def _check(self):
@@ -504,6 +531,7 @@ class ProjBundle(VarietyExpr):
     """Projectivization of a rank ``fiber_rank`` vector bundle on ``base``."""
 
     kind = "proj_bundle"
+    syntax = ("projbundle", "projbundle(%s; %s)", None)
     _fields = (("base", VarietyExpr), ("fiber_rank", int))
 
     def _check(self):
@@ -524,39 +552,35 @@ class ModuliM0(VarietyExpr):
     """Moduli of genus-zero stable curves with n marked points, n <= 5."""
 
     kind = "moduli_m0"
+    syntax = ("M0", "M0(%s)", None)
     _fields = (("n", int),)
 
     def _check(self):
         if not is_int(self.n) or not 3 <= self.n <= 5:
             raise InvalidParameterError("marked points n must be 3, 4 or 5")
 
-    def _space(self) -> VarietyExpr:
-        """A point, the line, and the plane blown up in four points."""
-        if self.n == 3:
-            return Point()
-        if self.n == 4:
-            return Projective(1)
-        four_points = DisjointUnion(
-            DisjointUnion(Point(), Point()), DisjointUnion(Point(), Point())
-        )
-        return Blowup(Projective(2), four_points, 2)
+    # M0(3) is a point and M0(4) the line; M0(5) is the plane blown up in
+    # four points, so its motive is 1 + L + L^2 plus one L per point, of
+    # rank 7.
+    _TERMS = {3: {0: 1}, 4: {0: 1, 1: 1}, 5: {0: 1, 1: 5, 2: 1}}
 
     def _dimension(self) -> int:
         return self.n - 3
 
     def _motive(self) -> GeneralizedMotive:
-        return motive_of(self._space())
+        return GeneralizedMotive(TateMotive(self._TERMS[self.n]))
 
     def _collection(self, variant: str) -> Collection:
         if self.n <= 4:
-            return exceptional_collection_of(self._space(), quadric_variant=variant)
-        return _generic_labels(self._motive().tate.rank)
+            return Collection(tuple(_line_bundles(3 - self.n)))
+        return _generic_labels(7)
 
 
 class Fano3fold(VarietyExpr):
     """A Fano threefold recorded by b = b_2 = b_4 and an odd-vanishing flag."""
 
     kind = "fano3fold"
+    syntax = ("fano", "fano(%s; %s)", None)
     _fields = (("b", int), ("odd_trivial", bool))
 
     def _check(self):

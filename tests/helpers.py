@@ -160,6 +160,24 @@ def _partitions(total, parts, largest):
     )
 
 
+def gaussian_binomial_pascal(n, k):
+    """Coefficients of [n choose k]_q as exponent -> coefficient, by q-Pascal.
+
+    The rule ``varieties._gaussian_binomial`` used before it took the
+    product formula.
+    """
+    # row[j] holds [i choose j]_q while i runs from 0 to n
+    row = [{0: 1}] + [{} for _ in range(k)]
+    for i in range(1, n + 1):
+        for j in range(min(i, k), 0, -1):
+            # [i j]_q = [i-1 j-1]_q + q^j [i-1 j]_q
+            acc = dict(row[j - 1])
+            for e, c in row[j].items():
+                acc[e + j] = acc.get(e + j, 0) + c
+            row[j] = acc
+    return row[k]
+
+
 def grassmannian_oracle(k, n):
     """Coefficient of L^j counts partitions of j inside a k x (n-k) box."""
     box = n - k

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
 from jsonschema import Draft202012Validator
 
 from lefschetz.cli import main
@@ -134,6 +135,28 @@ class TestSodSolve:
             )
             assert code == 2 and out == ""
             assert err == "error: nc_rank must be a non-negative integer or None\n"
+
+    @pytest.mark.parametrize(
+        "rank, status, message",
+        [
+            ("7" * 100, 1, "piece ranks sum to " + "7" * 100),
+            ("-" + "7" * 100, 2, "nc_rank must be"),
+            ("7" * 101, 2, "integer literal too long (more than 100 digits)"),
+            ("-" + "7" * 5000, 2, "integer literal too long (more than 100 digits)"),
+        ],
+        ids=["100-digits", "minus-100-digits", "101-digits", "minus-5000-digits"],
+    )
+    def test_long_rank_literal(self, capsys, tmp_path, rank, status, message):
+        # JSON integers have the same digit cap as expression literals
+        path = tmp_path / "collection.json"
+        piece = '{"label": "A", "kind": "opaque", "nc_rank": %s}' % rank
+        path.write_text('{"pieces": [%s]}' % piece)
+        for extra in ((), ("--json",)):
+            code, out, err = run(
+                capsys, "sod-solve", "Q(3)", "--collection", str(path), *extra
+            )
+            assert (code, out) == (status, "")
+            assert message in err and err.count("\n") == 1
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sod-solve", "Q(3)")

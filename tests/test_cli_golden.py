@@ -66,6 +66,8 @@ FILES = {
     "one_exceptional.json": {"pieces": [{"label": "O", "kind": "exceptional"}]},
     "empty.json": {"pieces": []},
     "bad.json": "{not json",
+    "long_rank.json": '{"pieces": [{"label": "A", "kind": "opaque", "nc_rank": %s}]}'
+    % ("7" * 5000),
 }
 DIRS = ("a_directory",)
 
@@ -98,6 +100,7 @@ ERRORS = (
     (["check-fec", "-"], "fano(1; odd_trivial=false)\n"),
     (["motive", "P(%s)" % ("9" * 101)], None),
     (["check-fec", "-"], "toric[1,%s]\n" % ("1" * 101)),
+    (["sod-solve", "Q(3)", "--collection", "long_rank.json"], None),
 )
 
 # usage errors and help, printed by argparse

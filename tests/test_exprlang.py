@@ -28,6 +28,7 @@ from lefschetz.varieties import (
     Projective,
     Quadric,
     Toric,
+    _KINDS,
     dimension_of,
     exceptional_collection_of,
     expr_from_json,
@@ -82,6 +83,22 @@ class TestParsing:
             DisjointUnion(Point(), Point()),
             2,
         )
+
+
+class TestSyntax:
+    @pytest.mark.parametrize("cls", list(_KINDS.values()), ids=lambda cls: cls.__name__)
+    def test_template_matches_fields(self, cls):
+        """A class's template names its head and has one slot per field."""
+        head, template, binding = cls.syntax
+        assert template.count("%s") == len(cls._fields)
+        if binding is None:
+            assert template.startswith(head)
+        else:
+            assert template == "%s " + head + " %s"
+
+    def test_heads_are_distinct(self):
+        heads = [cls.syntax[0] for cls in _KINDS.values()]
+        assert len(set(heads)) == len(heads)
 
 
 class TestParseErrors:

@@ -45,6 +45,11 @@ class TestK0Class:
         assert K0Class([(1, 1), (1, -1)]).terms == {}
         assert HodgeDelignePoly([((0, 1), 2), ((0, 1), -2)]) == HodgeDelignePoly()
 
+    @pytest.mark.parametrize("terms", [{True: 1}, {0: False}], ids=repr)
+    def test_bool_rejected(self, terms):
+        with pytest.raises(TypeError, match="must be integers"):
+            K0Class(terms)
+
     def test_virtual_classes_allowed(self):
         c = K0Class({0: 1}) - LV
         assert c.terms == {0: 1, 1: -1}
@@ -181,6 +186,13 @@ class TestHodgeDelignePoly:
     def test_json_round_trip(self):
         p = HodgeDelignePoly({(1, 2): -3, (0, 0): 1})
         assert HodgeDelignePoly.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize(
+        "terms", [{(True, 0): 1}, {(0, False): 1}, {(1, 1): True}], ids=repr
+    )
+    def test_bool_rejected(self, terms):
+        with pytest.raises(TypeError, match="must be integers"):
+            HodgeDelignePoly(terms)
 
 
 class TestHodgeNumbers:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -136,7 +137,11 @@ class TestOrbitMorphism:
         with pytest.raises(TypeError, match="must be exact"):
             OrbitMorphism(m, m, {0: [[entry]]})
 
-    @pytest.mark.parametrize("grade", [0.5, 0.0, True, False], ids=repr)
+    @pytest.mark.parametrize(
+        "grade",
+        [0.5, 0.0, True, False, Fraction(1, 2), Fraction(0), Decimal("0.5"), "0"],
+        ids=repr,
+    )
     def test_float_and_bool_grades_rejected(self, grade):
         m = TateMotive({0: 1})
         with pytest.raises(TypeError, match="grades must be exact"):

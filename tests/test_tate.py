@@ -53,6 +53,13 @@ class TestConstruction:
         with pytest.raises(TypeError):
             TateMotive({0: "1"})
 
+    @pytest.mark.parametrize(
+        "terms", [{True: 1}, {0: True}, {False: 1}, [(1, False)]], ids=repr
+    )
+    def test_bool_rejected(self, terms):
+        with pytest.raises(TypeError, match="must be integers"):
+            TateMotive(terms)
+
     def test_immutable(self):
         m = TateMotive({0: 1})
         with pytest.raises(AttributeError):
@@ -206,6 +213,11 @@ class TestPoincarePoly:
             PoincarePoly([(1, -1), (1, 1)])
         with pytest.raises(TypeError):
             PoincarePoly({1: 1.5})
+
+    @pytest.mark.parametrize("terms", [{True: 1}, {0: True}], ids=repr)
+    def test_bool_rejected(self, terms):
+        with pytest.raises(TypeError, match="must be integers"):
+            PoincarePoly(terms)
 
     def test_text_and_zero(self):
         assert PoincarePoly().text() == "0"

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from helpers import grassmannian_oracle
+from helpers import gaussian_binomial_pascal, grassmannian_oracle
 from lefschetz.exprlang import parse_expr
 from lefschetz.sod import FEC_FAILS_ODD, FEC_OK
 from lefschetz.tate import TateMotive
@@ -28,6 +28,7 @@ from lefschetz.varieties import (
     Projective,
     Quadric,
     Toric,
+    _gaussian_binomial,
     dimension_of,
     exceptional_collection_of,
     expr_from_json,
@@ -129,8 +130,13 @@ class TestMotives:
             rank = motive_of(Quadric(d)).tate.rank
             assert rank == d + 1 + (1 - d % 2)
 
+    def test_gaussian_binomial_against_q_pascal(self):
+        for n in range(2, 31):
+            for k in range(1, n):
+                assert _gaussian_binomial(n, k) == gaussian_binomial_pascal(n, k)
+
     def test_grassmannian_against_partition_oracle(self):
-        for n in range(2, 7):
+        for n in range(2, 11):
             for k in range(1, n):
                 got = motive_of(Grassmannian(k, n)).tate
                 assert got == TateMotive(grassmannian_oracle(k, n))
@@ -183,6 +189,25 @@ class TestMotives:
         assert motive_of(ModuliM0(3)).tate == TateMotive({0: 1})
         assert motive_of(ModuliM0(4)).tate == TateMotive({0: 1, 1: 1})
         assert motive_of(ModuliM0(5)).tate == TateMotive({0: 1, 1: 5, 2: 1})
+
+    @pytest.mark.parametrize(
+        "n, model",
+        [(3, "point"), (4, "P(1)"), (5, "blowup(P(2); point+point+point+point; 2)")],
+    )
+    def test_moduli_matches_model_space(self, n, model):
+        """M0(n) has the motive and collection of the space it is."""
+        space = parse_expr(model)
+        assert dimension_of(ModuliM0(n)) == dimension_of(space)
+        assert motive_of(ModuliM0(n)) == motive_of(space)
+        for variant in ("split", "kuznetsov"):
+            got = exceptional_collection_of(ModuliM0(n), quadric_variant=variant)
+            if n <= 4:
+                want = exceptional_collection_of(space, quadric_variant=variant)
+                assert got.labels == want.labels
+            else:
+                # the catalog has no collection for a blowup: generic labels
+                rank = motive_of(space).tate.rank
+                assert got.labels == tuple("E%d" % (i + 1) for i in range(rank))
 
     def test_fano(self):
         for b in range(4):
