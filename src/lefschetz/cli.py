@@ -8,7 +8,9 @@ lines and its exit status; ``run`` loads the expression and emits one of the
 two forms.  Exit codes: 0 on success, 1 when the computation ran but the
 domain verdict is negative (a ``DomainError``: an obstruction fired, ranks
 cannot be reconciled, opaque summands block the request), 2 on input errors
-(syntax, out-of-range parameters, unreadable files).
+(syntax, out-of-range parameters, unreadable files), and ``EXIT_BROKEN_PIPE``
+(141, 128 + SIGPIPE, as a shell reports a process killed by the signal),
+with nothing on stderr, when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .orbit import block_unit_iso, decompose_via_orbit
 from .sod import Collection, solve_nc_ranks
 from .tate import DomainError, poincare
 from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _pure_tate(e):
@@ -93,7 +97,12 @@ def _json_int(text: str) -> int:
 
 def cmd_sod_solve(e, args):
     with open(args.collection, "r", encoding="utf-8") as fh:
-        collection = Collection.from_json(json.load(fh, parse_int=_json_int))
+        try:
+            data = json.load(fh, parse_int=_json_int)
+        except RecursionError:
+            # the decoder recurses once per nesting level
+            raise ValueError("collection JSON is nested too deeply") from None
+    collection = Collection.from_json(data)
     total = _pure_tate(e)
     solved = solve_nc_ranks(collection, total)
     fields = {
@@ -177,7 +186,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return run(args.func, args)
+        status = run(args.func, args)
+        # flush here, so a closed pipe raises inside this try
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and point stdout at devnull so
+        # the interpreter's own flush at exit has no pipe to fail on
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

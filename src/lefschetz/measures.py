@@ -18,6 +18,11 @@ on it:
 A Hodge-Deligne polynomial is Hodge-Tate when only diagonal monomials
 (u v)^p occur; everything in the image of chi_hd is, which is the commuting
 triangle the tests pin down.
+
+``k0_class``, ``chi_gs`` and ``chi_hd`` map the terms of a polynomial that
+is already valid, so they build their results with ``SparsePoly._wrap``
+rather than checking every item again; ``chi_gs`` still refuses a virtual
+class.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ def k0_class(e: VarietyExpr | GeneralizedMotive | TateMotive) -> K0Class:
         e = e.tate
     if not isinstance(e, TateMotive):
         raise TypeError("expected a variety expression or a motive")
-    return K0Class(e.terms)
+    return K0Class._wrap(e._terms)
 
 
 def chi_gs(c: K0Class) -> TateMotive:
@@ -126,17 +131,17 @@ def chi_gs(c: K0Class) -> TateMotive:
     An isomorphism onto its image, but only defined on honest classes; a
     virtual class is rejected rather than truncated.
     """
-    bad = [e for e, coeff in c.terms.items() if coeff < 0]
+    bad = [e for e, coeff in c._terms.items() if coeff < 0]
     if bad:
         raise VirtualClassError(
             "virtual class: negative coefficient at exponents %r" % (sorted(bad),)
         )
-    return TateMotive(c.terms)
+    return TateMotive._wrap(c._terms)
 
 
 def chi_hd(c: K0Class) -> HodgeDelignePoly:
     """The Hodge-Deligne measure: Lv -> u*v, a ring map on all classes."""
-    return HodgeDelignePoly({(e, e): coeff for e, coeff in c.terms.items()})
+    return HodgeDelignePoly._wrap({(e, e): coeff for e, coeff in c._terms.items()})
 
 
 def hodge_tate(p: HodgeDelignePoly) -> bool:

@@ -273,7 +273,8 @@ def poincare(x: TateMotive) -> "PoincarePoly":
         raise NonEffectiveError(
             "poincare polynomial needs an effective motive, got %s" % x.text()
         )
-    return PoincarePoly({2 * l: c for l, c in x.terms.items()})
+    # a motive's items are valid Poincare items, so they skip the item check
+    return PoincarePoly._wrap({2 * l: c for l, c in x._terms.items()})
 
 
 class PoincarePoly(SparsePoly):

@@ -22,6 +22,15 @@ generic over the fields: a field holding an expression nests, a tuple field
 is a JSON list; ``expr_from_json`` builds a tree from it on an explicit
 stack, and the text parser emits that form too.
 
+``dimension_of``, ``motive_of`` and ``exceptional_collection_of`` (once per
+quadric variant) each answer once per tree: the first result is kept on the
+node the call was given, in an attribute outside ``_fields``, and returned
+by every later call.  There is no global cache; the memo lives and dies
+with the tree.  ``==``, ``hash``, ``repr``, copies and pickles read only the
+fields, so they do not see it.  Nodes, motives and collections are
+immutable, so the first answer stays right.  A call that raises keeps
+nothing, so it raises again the next time.
+
 Catalog formulas:
 
 * projective space P^n:          1 + L + ... + L^n
@@ -615,14 +624,49 @@ class Fano3fold(VarietyExpr):
 _KINDS = {cls.kind: cls for cls in VarietyExpr.__subclasses__()}
 
 
+def _memoized(e: VarietyExpr, name: str, compute):
+    """``compute(e)``, kept on ``e`` under ``name`` once it has returned.
+
+    A call that raises keeps nothing, so the next one raises again.
+    """
+    if not isinstance(e, VarietyExpr):
+        return compute(e)  # raises the TypeError of a node outside the catalog
+    memo = e.__dict__
+    if name not in memo:
+        object.__setattr__(e, name, compute(e))
+    return memo[name]
+
+
+def _fold_dimension(e: VarietyExpr) -> int:
+    return _fold(e, lambda node, *dims: node._dimension(*dims))
+
+
+def _fold_motive(e: VarietyExpr) -> GeneralizedMotive:
+    return _fold(e, lambda node, *parts: node._motive(*parts))
+
+
 def dimension_of(e: VarietyExpr) -> int:
     """Dimension of the underlying variety; unions take the maximum."""
-    return _fold(e, lambda node, *dims: node._dimension(*dims))
+    return _memoized(e, "_dimension_memo", _fold_dimension)
 
 
 def motive_of(e: VarietyExpr) -> GeneralizedMotive:
     """Evaluate an expression to its generalized motive."""
-    return _fold(e, lambda node, *parts: node._motive(*parts))
+    return _memoized(e, "_motive_memo", _fold_motive)
+
+
+# the attribute that keeps each quadric variant's collection
+_COLLECTION_MEMO = {"split": "_split_memo", "kuznetsov": "_kuznetsov_memo"}
+
+
+def _fold_collection(e: VarietyExpr, variant: str) -> Collection:
+    if not isinstance(e, VarietyExpr):
+        # the base class raises, as it does for a node outside the catalog
+        return VarietyExpr._collection(e, variant)
+    pieces = []
+    for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
+        pieces += summand._collection(variant).pieces
+    return Collection(tuple(pieces))
 
 
 def exceptional_collection_of(
@@ -640,13 +684,11 @@ def exceptional_collection_of(
     """
     if quadric_variant not in ("split", "kuznetsov"):
         raise ValueError("quadric_variant must be 'split' or 'kuznetsov'")
-    if not isinstance(e, VarietyExpr):
-        # the base class raises, as it does for a node outside the catalog
-        return VarietyExpr._collection(e, quadric_variant)
-    pieces = []
-    for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
-        pieces += summand._collection(quadric_variant).pieces
-    return Collection(tuple(pieces))
+    return _memoized(
+        e,
+        _COLLECTION_MEMO[quadric_variant],
+        lambda e: _fold_collection(e, quadric_variant),
+    )
 
 
 def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:

@@ -13,6 +13,7 @@ from operator import mul
 
 from lefschetz.orbit import OrbitMorphism, block_unit_iso, term_enumeration
 from lefschetz.tate import TateMotive
+from lefschetz.varieties import _fold
 
 
 def matmul(a, b):
@@ -204,3 +205,16 @@ def multisets_up_to(universe, max_size):
 
     extend((), 0)
     return out
+
+
+def fresh_dimension(e):
+    """``dimension_of`` as it was before it kept its answer on the node.
+
+    Folds the whole tree on every call and stores nothing.
+    """
+    return _fold(e, lambda node, *dims: node._dimension(*dims))
+
+
+def fresh_motive(e):
+    """``motive_of`` as it was before it kept its answer on the node."""
+    return _fold(e, lambda node, *parts: node._motive(*parts))

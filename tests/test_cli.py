@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -9,7 +10,7 @@ from importlib import resources
 import pytest
 from jsonschema import Draft202012Validator
 
-from lefschetz.cli import main
+from lefschetz.cli import EXIT_BROKEN_PIPE, main
 
 SCHEMA = json.loads(
     resources.files("lefschetz").joinpath("schemas/cli_output.json").read_text()
@@ -158,6 +159,14 @@ class TestSodSolve:
             assert (code, out) == (status, "")
             assert message in err and err.count("\n") == 1
 
+    def test_deeply_nested_collection(self, capsys, tmp_path):
+        # the JSON decoder recurses once per level; the overflow is an input error
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        for extra in ((), ("--json",)):
+            got = run(capsys, "sod-solve", "Q(3)", "--collection", str(path), *extra)
+            assert got == (2, "", "error: collection JSON is nested too deeply\n")
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sod-solve", "Q(3)")
         assert code == 2
@@ -302,6 +311,40 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + L + L^2 + L^3\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "expr, extra, read",
+    [
+        # more output than a pipe holds, so writing goes on after the reader left
+        ("P(50000)", [], 10),
+        ("P(50000)", ["--json"], 10),
+        # the reader is gone before the first byte
+        ("P(3)", [], 0),
+    ],
+)
+def test_closed_stdout_pipe_exits_quietly(expr, extra, read, buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, *([] if buffered else ["-u"]), "-m", "lefschetz.cli"]
+        + ["hodge", "-", *extra],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if not read:
+        proc.stdout.close()
+    proc.stdin.write(expr.encode())
+    proc.stdin.close()
+    if read:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 class TestExitStatusRule:

@@ -68,6 +68,7 @@ FILES = {
     "bad.json": "{not json",
     "long_rank.json": '{"pieces": [{"label": "A", "kind": "opaque", "nc_rank": %s}]}'
     % ("7" * 5000),
+    "deep.json": "[" * 100000 + "]" * 100000,
 }
 DIRS = ("a_directory",)
 
@@ -101,6 +102,7 @@ ERRORS = (
     (["motive", "P(%s)" % ("9" * 101)], None),
     (["check-fec", "-"], "toric[1,%s]\n" % ("1" * 101)),
     (["sod-solve", "Q(3)", "--collection", "long_rank.json"], None),
+    (["sod-solve", "Q(3)", "--collection", "deep.json"], None),
 )
 
 # usage errors and help, printed by argparse

@@ -4,7 +4,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz.measures import (
@@ -18,7 +18,7 @@ from lefschetz.measures import (
     hodge_tate,
     k0_class,
 )
-from lefschetz.tate import NonEffectiveError, PoincarePoly, TateMotive
+from lefschetz.tate import NonEffectiveError, PoincarePoly, TateMotive, poincare
 from lefschetz.varieties import (
     Fano3fold,
     Grassmannian,
@@ -225,3 +225,47 @@ class TestCopyAndPickle:
             assert type(twin) is type(value)
             assert twin == value and hash(twin) == hash(value)
             assert repr(twin) == repr(value)
+
+
+def assert_same(got, want):
+    """Equal value, type, term order, ``repr`` and hash."""
+    assert type(got) is type(want)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert repr(got) == repr(want)
+    assert got == want and hash(got) == hash(want)
+
+
+# keys in any order, and zero multiplicities, go through the constructor
+effective_motives = st.dictionaries(
+    st.integers(0, 30), st.integers(0, 5), max_size=8
+).map(TateMotive)
+
+
+class TestTrustedConversions:
+    """The conversions skip the item checks, and build what the checks build."""
+
+    @settings(derandomize=True)
+    @given(effective_motives)
+    def test_equal_to_validating_constructors(self, m):
+        assert_same(poincare(m), PoincarePoly({2 * l: c for l, c in m.terms.items()}))
+        c = k0_class(m)
+        assert_same(c, K0Class(m.terms))
+        assert_same(chi_gs(c), TateMotive(c.terms))
+        assert_same(chi_gs(c), m)
+        assert_same(chi_hd(c), HodgeDelignePoly({(e, e): k for e, k in c.terms.items()}))
+
+    @settings(derandomize=True)
+    @given(classes)
+    def test_chi_hd_of_any_class(self, c):
+        assert_same(chi_hd(c), HodgeDelignePoly({(e, e): k for e, k in c.terms.items()}))
+
+    @settings(derandomize=True)
+    @given(effective_motives, st.integers(-5, 30), st.integers(1, 3))
+    def test_checks_still_fire(self, m, l, k):
+        if l < 0:
+            with pytest.raises(NonEffectiveError):
+                poincare(m + TateMotive({l: k}))
+        virtual = k0_class(m) - K0Class({l: m.multiplicity(l) + k})
+        with pytest.raises(VirtualClassError) as info:
+            chi_gs(virtual)
+        assert str(info.value) == "virtual class: negative coefficient at exponents [%d]" % l

@@ -4,11 +4,17 @@ import copy
 import json
 import math
 import pickle
+import random
 
 import pytest
 
-from helpers import gaussian_binomial_pascal, grassmannian_oracle
-from lefschetz.exprlang import parse_expr
+from helpers import (
+    fresh_dimension,
+    fresh_motive,
+    gaussian_binomial_pascal,
+    grassmannian_oracle,
+)
+from lefschetz.exprlang import parse_expr, render_expr
 from lefschetz.sod import FEC_FAILS_ODD, FEC_OK
 from lefschetz.tate import TateMotive
 from lefschetz.varieties import (
@@ -28,7 +34,9 @@ from lefschetz.varieties import (
     Projective,
     Quadric,
     Toric,
+    VarietyExpr,
     _gaussian_binomial,
+    _labels,
     dimension_of,
     exceptional_collection_of,
     expr_from_json,
@@ -539,3 +547,136 @@ class TestNodes:
             "odd-weight summands were not asserted trivial, so no full "
             "exceptional collection is available"
         )
+
+
+def _random_toric(rng):
+    """Cone counts from random Betti numbers, or now and then a negative one."""
+    if rng.random() < 0.1:
+        return Toric((1, 1, rng.randint(1, 3)))
+    n = rng.randint(1, 3)
+    betti = [rng.randint(0, 3) for _ in range(n)] + [1]
+    return Toric(
+        tuple(sum(b * math.comb(j, n - k) for j, b in enumerate(betti)) for k in range(n + 1))
+    )
+
+
+LEAVES = (
+    lambda rng: Point(),
+    lambda rng: Projective(rng.randint(0, 6)),
+    lambda rng: Quadric(rng.randint(1, 6)),
+    lambda rng: Grassmannian(rng.randint(1, 3), rng.randint(4, 7)),
+    _random_toric,
+    lambda rng: ModuliM0(rng.randint(3, 5)),
+    lambda rng: Fano3fold(rng.randint(0, 3), rng.random() < 0.5),
+)
+
+
+def random_tree(rng, depth=1):
+    """A random catalog tree of at most four levels.
+
+    Some trees raise when evaluated: a product of two opaque motives, or a
+    toric variety with a negative Betti number.
+    """
+    if depth >= 4 or rng.random() < 0.35:
+        return rng.choice(LEAVES)(rng)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Product(random_tree(rng, depth + 1), random_tree(rng, depth + 1))
+    if kind == 1:
+        return DisjointUnion(random_tree(rng, depth + 1), random_tree(rng, depth + 1))
+    base = random_tree(rng, depth + 1)
+    if kind == 2:
+        return ProjBundle(base, rng.randint(1, 3))
+    dim = fresh_dimension(base)
+    if dim < 2:
+        dim = rng.randint(2, 5)
+        base = Projective(dim)
+    codim = rng.randint(2, min(dim, 3))
+    center = Point() if dim == codim else Projective(dim - codim)
+    return Blowup(base, center, codim)
+
+
+def outcome(f, e):
+    """``f(e)``'s value, or the type and message of what it raised."""
+    try:
+        return "value", f(e)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def split(e):
+    return exceptional_collection_of(e)
+
+
+def kuznetsov(e):
+    return exceptional_collection_of(e, quadric_variant="kuznetsov")
+
+
+class TestMemo:
+    """Each entry point keeps its answer on the node: a pure cache."""
+
+    ENTRY_POINTS = (
+        (dimension_of, fresh_dimension),
+        (motive_of, fresh_motive),
+        (split, split),
+        (kuznetsov, kuznetsov),
+    )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_to_the_unmemoized_fold(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            e = random_tree(rng)
+            text = render_expr(e)
+            for entry, oracle in self.ENTRY_POINTS:
+                want = outcome(oracle, parse_expr(text))
+                assert outcome(entry, parse_expr(text)) == want
+                got = [outcome(entry, e) for _ in range(3)]
+                assert got == [want] * 3, text
+                if want[0] == "value":
+                    assert entry(e) is entry(e)
+
+    def test_node_unchanged_by_evaluation(self):
+        rng = random.Random(99)
+        for _ in range(100):
+            e = random_tree(rng)
+            before = (hash(e), repr(e), pickle.dumps(e), _labels(e), render_expr(e))
+            twin = parse_expr(render_expr(e))
+            for entry, _ in self.ENTRY_POINTS:
+                outcome(entry, e)
+            assert (hash(e), repr(e), pickle.dumps(e), _labels(e), render_expr(e)) == before
+            assert e == twin and twin == e
+            assert copy.copy(e) is e and copy.deepcopy(e) is e
+            assert pickle.loads(pickle.dumps(e)) == twin
+
+    @pytest.mark.parametrize(
+        "call, e, error",
+        [
+            (motive_of, Toric((1, 1, 2)), InvalidParameterError),
+            (motive_of, DisjointUnion(Point(), Toric((1, 1, 2))), InvalidParameterError),
+            (split, Toric((1, 1, 2)), InvalidParameterError),
+            (motive_of, parse_expr("fano(1; false)*fano(0; false)"), OpaqueMotiveError),
+            (split, Grassmannian(2, 4), CollectionUnavailableError),
+            (kuznetsov, parse_expr("P(1) + fano(1; false)"), CollectionUnavailableError),
+            (motive_of, VarietyExpr(), TypeError),
+            (dimension_of, VarietyExpr(), TypeError),
+            (motive_of, 42, TypeError),
+            (dimension_of, "P(1)", TypeError),
+            (lambda e: exceptional_collection_of(e, quadric_variant="x"), Point(), ValueError),
+        ],
+    )
+    def test_errors_are_raised_again(self, call, e, error):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                call(e)
+            assert type(info.value) is error
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_long_chain(self, op):
+        e = parse_expr(op.join(["point"] * 10000))
+        first = motive_of(e)
+        assert first == fresh_motive(e) and motive_of(e) is first
+        assert dimension_of(e) == fresh_dimension(e) == 0
