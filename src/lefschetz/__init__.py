@@ -92,79 +92,3 @@ from .measures import (
 from .exprlang import ParseError, SemanticError, parse_expr, render_expr
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Blowup",
-    "Collection",
-    "CollectionUnavailableError",
-    "CompositionError",
-    "DisjointUnion",
-    "DomainError",
-    "Fano3fold",
-    "FecVerdict",
-    "GeneralizedMotive",
-    "Grassmannian",
-    "HodgeDelignePoly",
-    "InconsistentRanksError",
-    "InvalidParameterError",
-    "K0Class",
-    "LV",
-    "LiftError",
-    "ModuliM0",
-    "NCMotive",
-    "NonEffectiveError",
-    "NotAnIsomorphismError",
-    "OpaqueMotiveError",
-    "OpaquePart",
-    "OrbitMorphism",
-    "ParseError",
-    "Point",
-    "PoincarePoly",
-    "Product",
-    "ProjBundle",
-    "Projective",
-    "Quadric",
-    "RankMismatchError",
-    "SemanticError",
-    "SODPiece",
-    "SupportViolationError",
-    "TateMotive",
-    "Toric",
-    "UNIT",
-    "UnderdeterminedError",
-    "VarietyExpr",
-    "VirtualClassError",
-    "ZERO",
-    "additive_invariant_rank",
-    "block_unit_iso",
-    "canonical_unit_iso",
-    "chi_gs",
-    "chi_hd",
-    "chow_morphism",
-    "compose",
-    "decompose_via_orbit",
-    "dimension_of",
-    "direct_sum",
-    "exceptional",
-    "exceptional_collection_of",
-    "expr_from_json",
-    "expr_to_json",
-    "fec_obstruction",
-    "fec_verdict",
-    "hodge_numbers",
-    "hodge_tate",
-    "hom_dim",
-    "identity_morphism",
-    "k0_class",
-    "lefschetz",
-    "motive_of",
-    "opaque",
-    "orbit_hom_support",
-    "parse_expr",
-    "poincare",
-    "render_expr",
-    "solve_nc_ranks",
-    "tensor",
-    "term_enumeration",
-    "twist",
-]

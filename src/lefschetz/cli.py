@@ -22,7 +22,7 @@ import sys
 from .exprlang import INT_TOO_LONG, MAX_INT_DIGITS, parse_expr, render_expr
 from .measures import hodge_numbers, k0_class
 from .orbit import block_unit_iso, decompose_via_orbit
-from .sod import Collection, solve_nc_ranks
+from .sod import FEC_FAILS_LENGTH, Collection, solve_nc_ranks
 from .tate import DomainError, poincare
 from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
 
@@ -79,9 +79,9 @@ def cmd_check_fec(e, args):
         "bound": v.bound,
         "odd_degrees": list(v.odd_degrees),
     }
-    if v.status == "ok":
+    if v.ok:
         line = "ok (min length %d)" % v.min_length
-    elif v.status == "fails-length-bound":
+    elif v.status == FEC_FAILS_LENGTH:
         line = "fails-length-bound (min length %d > bound %d)" % (v.min_length, v.bound)
     else:
         line = v.status
@@ -105,13 +105,7 @@ def cmd_sod_solve(e, args):
     collection = Collection.from_json(data)
     total = _pure_tate(e)
     solved = solve_nc_ranks(collection, total)
-    fields = {
-        "total_rank": total.rank,
-        "pieces": [
-            {"label": p.label, "kind": p.kind, "nc_rank": p.nc_rank}
-            for p in solved.pieces
-        ],
-    }
+    fields = {"total_rank": total.rank, "pieces": solved.to_json()["pieces"]}
     return fields, ["%s: n_j = %d" % (p.label, p.nc_rank) for p in solved.pieces], 0
 
 

@@ -3,8 +3,7 @@
 Grammar, with '+' for disjoint union and '*' for product, '*' binding
 tighter, both left-associative::
 
-    expr  := term ('+' term)*
-    term  := atom ('*' atom)*
+    expr  := atom (op atom)*                 op: '+' or '*'
     atom  := '(' expr ')' | constructor
     constructor :=
         'point'
@@ -20,9 +19,15 @@ tighter, both left-associative::
 
 INT is a run of ASCII digits 0-9, at most ``MAX_INT_DIGITS`` (100) of
 them; a longer run is a syntax error at its first digit.  This module holds
-no table of constructors: each node class in ``varieties`` carries its
-``syntax``, its head and its canonical text template with one ``%s`` per
-field.  The parser looks a head up in ``_CONSTRUCTORS``, built once from
+no table of constructors or operators: each node class in ``varieties``
+carries its ``syntax``, its head, its canonical text template with one
+``%s`` per field and, for an operator, its binding.  The punctuation the
+tokenizer accepts is read off those heads and templates.  ``expr`` is one
+precedence loop over ``_OPERATORS`` (head -> class, for the classes with a
+binding): it joins operands with every operator that binds at least as
+tightly as its floor and reads each right operand at one above the
+operator's binding, so both operators associate to the left.  The parser
+looks a constructor head up in ``_CONSTRUCTORS``, also built once from
 ``varieties._KINDS``, and has no branch per constructor: it expects each
 punctuation character of the template in turn and reads each field in the
 class's ``_fields`` by its type (an expression, an INT, a list of INTs, or
@@ -31,9 +36,12 @@ the template.
 
 Tokens are plain ``(kind, text, byte offset)`` tuples.  The parser emits
 the JSON form of the expression and ``varieties.expr_from_json`` types it,
-so text and JSON input share one builder; the parser recurses only on
-parentheses.  ``render_expr`` runs ``varieties._fold`` with one step,
-``_render``, which builds a node's text from its children's.
+so text and JSON input share one builder.  The parser's depth of recursion
+grows only with parentheses (a right operand adds at most one level per
+binding), and nesting deeper than the interpreter's recursion limit is the
+ParseError ``expression nested too deeply``.  ``render_expr`` runs
+``varieties._fold`` with one step, ``_render``, which builds a node's text
+from its children's.
 
 Syntax problems raise ParseError carrying the byte offset into the UTF-8
 encoded input; out-of-range parameters raise SemanticError carrying the node
@@ -44,15 +52,7 @@ whitespace.
 
 from __future__ import annotations
 
-from .varieties import (
-    DisjointUnion,
-    InvalidParameterError,
-    Product,
-    VarietyExpr,
-    _KINDS,
-    _fold,
-    expr_from_json,
-)
+from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _fold, expr_from_json
 
 
 class ParseError(ValueError):
@@ -71,7 +71,14 @@ class SemanticError(ValueError):
         self.path = path
 
 
-_PUNCT = set("()[],;*+=")
+# Each character of a head or template that is not a letter, digit, space
+# or field slot, plus '=' of a flag and the grouping parentheses.
+_PUNCT = set("=()").union(
+    ch
+    for cls in _KINDS.values()
+    for ch in cls.syntax[0] + cls.syntax[1]
+    if not (ch.isalnum() or ch.isspace() or ch == "%")
+)
 _DIGITS = set("0123456789")
 # Longest integer literal, in digits.  Far above any catalog parameter that
 # can be evaluated, and far below the interpreter's int-to-string limit.
@@ -130,19 +137,17 @@ class _Parser:
     def integer(self) -> int:
         return int(self.expect("num", "an integer")[1])
 
-    def expr(self) -> dict:
-        out = self.term()
-        while self.peek() == "+":
-            self.pos += 1
-            out = {"kind": DisjointUnion.kind, "left": out, "right": self.term()}
-        return out
-
-    def term(self) -> dict:
+    def expr(self, floor: int = 1) -> dict:
+        """Atoms joined by operators that bind at least ``floor``."""
         out = self.atom()
-        while self.peek() == "*":
+        while True:
+            cls = _OPERATORS.get(self.peek())
+            if cls is None or cls.syntax[2] < floor:
+                return out
             self.pos += 1
-            out = {"kind": Product.kind, "left": out, "right": self.atom()}
-        return out
+            # a right operand binds tighter, so both operators are left-associative
+            right = self.expr(cls.syntax[2] + 1)
+            out = {"kind": cls.kind, **dict(zip(cls._children, (out, right)))}
 
     def atom(self) -> dict:
         if self.peek() == "(":
@@ -195,12 +200,18 @@ _CONSTRUCTORS = {
     for head, template, binding in [cls.syntax]
     if binding is None
 }
+# Operator head -> node class, for the classes whose ``syntax`` has a binding.
+_OPERATORS = {cls.syntax[0]: cls for cls in _KINDS.values() if cls.syntax[2] is not None}
 
 
 def parse_expr(text: str) -> VarietyExpr:
     """Parse a catalog expression; see the module docstring for the grammar."""
     parser = _Parser(_tokenize(text))
-    data = parser.expr()
+    try:
+        data = parser.expr()
+    except RecursionError:
+        # the parser recurses once per parenthesis
+        raise ParseError("expression nested too deeply", parser.toks[parser.pos][2]) from None
     kind, trailing, offset = parser.toks[parser.pos]
     if kind != "eof":
         raise ParseError("unexpected trailing input %r" % trailing, offset)

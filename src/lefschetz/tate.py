@@ -288,9 +288,6 @@ class PoincarePoly(SparsePoly):
     __slots__ = ()
     _symbol = "t"
 
-    def __init__(self, coefficients: TermsLike = ()):
-        super().__init__(coefficients)
-
     @staticmethod
     def _check(n, c):
         if not is_int(n) or not is_int(c):

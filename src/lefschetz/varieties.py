@@ -660,9 +660,6 @@ _COLLECTION_MEMO = {"split": "_split_memo", "kuznetsov": "_kuznetsov_memo"}
 
 
 def _fold_collection(e: VarietyExpr, variant: str) -> Collection:
-    if not isinstance(e, VarietyExpr):
-        # the base class raises, as it does for a node outside the catalog
-        return VarietyExpr._collection(e, variant)
     pieces = []
     for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
         pieces += summand._collection(variant).pieces
@@ -678,12 +675,13 @@ def exceptional_collection_of(
     collection (spinor bundles plus line bundles, a full exceptional
     collection) and the Kuznetsov form (an opaque even Clifford algebra piece
     of initially unknown rank plus line bundles).  Expressions with no known
-    collection raise CollectionUnavailableError.  The collection of a
+    collection raise CollectionUnavailableError, and an argument that is not
+    a node raises TypeError, as in ``motive_of``.  The collection of a
     disjoint union joins those of its summands, left to right; the first
     summand without one raises, whatever its children.
     """
-    if quadric_variant not in ("split", "kuznetsov"):
-        raise ValueError("quadric_variant must be 'split' or 'kuznetsov'")
+    if quadric_variant not in _COLLECTION_MEMO:
+        raise ValueError("quadric_variant must be %s" % " or ".join(map(repr, _COLLECTION_MEMO)))
     return _memoized(
         e,
         _COLLECTION_MEMO[quadric_variant],

@@ -11,9 +11,10 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from lefschetz.exprlang import ParseError, _Parser, _tokenize
 from lefschetz.orbit import OrbitMorphism, block_unit_iso, term_enumeration
 from lefschetz.tate import TateMotive
-from lefschetz.varieties import _fold
+from lefschetz.varieties import DisjointUnion, Product, _fold, expr_from_json
 
 
 def matmul(a, b):
@@ -218,3 +219,33 @@ def fresh_dimension(e):
 def fresh_motive(e):
     """``motive_of`` as it was before it kept its answer on the node."""
     return _fold(e, lambda node, *parts: node._motive(*parts))
+
+
+class TwoLevelParser(_Parser):
+    """The expression parser as it was before one precedence loop read the
+    operators off the node classes: one method per binding level, each
+    operator and its field names written out."""
+
+    def expr(self):
+        out = self.term()
+        while self.peek() == "+":
+            self.pos += 1
+            out = {"kind": DisjointUnion.kind, "left": out, "right": self.term()}
+        return out
+
+    def term(self):
+        out = self.atom()
+        while self.peek() == "*":
+            self.pos += 1
+            out = {"kind": Product.kind, "left": out, "right": self.atom()}
+        return out
+
+
+def two_level_parse_expr(text):
+    """``parse_expr`` through ``TwoLevelParser``: the tree, or its ParseError."""
+    parser = TwoLevelParser(_tokenize(text))
+    data = parser.expr()
+    kind, trailing, offset = parser.toks[parser.pos]
+    if kind != "eof":
+        raise ParseError("unexpected trailing input %r" % trailing, offset)
+    return expr_from_json(data)

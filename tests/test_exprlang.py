@@ -2,11 +2,13 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import two_level_parse_expr
 from lefschetz.exprlang import (
     MAX_INT_DIGITS,
     ParseError,
@@ -321,8 +323,10 @@ class TestDeepInputs:
     """Every stage handles long chains and deep nesting.
 
     No stage after tokenizing recurses on a child, so the chains pass at
-    the default recursion limit at any length; the parser recurses once
-    per parenthesis, which bounds the nesting.
+    the default recursion limit at any length.  The parser's recursion
+    grows with each parenthesis (a right operand adds at most one level per
+    operator binding), which bounds the nesting: past the recursion limit
+    the text is the syntax error ``expression nested too deeply``.
     """
 
     @pytest.mark.parametrize(
@@ -374,3 +378,63 @@ class TestDeepInputs:
         assert twin is not e
         assert twin == e and hash(twin) == hash(e)
         assert render_expr(twin) == render_expr(e)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000 + "point" + ")" * 3000, "point*(" * 3000 + "point" + ")" * 3000],
+        ids=["parentheses-3000", "nested-product-3000"],
+    )
+    def test_nested_too_deeply(self, text):
+        # the offset is where the recursion limit stopped the parser, which
+        # varies with the interpreter, so only its range is checked
+        with pytest.raises(ParseError, match="expression nested too deeply") as exc:
+            parse_expr(text)
+        assert 0 < exc.value.offset < len(text)
+
+
+def _random_text(rng, depth):
+    """A valid expression with mixed '+', '*' and parentheses, its tokens
+    separated by single spaces."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(["point", "P ( %d )", "Q ( %d )"]).replace("%d", str(rng.randint(1, 4)))
+    if r < 0.45:
+        return "( %s )" % _random_text(rng, depth - 1)
+    if r < 0.55:
+        return "projbundle ( %s ; %d )" % (_random_text(rng, depth - 1), rng.randint(1, 3))
+    parts = [_random_text(rng, depth - 1) for _ in range(rng.randint(2, 4))]
+    out = parts[0]
+    for part in parts[1:]:
+        out += rng.choice([" + ", " * "]) + part
+    return out
+
+
+def _mutations(rng, text):
+    """``text`` with one token dropped, one doubled and two swapped."""
+    toks = text.split()
+    i, j = rng.randrange(len(toks)), rng.randrange(len(toks))
+    dropped = toks[:i] + toks[i + 1:]
+    doubled = toks[:i] + [toks[i]] + toks[i:]
+    swapped = list(toks)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    return [" ".join(t) for t in (dropped, doubled, swapped)]
+
+
+def _outcome(parse, text):
+    try:
+        return "tree", expr_to_json(parse(text))
+    except ParseError as exc:
+        return "error", str(exc), exc.offset
+
+
+def test_precedence_loop_matches_two_level_parser():
+    # the parser before operators were read off the node classes is the oracle
+    rng = random.Random(1973)
+    valid = [_random_text(rng, 4) for _ in range(300)]
+    texts = valid + [m for text in valid for m in _mutations(rng, text)]
+    outcomes = [_outcome(parse_expr, text) for text in texts]
+    assert outcomes == [_outcome(two_level_parse_expr, text) for text in texts]
+    mixed = [t for t in valid if "+" in t and "*" in t and "(" in t]
+    assert len(mixed) > 50
+    kinds = [o[0] for o in outcomes[len(valid):]]
+    assert kinds.count("tree") > 50 and kinds.count("error") > 500

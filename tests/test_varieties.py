@@ -663,6 +663,7 @@ class TestMemo:
             (motive_of, 42, TypeError),
             (dimension_of, "P(1)", TypeError),
             (lambda e: exceptional_collection_of(e, quadric_variant="x"), Point(), ValueError),
+            (split, 42, TypeError),
         ],
     )
     def test_errors_are_raised_again(self, call, e, error):
