@@ -10,13 +10,17 @@ domain verdict is negative (a ``DomainError``: an obstruction fired, ranks
 cannot be reconciled, opaque summands block the request), 2 on input errors
 (syntax, out-of-range parameters, unreadable files), and ``EXIT_BROKEN_PIPE``
 (141, 128 + SIGPIPE, as a shell reports a process killed by the signal),
-with nothing on stderr, when the reader of stdout closes it early.
+with nothing on stderr, when the reader of stdout closes it early, and
+``EXIT_INTERNAL`` (70, ``EX_SOFTWARE`` of sysexits.h), with one ``error:``
+line, when anything else goes wrong, ``MemoryError`` included.
+
+``json`` is imported by the two paths that use it, ``--json`` output and
+``sod-solve``, so a text-mode run does not pay for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .exprlang import INT_TOO_LONG, MAX_INT_DIGITS, parse_expr, render_expr
@@ -27,6 +31,7 @@ from .tate import DomainError, poincare
 from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
 
 EXIT_BROKEN_PIPE = 141
+EXIT_INTERNAL = 70
 
 
 def _pure_tate(e):
@@ -96,6 +101,8 @@ def _json_int(text: str) -> int:
 
 
 def cmd_sod_solve(e, args):
+    import json
+
     with open(args.collection, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_int=_json_int)
@@ -123,6 +130,8 @@ def run(verb, args) -> int:
     e = parse_expr(sys.stdin.read() if args.expr == "-" else args.expr)
     fields, lines, status = verb(e, args)
     if args.json:
+        import json
+
         payload = {"verb": args.verb, "expr": render_expr(e), **fields}
         print(json.dumps(payload, indent=2))
     else:
@@ -197,6 +206,13 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # neither an input error nor a verdict: name it, on one line
+        detail = " ".join(str(exc).split())
+        if detail:
+            detail = ": " + detail
+        print("error: internal error: %s%s" % (type(exc).__name__, detail), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,14 +11,15 @@ and refuses to guess when more than one rank is unknown.
 The full-exceptional-collection obstruction checks live here too: odd Betti
 numbers rule a full exceptional collection out entirely, and the largest even
 Betti number is a lower bound for the length of any such collection.
+
+Pieces, collections, noncommutative motives and verdicts are records
+(``tate.Record``): immutable, with ``repr``, ``==``, ``hash``, copies and
+pickles that follow their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from .tate import DomainError, PoincarePoly, TateMotive, is_int
+from .tate import DomainError, PoincarePoly, Record, TateMotive, is_int, set_field
 
 EXCEPTIONAL = "exceptional"
 OPAQUE = "opaque"
@@ -41,29 +42,29 @@ class UnderdeterminedError(DomainError):
     """More than one unknown rank; the system is reported, never guessed."""
 
 
-@dataclass(frozen=True)
-class SODPiece:
+class SODPiece(Record):
     """One piece of a decomposition.
 
     Exceptional pieces always have rank 1; opaque pieces carry a name in
     ``label`` and ``nc_rank`` None until solved.
     """
 
-    label: str
-    kind: str = EXCEPTIONAL
-    nc_rank: Optional[int] = None
+    __slots__ = ("label", "kind", "nc_rank")
 
-    def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
+    def __init__(self, label: str, kind: str = EXCEPTIONAL, nc_rank: int | None = None):
+        if not isinstance(label, str) or not label:
             raise ValueError("piece label must be a non-empty string")
-        if self.kind not in (EXCEPTIONAL, OPAQUE):
+        if kind not in (EXCEPTIONAL, OPAQUE):
             raise ValueError("piece kind must be %r or %r" % (EXCEPTIONAL, OPAQUE))
-        if self.kind == EXCEPTIONAL:
-            if self.nc_rank not in (None, 1):
+        if kind == EXCEPTIONAL:
+            if nc_rank not in (None, 1):
                 raise ValueError("an exceptional piece has rank 1")
-            object.__setattr__(self, "nc_rank", 1)
-        elif self.nc_rank is not None and not _is_count(self.nc_rank):
+            nc_rank = 1
+        elif nc_rank is not None and not _is_count(nc_rank):
             raise ValueError("nc_rank must be a non-negative integer or None")
+        set_field(self, "label", label)
+        set_field(self, "kind", kind)
+        set_field(self, "nc_rank", nc_rank)
 
     def to_json(self) -> dict:
         out: dict = {"label": self.label, "kind": self.kind}
@@ -82,23 +83,23 @@ def exceptional(label: str) -> SODPiece:
     return SODPiece(label, EXCEPTIONAL)
 
 
-def opaque(label: str, nc_rank: Optional[int] = None) -> SODPiece:
+def opaque(label: str, nc_rank: int | None = None) -> SODPiece:
     return SODPiece(label, OPAQUE, nc_rank)
 
 
-@dataclass(frozen=True)
-class Collection:
+class Collection(Record):
     """A non-empty ordered tuple of pieces."""
 
-    pieces: tuple[SODPiece, ...]
+    __slots__ = ("pieces",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not self.pieces:
+    def __init__(self, pieces: tuple[SODPiece, ...]):
+        pieces = tuple(pieces)
+        if not pieces:
             raise ValueError("a collection has at least one piece")
-        for p in self.pieces:
+        for p in pieces:
             if not isinstance(p, SODPiece):
                 raise TypeError("collection pieces must be SODPiece")
+        set_field(self, "pieces", pieces)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -120,15 +121,15 @@ class Collection:
         return cls(tuple(SODPiece.from_json(p) for p in data["pieces"]))
 
 
-@dataclass(frozen=True)
-class NCMotive:
+class NCMotive(Record):
     """A direct sum of copies of the unit noncommutative motive."""
 
-    unit_rank: int
+    __slots__ = ("unit_rank",)
 
-    def __post_init__(self):
-        if not _is_count(self.unit_rank):
+    def __init__(self, unit_rank: int):
+        if not _is_count(unit_rank):
             raise ValueError("unit_rank must be a non-negative integer")
+        set_field(self, "unit_rank", unit_rank)
 
     def __add__(self, other: "NCMotive") -> "NCMotive":
         return NCMotive(self.unit_rank + other.unit_rank)
@@ -186,21 +187,29 @@ def additive_invariant_rank(piece: SODPiece, unit_value_rank: int) -> int:
     return piece.nc_rank * unit_value_rank
 
 
-@dataclass(frozen=True)
-class FecVerdict:
+class FecVerdict(Record):
     """Outcome of the full-exceptional-collection obstruction check."""
 
-    status: str
-    min_length: Optional[int] = None
-    bound: Optional[int] = None
-    odd_degrees: tuple[int, ...] = field(default=())
+    __slots__ = ("status", "min_length", "bound", "odd_degrees")
+
+    def __init__(
+        self,
+        status: str,
+        min_length: int | None = None,
+        bound: int | None = None,
+        odd_degrees: tuple[int, ...] = (),
+    ):
+        set_field(self, "status", status)
+        set_field(self, "min_length", min_length)
+        set_field(self, "bound", bound)
+        set_field(self, "odd_degrees", odd_degrees)
 
     @property
     def ok(self) -> bool:
         return self.status == FEC_OK
 
 
-def fec_obstruction(betti: PoincarePoly, max_length: Optional[int] = None) -> FecVerdict:
+def fec_obstruction(betti: PoincarePoly, max_length: int | None = None) -> FecVerdict:
     """Check Betti data against the two necessary conditions.
 
     Any nonzero odd Betti number is fatal.  Otherwise the largest even Betti

@@ -7,6 +7,12 @@ from exponent to multiplicity.  The unit object (the motive of a point) is
 a motive is called *effective* when every exponent is >= 0; everything in the
 variety catalog is effective.
 
+The immutable values here, in ``sod`` and in ``varieties`` derive from one
+base, ``Record``: it refuses assignment and deletion once ``__init__`` has
+run, and for a class that lists its fields in ``__slots__`` it gives
+``repr``, ``==``, ``hash``, copies and pickles that follow those fields, as
+a frozen dataclass's do.
+
 Tate motives, Poincare polynomials, and the two polynomial rings of
 ``measures`` (classes in Z[Lv^+-1] and Hodge-Deligne polynomials in
 Z[u^+-1, v^+-1]) are all sparse integer polynomials.  They share one
@@ -46,7 +52,52 @@ def is_int(x) -> bool:
 TermsLike = Mapping[int, int] | Iterable[tuple[int, int]]
 
 
-class SparsePoly:
+# ``object.__setattr__``, which stores past ``Record``'s guard; a module
+# global is looked up faster than the attribute of ``object``
+set_field = object.__setattr__
+
+
+class Record:
+    """An immutable value: assigning or deleting an attribute raises AttributeError.
+
+    A record class lists its fields, in order, in its own ``__slots__``, and
+    its ``__init__`` takes them in that order and stores each with
+    ``set_field``.  ``repr`` is ``Cls(field=value, ...)``, ``==``
+    holds between two values of one class whose fields are equal, ``hash``
+    is the hash of the tuple of fields, and copies and pickles rebuild the
+    value through ``__init__``.  Those are the results of a frozen
+    dataclass, without importing ``dataclasses``; a class whose state is not
+    its own ``__slots__`` overrides the four.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ["%s=%r" % (name, getattr(self, name)) for name in self.__slots__]
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
+
+    def __reduce__(self):
+        # the default would restore the slots through the guard above
+        return type(self), self._values()
+
+
+class SparsePoly(Record):
     """An immutable, finitely supported map from monomial keys to integers.
 
     The terms are stored once, as a dict in canonical order with zero
@@ -92,14 +143,10 @@ class SparsePoly:
     def _store(self, acc: dict) -> None:
         items = [kv for kv in acc.items() if kv[1]]
         items.sort(key=self._order)
-        object.__setattr__(self, "_terms", dict(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
+        set_field(self, "_terms", dict(items))
 
     def __reduce__(self):
-        # rebuild through the constructor: the default restores the slot
-        # through the __setattr__ guard above
+        # Record's version would read a subclass's own, empty, __slots__
         return type(self), (self._terms,)
 
     @property
@@ -209,7 +256,7 @@ class TateMotive(SparsePoly):
             exps = sorted(acc)
             if exps != list(acc):
                 acc = {l: acc[l] for l in exps}
-        object.__setattr__(self, "_terms", acc)
+        set_field(self, "_terms", acc)
 
     multiplicity = SparsePoly.coefficient
 

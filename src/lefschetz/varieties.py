@@ -53,21 +53,28 @@ Catalog formulas:
 
 Opaque summands are never converted into Betti numbers; operations that need
 complete cohomological data reject motives that still carry them.
+
+Nodes, ``OpaquePart`` and ``GeneralizedMotive`` derive from ``tate.Record``,
+which refuses assignment and deletion.  The two motive classes are plain
+records: ``repr``, ``==``, ``hash``, copies and pickles follow their
+``__slots__``.  Nodes keep their fields (and memos) in ``__dict__`` and
+define those four through ``_fold`` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .sod import Collection, SODPiece, exceptional, opaque
 from .tate import (
     DomainError,
+    Record,
     TateMotive,
     direct_sum,
     is_int,
     lefschetz,
     poincare,
+    set_field,
     tensor,
 )
 from . import sod
@@ -89,8 +96,7 @@ class OpaqueMotiveError(DomainError):
     """The operation needs a pure Tate motive but opaque summands remain."""
 
 
-@dataclass(frozen=True)
-class OpaquePart:
+class OpaquePart(Record):
     """A named summand with no Tate decomposition, e.g. the odd part of a Fano.
 
     ``twist`` counts extra Lefschetz factors applied on top of the named
@@ -98,9 +104,12 @@ class OpaquePart:
     the obstruction checks care about.
     """
 
-    name: str
-    odd: bool
-    twist: int = 0
+    __slots__ = ("name", "odd", "twist")
+
+    def __init__(self, name: str, odd: bool, twist: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "odd", odd)
+        set_field(self, "twist", twist)
 
     def twisted(self, r: int) -> "OpaquePart":
         return OpaquePart(self.name, self.odd, self.twist + r)
@@ -116,15 +125,14 @@ class OpaquePart:
         return {"name": self.name, "odd": self.odd, "twist": self.twist}
 
 
-@dataclass(frozen=True)
-class GeneralizedMotive:
+class GeneralizedMotive(Record):
     """A Tate motive plus an ordered tuple of opaque summands."""
 
-    tate: TateMotive
-    opaque: tuple[OpaquePart, ...] = ()
+    __slots__ = ("tate", "opaque")
 
-    def __post_init__(self):
-        object.__setattr__(self, "opaque", tuple(self.opaque))
+    def __init__(self, tate: TateMotive, opaque: tuple[OpaquePart, ...] = ()):
+        set_field(self, "tate", tate)
+        set_field(self, "opaque", tuple(opaque))
 
     @property
     def is_tate(self) -> bool:
@@ -199,15 +207,15 @@ def _generic_labels(count: int) -> Collection:
     return Collection(tuple(exceptional("E%d" % (i + 1)) for i in range(count)))
 
 
-class VarietyExpr:
+class VarietyExpr(Record):
     """Base class for catalog expressions.
 
     Each node class lists its fields in ``_fields`` as ``(name, type)``
     pairs, in order; the type is ``VarietyExpr`` for a child expression,
     else ``int``, ``tuple`` (of ints) or ``bool``.  The base class builds a
     node from them: it checks that each child is an expression, stores a
-    tuple field as a tuple, runs the class's ``_check`` and then refuses
-    assignment.  ``==``, ``hash`` and ``repr`` follow the fields.
+    tuple field as a tuple and runs the class's ``_check``; ``tate.Record``
+    refuses assignment.  ``==``, ``hash`` and ``repr`` follow the fields.
 
     A node class also carries its JSON ``kind``, its text ``syntax`` and its
     catalog entry: the methods ``_dimension`` and ``_motive``, which take
@@ -242,13 +250,8 @@ class VarietyExpr:
                 raise InvalidParameterError(
                     "expected a variety expression, got %r" % (value,)
                 )
-            object.__setattr__(self, name, tuple(value) if typ is tuple else value)
+            set_field(self, name, tuple(value) if typ is tuple else value)
         self._check()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -633,7 +636,7 @@ def _memoized(e: VarietyExpr, name: str, compute):
         return compute(e)  # raises the TypeError of a node outside the catalog
     memo = e.__dict__
     if name not in memo:
-        object.__setattr__(e, name, compute(e))
+        set_field(e, name, compute(e))
     return memo[name]
 
 

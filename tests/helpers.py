@@ -7,14 +7,24 @@ the expected values do not flow through the code paths under test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
+from typing import Optional
 
 from lefschetz.exprlang import ParseError, _Parser, _tokenize
 from lefschetz.orbit import OrbitMorphism, block_unit_iso, term_enumeration
-from lefschetz.tate import TateMotive
-from lefschetz.varieties import DisjointUnion, Product, _fold, expr_from_json
+from lefschetz.sod import EXCEPTIONAL, FEC_OK, OPAQUE, _is_count
+from lefschetz.tate import TateMotive, direct_sum, tensor
+from lefschetz.varieties import (
+    DisjointUnion,
+    OpaqueMotiveError,
+    Product,
+    _fold,
+    expr_from_json,
+)
 
 
 def matmul(a, b):
@@ -94,6 +104,30 @@ def rand_invertible(rng, n):
             return mat, inv
 
 
+def integer_inverse(mat):
+    """``(adj, d)`` with mat^-1 = adj / d for an integer matrix, None when singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every division by the
+    previous pivot is exact, and at the end the left block is d times the
+    identity, d = +-det(mat).
+    """
+    n = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        p, pivot_row = aug[col][col], aug[col]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], pivot_row)]
+        prev = p
+    return [row[n:] for row in aug], prev
+
+
 def rand_entry(rng):
     if rng.random() < 0.5:
         return Fraction(0)
@@ -121,8 +155,46 @@ def rand_morphism(rng, source, target):
     return OrbitMorphism(source, target, comps)
 
 
+def _int_matmul(a, b):
+    """a @ b for integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _canonical(source, target, den, rows):
+    """The morphism ``rows / den``, brought to lowest terms over den > 0."""
+    common = gcd(den, *(x for row in rows for x in row))
+    if den < 0:
+        common = -common
+    rows = tuple(tuple(x // common for x in row) for row in rows)
+    return OrbitMorphism._from_rows(source, target, den // common, rows)
+
+
 def conjugated_unit_iso(m, rng):
-    """block_unit_iso twisted by a random basis change on the unit side."""
+    """block_unit_iso twisted by a random basis change on the unit side.
+
+    The same morphisms, from the same ``rng`` draws, as
+    ``fraction_conjugated_unit_iso``, built as integer rows: the basis
+    change a is an integer matrix and its inverse an integer matrix over
+    one denominator, so the products need no Fraction.
+    """
+    f, g = block_unit_iso(m)
+    n = m.rank
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        inv = integer_inverse(a)
+        if inv is not None:
+            break
+    adj, d = inv
+    # f2 = a f and g2 = g a^-1; a acts on the unit side, all of whose
+    # exponents are 0, so every product keeps the delta pattern
+    f2 = _canonical(m, f.target, f.den, _int_matmul(a, f.rows))
+    g2 = _canonical(g.source, m, g.den * d, _int_matmul(g.rows, adj))
+    return f2, g2
+
+
+def fraction_conjugated_unit_iso(m, rng):
+    """``conjugated_unit_iso`` as it was: per-grade dense Fraction products."""
     f, g = block_unit_iso(m)
     n = m.rank
     a, a_inv = rand_invertible(rng, n)
@@ -249,3 +321,178 @@ def two_level_parse_expr(text):
     if kind != "eof":
         raise ParseError("unexpected trailing input %r" % trailing, offset)
     return expr_from_json(data)
+
+
+# The six frozen dataclasses that ``tate.Record`` replaced, as they were in
+# ``sod`` and ``varieties``: the oracle for the records' ``repr``, ``==``,
+# ``hash``, copies, pickles and validation errors.
+
+
+@dataclass(frozen=True)
+class SODPiece:
+    """One piece of a decomposition.
+
+    Exceptional pieces always have rank 1; opaque pieces carry a name in
+    ``label`` and ``nc_rank`` None until solved.
+    """
+
+    label: str
+    kind: str = EXCEPTIONAL
+    nc_rank: Optional[int] = None
+
+    def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise ValueError("piece label must be a non-empty string")
+        if self.kind not in (EXCEPTIONAL, OPAQUE):
+            raise ValueError("piece kind must be %r or %r" % (EXCEPTIONAL, OPAQUE))
+        if self.kind == EXCEPTIONAL:
+            if self.nc_rank not in (None, 1):
+                raise ValueError("an exceptional piece has rank 1")
+            object.__setattr__(self, "nc_rank", 1)
+        elif self.nc_rank is not None and not _is_count(self.nc_rank):
+            raise ValueError("nc_rank must be a non-negative integer or None")
+
+    def to_json(self) -> dict:
+        out: dict = {"label": self.label, "kind": self.kind}
+        if self.nc_rank is not None:
+            out["nc_rank"] = self.nc_rank
+        return out
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SODPiece":
+        if not isinstance(data, dict) or "label" not in data or "kind" not in data:
+            raise ValueError("piece JSON needs 'label' and 'kind'")
+        return cls(data["label"], data["kind"], data.get("nc_rank"))
+
+
+@dataclass(frozen=True)
+class Collection:
+    """A non-empty ordered tuple of pieces."""
+
+    pieces: tuple[SODPiece, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple(self.pieces))
+        if not self.pieces:
+            raise ValueError("a collection has at least one piece")
+        for p in self.pieces:
+            if not isinstance(p, SODPiece):
+                raise TypeError("collection pieces must be SODPiece")
+
+    def __len__(self) -> int:
+        return len(self.pieces)
+
+    def __iter__(self):
+        return iter(self.pieces)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(p.label for p in self.pieces)
+
+    def to_json(self) -> dict:
+        return {"pieces": [p.to_json() for p in self.pieces]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Collection":
+        if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
+            raise ValueError("collection JSON needs a 'pieces' list")
+        return cls(tuple(SODPiece.from_json(p) for p in data["pieces"]))
+
+
+@dataclass(frozen=True)
+class NCMotive:
+    """A direct sum of copies of the unit noncommutative motive."""
+
+    unit_rank: int
+
+    def __post_init__(self):
+        if not _is_count(self.unit_rank):
+            raise ValueError("unit_rank must be a non-negative integer")
+
+    def __add__(self, other: "NCMotive") -> "NCMotive":
+        return NCMotive(self.unit_rank + other.unit_rank)
+
+    @classmethod
+    def of_piece(cls, piece: SODPiece) -> "NCMotive":
+        if piece.nc_rank is None:
+            raise ValueError("piece %r has unknown rank" % piece.label)
+        return cls(piece.nc_rank)
+
+
+@dataclass(frozen=True)
+class FecVerdict:
+    """Outcome of the full-exceptional-collection obstruction check."""
+
+    status: str
+    min_length: Optional[int] = None
+    bound: Optional[int] = None
+    odd_degrees: tuple[int, ...] = field(default=())
+
+    @property
+    def ok(self) -> bool:
+        return self.status == FEC_OK
+
+
+@dataclass(frozen=True)
+class OpaquePart:
+    """A named summand with no Tate decomposition, e.g. the odd part of a Fano.
+
+    ``twist`` counts extra Lefschetz factors applied on top of the named
+    motive; ``odd`` records that the summand has odd weight, which is what
+    the obstruction checks care about.
+    """
+
+    name: str
+    odd: bool
+    twist: int = 0
+
+    def twisted(self, r: int) -> "OpaquePart":
+        return OpaquePart(self.name, self.odd, self.twist + r)
+
+    def text(self) -> str:
+        if self.twist == 0:
+            return "[%s]" % self.name
+        if self.twist == 1:
+            return "[%s*L]" % self.name
+        return "[%s*L^%d]" % (self.name, self.twist)
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "odd": self.odd, "twist": self.twist}
+
+
+@dataclass(frozen=True)
+class GeneralizedMotive:
+    """A Tate motive plus an ordered tuple of opaque summands."""
+
+    tate: TateMotive
+    opaque: tuple[OpaquePart, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "opaque", tuple(self.opaque))
+
+    @property
+    def is_tate(self) -> bool:
+        return not self.opaque
+
+    def __add__(self, other: "GeneralizedMotive") -> "GeneralizedMotive":
+        return GeneralizedMotive(
+            direct_sum(self.tate, other.tate), self.opaque + other.opaque
+        )
+
+    def __mul__(self, other: "GeneralizedMotive") -> "GeneralizedMotive":
+        if self.opaque and other.opaque:
+            raise OpaqueMotiveError(
+                "cannot multiply two motives that both have opaque summands"
+            )
+        parts = [
+            p.twisted(l) for p in self.opaque for l in other.tate.exponent_multiset()
+        ]
+        parts += [
+            p.twisted(l) for p in other.opaque for l in self.tate.exponent_multiset()
+        ]
+        return GeneralizedMotive(tensor(self.tate, other.tate), tuple(parts))
+
+    def text(self) -> str:
+        parts = [] if self.tate.is_zero else [self.tate.text()]
+        parts += [p.text() for p in self.opaque]
+        return " + ".join(parts) if parts else "0"

@@ -1,16 +1,18 @@
 """CLI behaviour: golden text output, exit codes, JSON schema conformance."""
 
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from lefschetz.cli import EXIT_BROKEN_PIPE, main
+from lefschetz.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main
 
 SCHEMA = json.loads(
     resources.files("lefschetz").joinpath("schemas/cli_output.json").read_text()
@@ -327,6 +329,40 @@ def test_console_entry_point_runs():
     assert proc.stdout == "1 + L + L^2 + L^3\n"
 
 
+# Run in a child without ``site``: the modules each import pulls in, and
+# whether every layer module is loaded, as the benchmark's tracer needs.
+IMPORT_PROBE = """
+import sys
+import lefschetz.cli
+
+status = lefschetz.cli.main(sys.argv[1:])
+layers = ("tate", "orbit", "sod", "varieties", "measures", "exprlang")
+print(repr((
+    status,
+    sorted({"dataclasses", "inspect", "typing", "json"} & set(sys.modules)),
+    [name for name in layers if "lefschetz." + name not in sys.modules],
+)))
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, loaded", [((), []), (("--json",), ["json"])], ids=["text", "json"]
+)
+def test_import_contract(extra, loaded):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, "motive", "P(3)", *extra],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stderr == ""
+    *out, probe = proc.stdout.splitlines()
+    assert out
+    # status 0, no heavy module but json under --json, no layer module missing
+    assert ast.literal_eval(probe) == (0, loaded, [])
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "expr, extra, read",
@@ -397,3 +433,23 @@ class TestExitStatusRule:
         for extra in ((), ("--json",)):
             got = run(capsys, "motive", "P(1)", *extra)
             assert got == (1, "", "error: a new verdict\n")
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "error: internal error: MemoryError\n"),
+            (RuntimeError("it broke\n  here"), "error: internal error: RuntimeError: it broke here\n"),
+        ],
+        ids=["memory", "runtime"],
+    )
+    def test_any_other_exception_exits_internal(self, capsys, monkeypatch, exc, line):
+        import lefschetz.cli
+
+        def fail(e):
+            raise exc
+
+        monkeypatch.setattr(lefschetz.cli, "motive_of", fail)
+        assert EXIT_INTERNAL not in (0, 1, 2, EXIT_BROKEN_PIPE)
+        for extra in ((), ("--json",)):
+            got = run(capsys, "motive", "P(1)", *extra)
+            assert got == (EXIT_INTERNAL, "", line)

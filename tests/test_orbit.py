@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     conjugated_unit_iso,
+    fraction_conjugated_unit_iso,
     fraction_matmul,
     graded_compose,
     invert,
@@ -342,6 +343,18 @@ class TestDecompose:
             m = rand_motive(rng, max_exp=4, max_distinct=3, max_mult=2)
             f, g = conjugated_unit_iso(m, rng)
             assert decompose_via_orbit(m, f, g, 4) == m.exponent_multiset()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integer_conjugation_helper_matches_fraction_one(self, seed):
+        # the test helper builds its morphisms as integer rows; the Fraction
+        # version it replaced must give the same morphisms from the same draws
+        shapes = random.Random(seed)
+        new, old = random.Random(seed), random.Random(seed)
+        motives = [ZERO, TateMotive({0: 1, 2: 3})]
+        motives += [rand_motive(shapes, max_exp=5, max_distinct=4, max_mult=3) for _ in range(20)]
+        for m in motives:
+            assert conjugated_unit_iso(m, new) == fraction_conjugated_unit_iso(m, old)
+            assert new.getstate() == old.getstate()
 
     def test_matches_trace_oracle(self):
         # the lift returns the exponent multiset once its checks pass; the
