@@ -37,6 +37,15 @@ lift checks that g after f is the identity of m, every diagonal entry of
 that product is 1 and each trace is a count of exponents, so the lift
 returns the exponent multiset of m directly; ``tests/helpers.py`` keeps
 the trace computation as an oracle.
+
+The lift checks its input without building a morphism.  With units on the
+far side, an entry of f sits at grade -l and an entry of g at grade l, for
+l the exponent of its summand of m, so when all exponents of m lie in
+[0..dim] the support window holds, and only otherwise are the supports
+scanned for the grades to report.  The inverse is checked on the integer
+rows: G F = den(g) den(f) I, one row of the product at a time, stopping at
+the first row that differs, and never brought to canonical form.  ``tests/helpers.py`` keeps the scans and the
+canonical composite ``g after f`` as an oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from itertools import chain
 from math import gcd, lcm
 from collections.abc import Iterable, Mapping
 
-from .tate import DomainError, TateMotive, hom_dim, is_int, twist
+from .tate import DomainError, Record, TateMotive, hom_dim, is_int, set_field, twist
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -81,7 +90,7 @@ def _identity_rows(n: int) -> Rows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-class OrbitMorphism:
+class OrbitMorphism(Record):
     """A morphism of the orbit category: one exact matrix, as integer rows.
 
     The matrix is rank(target) x rank(source); entry (i, j) lives at grade
@@ -93,7 +102,10 @@ class OrbitMorphism:
     not a bool, as ``tate.is_int`` says) to a rank(target) x rank(source)
     matrix whose entries may be ints, Fractions or strings like ``"1/2"``
     (floats and bools are refused).  Construction validates shapes and the
-    delta pattern.  ``matrix`` and ``component`` give Fraction views.
+    delta pattern.  ``matrix`` and ``component`` give Fraction views.  A
+    morphism is an immutable record: ``==`` and ``hash`` follow
+    ``(source, target, den, rows)``, and copies and pickles rebuild it
+    through ``_from_rows`` without validating it again.
     """
 
     __slots__ = ("source", "target", "den", "rows")
@@ -106,8 +118,8 @@ class OrbitMorphism:
     ):
         if not isinstance(source, TateMotive) or not isinstance(target, TateMotive):
             raise TypeError("source and target must be TateMotive")
-        self.source = source
-        self.target = target
+        set_field(self, "source", source)
+        set_field(self, "target", target)
         src = source.exponent_multiset()
         tgt = target.exponent_multiset()
         nonzero_entries = []
@@ -149,8 +161,8 @@ class OrbitMorphism:
         matrix = [[0] * len(src) for _ in tgt]
         for i, j, x in nonzero_entries:
             matrix[i][j] = x.numerator * (den // x.denominator)
-        self.den = den
-        self.rows: Rows = tuple(map(tuple, matrix))
+        set_field(self, "den", den)
+        set_field(self, "rows", tuple(map(tuple, matrix)))
 
     @classmethod
     def _from_rows(
@@ -158,10 +170,10 @@ class OrbitMorphism:
     ) -> "OrbitMorphism":
         """Wrap canonical rows that already have the right shape and delta pattern."""
         f = cls.__new__(cls)
-        f.source = source
-        f.target = target
-        f.den = den
-        f.rows = rows
+        set_field(f, "source", source)
+        set_field(f, "target", target)
+        set_field(f, "den", den)
+        set_field(f, "rows", rows)
         return f
 
     @property
@@ -200,15 +212,8 @@ class OrbitMorphism:
         """True when only the grade-0 component is present."""
         return set(self.support) <= {0}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrbitMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.den == other.den
-            and self.rows == other.rows
-        )
+    def __reduce__(self):
+        return type(self)._from_rows, self._values()
 
     def __repr__(self) -> str:
         return "OrbitMorphism(%s -> %s, grades %r)" % (
@@ -334,7 +339,11 @@ def decompose_via_orbit(
     support window, g after f the identity of m); once it passes, the
     multiplicity of L^l, the trace of the idempotent block f_{-l} @ g_l, is
     the number of summands of m with exponent l, so the output is
-    ``m.exponent_multiset()``.
+    ``m.exponent_multiset()``.  The window holds when the exponents of m lie
+    in [0..dim], and only otherwise are the supports of f and g scanned, so
+    that ``SupportViolationError`` can list the grades outside it.  The
+    inverse is checked as G F = den(g) den(f) I on the integer rows, with an
+    exit at the first row of the product that differs.
     """
     if not is_int(dim) or dim < 0:
         raise ValueError("dim must be a non-negative integer")
@@ -352,19 +361,46 @@ def decompose_via_orbit(
         raise RankMismatchError(
             "unit side has rank %d but m has rank %d" % (units.rank, m.rank)
         )
-    bad_f = [r for r in f.support if not -dim <= r <= 0]
-    bad_g = [s for s in g.support if not 0 <= s <= dim]
-    if bad_f or bad_g:
-        raise SupportViolationError(
-            "support outside the dimension window [-%d..0]/[0..%d]: f at %r, g at %r"
-            % (dim, dim, bad_f, bad_g)
-        )
+    # the far side is units, so entry (i, j) of f sits at grade -exps[j]
+    # and entry (i, j) of g at grade exps[i]
+    exps = m.exponent_multiset()
+    if exps and (exps[0] < 0 or exps[-1] > dim):
+        bad_f = [r for r in f.support if not -dim <= r <= 0]
+        bad_g = [s for s in g.support if not 0 <= s <= dim]
+        if bad_f or bad_g:
+            raise SupportViolationError(
+                "support outside the dimension window [-%d..0]/[0..%d]: f at %r, g at %r"
+                % (dim, dim, bad_f, bad_g)
+            )
     # f and g are square n x n matrices over Q, so G F = I already gives
     # F G = I: f after g is the identity of the unit sum without a check
-    if compose(g, f) != identity_morphism(m):
+    if not _is_inverse(g, f):
         raise NotAnIsomorphismError("g after f is not the identity of m")
 
     # The paper reads the multiplicity of L^l off as the trace of the
     # idempotent block f_{-l} @ g_l, the sum of (G F)[k][k] over the summands
     # k of m with exponent l; G F = I makes each of those entries 1.
-    return m.exponent_multiset()
+    return exps
+
+
+def _is_inverse(g: OrbitMorphism, f: OrbitMorphism) -> bool:
+    """Whether ``g after f`` is the identity, for square f and g that compose.
+
+    Over Q that is G F = I for the matrices F = rows(f) / den(f) and
+    G = rows(g) / den(g), which over Z is rows(g) rows(f) = den(g) den(f) I.
+    Each row of the integer product is built as ``compose`` builds it,
+    skipping the zero entries of g, and compared as soon as it is done; the
+    product is never brought to canonical form.
+    """
+    scale = g.den * f.den
+    width = f.source.rank
+    f_rows = f.rows
+    for i, g_row in enumerate(g.rows):
+        acc = [0] * width
+        for g_ik, f_row in zip(g_row, f_rows):
+            if g_ik:
+                acc = [a + g_ik * b for a, b in zip(acc, f_row)]
+        acc[i] -= scale
+        if any(acc):
+            return False
+    return True

@@ -15,7 +15,15 @@ from operator import mul
 from typing import Optional
 
 from lefschetz.exprlang import ParseError, _Parser, _tokenize
-from lefschetz.orbit import OrbitMorphism, block_unit_iso, term_enumeration
+from lefschetz.orbit import (
+    NotAnIsomorphismError,
+    OrbitMorphism,
+    SupportViolationError,
+    block_unit_iso,
+    compose,
+    identity_morphism,
+    term_enumeration,
+)
 from lefschetz.sod import EXCEPTIONAL, FEC_OK, OPAQUE, _is_count
 from lefschetz.tate import TateMotive, direct_sum, tensor
 from lefschetz.varieties import (
@@ -161,7 +169,7 @@ def _int_matmul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _canonical(source, target, den, rows):
+def canonical_morphism(source, target, den, rows):
     """The morphism ``rows / den``, brought to lowest terms over den > 0."""
     common = gcd(den, *(x for row in rows for x in row))
     if den < 0:
@@ -188,8 +196,8 @@ def conjugated_unit_iso(m, rng):
     adj, d = inv
     # f2 = a f and g2 = g a^-1; a acts on the unit side, all of whose
     # exponents are 0, so every product keeps the delta pattern
-    f2 = _canonical(m, f.target, f.den, _int_matmul(a, f.rows))
-    g2 = _canonical(g.source, m, g.den * d, _int_matmul(g.rows, adj))
+    f2 = canonical_morphism(m, f.target, f.den, _int_matmul(a, f.rows))
+    g2 = canonical_morphism(g.source, m, g.den * d, _int_matmul(g.rows, adj))
     return f2, g2
 
 
@@ -219,6 +227,27 @@ def trace_multiset(m, f, g):
     for k, l in enumerate(m.exponent_multiset()):
         traces[l] = traces.get(l, 0) + sum(a[i][k] * b[k][i] for i in range(len(a)))
     return tuple(l for l, tr in traces.items() for _ in range(int(tr)))
+
+
+def scan_and_compose_lift(m, f, g, dim):
+    """``decompose_via_orbit`` after its endpoint, unit and rank checks, as it was.
+
+    The window is checked by scanning every entry of f and of g for its
+    grade, and the inverse by comparing the canonical composite ``g after
+    f`` with the identity morphism of m.  Call it only on input that passes
+    the checks before those two: f: m -> U and g: U -> m for a sum U of
+    rank(m) unit objects, and an integer dim >= 0.
+    """
+    bad_f = [r for r in f.support if not -dim <= r <= 0]
+    bad_g = [s for s in g.support if not 0 <= s <= dim]
+    if bad_f or bad_g:
+        raise SupportViolationError(
+            "support outside the dimension window [-%d..0]/[0..%d]: f at %r, g at %r"
+            % (dim, dim, bad_f, bad_g)
+        )
+    if compose(g, f) != identity_morphism(m):
+        raise NotAnIsomorphismError("g after f is not the identity of m")
+    return m.exponent_multiset()
 
 
 @lru_cache(maxsize=None)

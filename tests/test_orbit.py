@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 
 from helpers import (
+    canonical_morphism,
     conjugated_unit_iso,
     fraction_conjugated_unit_iso,
     fraction_matmul,
@@ -20,10 +21,12 @@ from helpers import (
     rand_entry,
     rand_morphism,
     rand_motive,
+    scan_and_compose_lift,
     trace_multiset,
 )
 from lefschetz.orbit import (
     CompositionError,
+    LiftError,
     NotAnIsomorphismError,
     OrbitMorphism,
     RankMismatchError,
@@ -97,6 +100,37 @@ def _assert_canonical(f):
     assert gcd(f.den, *chain.from_iterable(f.rows)) == 1
 
 
+def _outcome(lift, *args):
+    try:
+        return "value", lift(*args)
+    except LiftError as exc:
+        return type(exc), str(exc)
+
+
+def _lift_variants(m, f, g, rng):
+    """An inverse pair (f, g) for m, then broken copies of it.
+
+    g scaled by 2, one entry of g moved by +-1, and, when m has exponents,
+    the column of f and the row of g of its last summand set to zero,
+    together and f alone: with a window that ends below the top exponent,
+    the first pair passes the support scans and fails the inverse check.
+    """
+    n = m.rank
+    yield f, g
+    yield f, canonical_morphism(g.source, m, g.den, [[2 * x for x in row] for row in g.rows])
+    if not n:
+        return
+    rows = [list(row) for row in g.rows]
+    rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+    yield f, canonical_morphism(g.source, m, g.den, rows)
+    k = n - 1
+    f_rows = [[0 if j == k else x for j, x in enumerate(row)] for row in f.rows]
+    g_rows = [[0] * n if i == k else list(row) for i, row in enumerate(g.rows)]
+    f_zero = canonical_morphism(m, f.target, f.den, f_rows)
+    yield f_zero, canonical_morphism(g.source, m, g.den, g_rows)
+    yield f_zero, g
+
+
 class TestOrbitMorphism:
     def test_equal_entries_give_equal_morphisms(self):
         m = TateMotive({0: 1})
@@ -162,6 +196,47 @@ class TestOrbitMorphism:
             assert twin == f
             assert (twin.den, twin.rows) == (f.den, f.rows)
             assert twin.to_json() == f.to_json()
+
+    def test_unpickling_does_not_validate_again(self, monkeypatch):
+        f = rand_morphism(random.Random(37), TateMotive({0: 2, 1: 1}), TateMotive({0: 3}))
+        data = pickle.dumps(f)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpickling ran the validating constructor")
+
+        monkeypatch.setattr(OrbitMorphism, "__init__", refuse)
+        assert pickle.loads(data) == f
+        assert copy.deepcopy(f) == f
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        m = TateMotive({0: 1, 2: 1})
+        f, g = block_unit_iso(m)
+        before = compose(g, f)
+        for name in ("source", "target", "den", "rows", "matrix", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, getattr(g, name, 2))
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert (f.source, f.target, f.den, f.rows) == (m, TateMotive({0: 2}), 1, ((1, 0), (0, 1)))
+        assert compose(g, f) == before == identity_morphism(m)
+
+    def test_equal_morphisms_hash_equal(self):
+        m = TateMotive({0: 1})
+        assert hash(OrbitMorphism(m, m, {0: [["2/4"]]})) == hash(OrbitMorphism(m, m, {0: [["1/2"]]}))
+        rng = random.Random(41)
+        for _ in range(50):
+            x, y = rand_motive(rng), rand_motive(rng)
+            f = rand_morphism(rng, x, y)
+            # the same morphism from its graded form and from its stored rows
+            twins = (
+                OrbitMorphism(x, y, {r: [[str(e) for e in row] for row in mat]
+                                     for r, mat in f.components.items()}),
+                OrbitMorphism._from_rows(x, y, f.den, f.rows),
+                compose(identity_morphism(y), f),
+            )
+            for twin in twins:
+                assert twin == f and hash(twin) == hash(f)
+            assert len({f, *twins}) == 1
 
 
 class TestCompose:
@@ -365,6 +440,35 @@ class TestDecompose:
         for m, dim in cases:
             for f, g in (block_unit_iso(m), conjugated_unit_iso(m, rng)):
                 assert decompose_via_orbit(m, f, g, dim) == trace_multiset(m, f, g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scan_and_compose_oracle(self, seed):
+        # the lift checks the window from m's exponents and the inverse on
+        # integer rows; the old scans and canonical composite must agree on
+        # the value, or on the exception class and message
+        rng = random.Random(seed)
+        motives = [ZERO, TateMotive({0: 1, 2: 3}), TateMotive({-1: 1, 0: 2}), lefschetz(3)]
+        motives += [
+            rand_motive(rng, min_exp=rng.choice((-2, 0)), max_exp=6, max_distinct=4, max_mult=2)
+            for _ in range(30)
+        ]
+        seen = set()
+        for m in motives:
+            low, top = min(m.terms, default=0), max(m.terms, default=0)
+            for pair in (block_unit_iso(m), conjugated_unit_iso(m, rng)):
+                for f, g in _lift_variants(m, *pair, rng):
+                    for dim in {max(d, 0) for d in (top - 1, top, top + 1, rng.randint(0, 6))}:
+                        got = _outcome(decompose_via_orbit, m, f, g, dim)
+                        assert got == _outcome(scan_and_compose_lift, m, f, g, dim)
+                        seen.add((got[0], low < 0 or top > dim))
+        # an exponent outside the window fails the scans, or, when its
+        # summand carries nothing, the inverse check
+        assert seen == {
+            ("value", False),
+            (NotAnIsomorphismError, False),
+            (NotAnIsomorphismError, True),
+            (SupportViolationError, True),
+        }
 
     def test_rank_mismatch(self):
         one = TateMotive({0: 1})
