@@ -52,6 +52,7 @@ whitespace.
 
 from __future__ import annotations
 
+from .tate import MAX_INT_DIGITS
 from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _fold, expr_from_json
 
 
@@ -80,9 +81,6 @@ _PUNCT = set("=()").union(
     if not (ch.isalnum() or ch.isspace() or ch == "%")
 )
 _DIGITS = set("0123456789")
-# Longest integer literal, in digits.  Far above any catalog parameter that
-# can be evaluated, and far below the interpreter's int-to-string limit.
-MAX_INT_DIGITS = 100
 INT_TOO_LONG = "integer literal too long (more than %d digits)" % MAX_INT_DIGITS
 
 

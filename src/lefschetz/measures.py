@@ -27,7 +27,7 @@ class.
 
 from __future__ import annotations
 
-from .tate import DomainError, NonEffectiveError, SparsePoly, TateMotive, is_int
+from .tate import DomainError, NonEffectiveError, SparsePoly, TateMotive, is_int, is_int_text
 from .varieties import GeneralizedMotive, OpaqueMotiveError, VarietyExpr, motive_of
 
 
@@ -102,7 +102,9 @@ class HodgeDelignePoly(SparsePoly):
 
     @staticmethod
     def _key_from_json(key: str) -> tuple[int, int]:
-        p, q = key.split(",")
+        p, comma, q = key.partition(",") if isinstance(key, str) else ("", "", "")
+        if not (comma and is_int_text(p) and is_int_text(q)):
+            raise ValueError("invalid bidegree key %r" % (key,))
         return int(p), int(q)
 
 

@@ -43,22 +43,52 @@ far side, an entry of f sits at grade -l and an entry of g at grade l, for
 l the exponent of its summand of m, so when all exponents of m lie in
 [0..dim] the support window holds, and only otherwise are the supports
 scanned for the grades to report.  The inverse is checked on the integer
-rows: G F = den(g) den(f) I, one row of the product at a time, stopping at
-the first row that differs, and never brought to canonical form.  ``tests/helpers.py`` keeps the scans and the
-canonical composite ``g after f`` as an oracle.
+rows as G F = s I, s = den(g) den(f), by Kronecker substitution (Kronecker
+1882; Schoenhage 1982): row k of F is packed into one integer, its entries
+as fields b bits wide, with b one bit more than any entry of G F or s
+needs.  Row i of G F is then one C-level sum of products of ints, and it
+equals s e_i exactly when that sum is s shifted into field i, since a
+number has one expansion in base 2^b with digits of absolute value below
+2^(b-1).  The check stops at the first row that differs and builds no
+morphism.  ``tests/helpers.py`` keeps the scans and the canonical composite
+``g after f`` as one oracle, and the row-by-row product as another.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import chain
+from functools import cache
+from itertools import chain, compress
 from math import gcd, lcm
+from operator import lshift, mul
 from collections.abc import Iterable, Mapping
 
-from .tate import DomainError, Record, TateMotive, hom_dim, is_int, set_field, twist
+from .tate import (
+    DomainError,
+    Record,
+    TateMotive,
+    hom_dim,
+    int_from_json,
+    is_int,
+    is_int_text,
+    set_field,
+    twist,
+)
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple["Fraction", ...], ...]
 Rows = tuple[tuple[int, ...], ...]
+
+
+@cache
+def _fraction_class():
+    """``fractions.Fraction``, imported on the first call.
+
+    That keeps ``fractions``, and the ``decimal`` it imports, off the
+    start-up of every command line; an import statement in each function
+    that makes a Fraction would cost more than this cached call.
+    """
+    from fractions import Fraction
+
+    return Fraction
 
 
 class CompositionError(DomainError):
@@ -86,6 +116,21 @@ def term_enumeration(m: TateMotive) -> tuple[tuple[int, int], ...]:
     return tuple((l, i) for l, c in m.terms.items() for i in range(c))
 
 
+def _fraction_from_text(text: str):
+    """The matrix entry ``text`` spells as ``to_json`` writes one.
+
+    That is ASCII ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+`` with a nonzero
+    denominator, each number at most ``MAX_INT_DIGITS`` digits; anything
+    else raises ValueError naming the entry.
+    """
+    num, slash, den = text.partition("/")
+    den = den if slash else "1"
+    # isdigit refuses a sign, is_int_text other scripts' digits
+    if is_int_text(num) and den.isdigit() and is_int_text(den) and int(den):
+        return _fraction_class()(int(num), int(den))
+    raise ValueError("invalid matrix entry %r" % (text,))
+
+
 def _identity_rows(n: int) -> Rows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -101,11 +146,11 @@ class OrbitMorphism(Record):
     graded form instead: ``components`` maps an integer grade r (an int,
     not a bool, as ``tate.is_int`` says) to a rank(target) x rank(source)
     matrix whose entries may be ints, Fractions or strings like ``"1/2"``
-    (floats and bools are refused).  Construction validates shapes and the
-    delta pattern.  ``matrix`` and ``component`` give Fraction views.  A
-    morphism is an immutable record: ``==`` and ``hash`` follow
-    ``(source, target, den, rows)``, and copies and pickles rebuild it
-    through ``_from_rows`` without validating it again.
+    as ``to_json`` writes them (floats and bools are refused).  Construction
+    validates shapes and the delta pattern.  ``matrix`` and ``component``
+    give Fraction views.  A morphism is an immutable record: ``==`` and
+    ``hash`` follow ``(source, target, den, rows)``, and copies and pickles
+    rebuild it through ``_from_rows`` without validating it again.
     """
 
     __slots__ = ("source", "target", "den", "rows")
@@ -116,6 +161,7 @@ class OrbitMorphism(Record):
         target: TateMotive,
         components: Mapping[int, Iterable[Iterable]] = (),
     ):
+        Fraction = _fraction_class()
         if not isinstance(source, TateMotive) or not isinstance(target, TateMotive):
             raise TypeError("source and target must be TateMotive")
         set_field(self, "source", source)
@@ -139,7 +185,10 @@ class OrbitMorphism(Record):
                     if type(entry) is not int and type(entry) is not Fraction:
                         if isinstance(entry, (float, bool)):
                             raise TypeError("matrix entries must be exact, got %r" % (entry,))
-                        entry = Fraction(entry)
+                        if isinstance(entry, str):
+                            entry = _fraction_from_text(entry)
+                        else:
+                            entry = Fraction(entry)
                     if not entry:
                         continue
                     nonzero = True
@@ -179,11 +228,13 @@ class OrbitMorphism(Record):
     @property
     def matrix(self) -> Matrix:
         """The whole matrix with Fraction entries."""
+        Fraction = _fraction_class()
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.rows)
 
     def component(self, r: int) -> Matrix:
         """The grade-r matrix, a zero matrix when absent."""
+        Fraction = _fraction_class()
         src = self.source.exponent_multiset()
         den = self.den
         zero = Fraction(0)
@@ -240,7 +291,7 @@ class OrbitMorphism(Record):
         return cls(
             TateMotive.from_json(data["source"]),
             TateMotive.from_json(data["target"]),
-            {int(r): rows for r, rows in data["components"].items()},
+            {int_from_json(r, "grade key"): rows for r, rows in data["components"].items()},
         )
 
 
@@ -342,8 +393,9 @@ def decompose_via_orbit(
     ``m.exponent_multiset()``.  The window holds when the exponents of m lie
     in [0..dim], and only otherwise are the supports of f and g scanned, so
     that ``SupportViolationError`` can list the grades outside it.  The
-    inverse is checked as G F = den(g) den(f) I on the integer rows, with an
-    exit at the first row of the product that differs.
+    inverse is checked as G F = den(g) den(f) I on the integer rows, one
+    packed product per row of G F (see ``_is_inverse``), with an exit at the
+    first row that differs.
     """
     if not is_int(dim) or dim < 0:
         raise ValueError("dim must be a non-negative integer")
@@ -387,20 +439,33 @@ def _is_inverse(g: OrbitMorphism, f: OrbitMorphism) -> bool:
     """Whether ``g after f`` is the identity, for square f and g that compose.
 
     Over Q that is G F = I for the matrices F = rows(f) / den(f) and
-    G = rows(g) / den(g), which over Z is rows(g) rows(f) = den(g) den(f) I.
-    Each row of the integer product is built as ``compose`` builds it,
-    skipping the zero entries of g, and compared as soon as it is done; the
-    product is never brought to canonical form.
+    G = rows(g) / den(g), which over Z is rows(g) rows(f) = s I with
+    s = den(g) den(f).  Every entry of rows(g) rows(f), and s, is at most
+    bound = max(n max|F| max|G|, s) in absolute value, for n the rank, so
+    with fields b = bit_length(bound) + 1 bits wide, a sign bit included,
+    row k of F packs into P_k = sum over j of F[k][j] 2^(b j) (zero entries
+    skipped), and row i of the product packs into sum over k of G[i][k] P_k.
+    That is s 2^(b i) exactly when the row is s e_i: a number has one
+    expansion in base 2^b with every digit of absolute value below
+    2^(b-1).  Rows are checked in order, and the first that differs
+    returns False.
     """
-    scale = g.den * f.den
-    width = f.source.rank
     f_rows = f.rows
-    for i, g_row in enumerate(g.rows):
-        acc = [0] * width
-        for g_ik, f_row in zip(g_row, f_rows):
-            if g_ik:
-                acc = [a + g_ik * b for a, b in zip(acc, f_row)]
-        acc[i] -= scale
-        if any(acc):
+    n = len(f_rows)
+    scale = g.den * f.den
+    # zero entries are skipped wherever that is C-level work, so the sparse
+    # rows of block_unit_iso stay cheap
+    bound = max(
+        n
+        * max(map(abs, filter(None, chain.from_iterable(f_rows))), default=0)
+        * max(map(abs, filter(None, chain.from_iterable(g.rows))), default=0),
+        scale,
+    )
+    b = bound.bit_length() + 1
+    shifts = range(0, b * n, b)
+    packed = [sum(map(lshift, compress(row, row), compress(shifts, row))) for row in f_rows]
+    for g_row in g.rows:
+        if sum(map(mul, g_row, packed)) != scale:
             return False
+        scale <<= b
     return True

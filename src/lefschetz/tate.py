@@ -49,6 +49,32 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# Longest integer literal, in digits, in an expression, a JSON key or a
+# matrix entry.  Far above any catalog parameter that can be evaluated, and
+# far below the interpreter's int-to-string limit.
+MAX_INT_DIGITS = 100
+
+
+def is_int_text(text) -> bool:
+    """Whether ``text`` spells an integer as ``to_json`` writes one.
+
+    That is ASCII ``-?[0-9]+`` with at most ``MAX_INT_DIGITS`` digits:
+    ``int`` alone would also take other scripts' digits, underscores and
+    surrounding whitespace.
+    """
+    if not isinstance(text, str):
+        return False
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit() and len(digits) <= MAX_INT_DIGITS
+
+
+def int_from_json(text, what: str) -> int:
+    """The integer that the JSON key ``text`` spells; ValueError names it otherwise."""
+    if not is_int_text(text):
+        raise ValueError("invalid %s %r" % (what, text))
+    return int(text)
+
+
 TermsLike = Mapping[int, int] | Iterable[tuple[int, int]]
 
 
@@ -122,7 +148,10 @@ class SparsePoly(Record):
     _add_keys = staticmethod(operator.add)
     _symbol = ""
     _key_to_json = staticmethod(str)
-    _key_from_json = staticmethod(int)
+
+    @staticmethod
+    def _key_from_json(key: str):
+        return int_from_json(key, "exponent key")
 
     def __init__(self, terms: TermsLike = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms

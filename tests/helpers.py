@@ -250,6 +250,50 @@ def scan_and_compose_lift(m, f, g, dim):
     return m.exponent_multiset()
 
 
+def row_product_is_inverse(g, f):
+    """``orbit._is_inverse`` as it was: rows(g) rows(f) = den(g) den(f) I, row by row.
+
+    Each row of the integer product is built as ``compose`` builds it,
+    skipping the zero entries of g, and compared with den(g) den(f) e_i as
+    soon as it is done; the first row that differs returns False.
+    """
+    scale = g.den * f.den
+    width = f.source.rank
+    f_rows = f.rows
+    for i, g_row in enumerate(g.rows):
+        acc = [0] * width
+        for g_ik, f_row in zip(g_row, f_rows):
+            if g_ik:
+                acc = [a + g_ik * b for a, b in zip(acc, f_row)]
+        acc[i] -= scale
+        if any(acc):
+            return False
+    return True
+
+
+def unimodular_conjugated_unit_iso(m, rng, size, steps):
+    """block_unit_iso twisted by an integer basis change a with det 1.
+
+    a is a product of ``steps`` elementary matrices I + t e_ij, t drawn
+    from +-[size, 2 size), so a^-1 is an integer matrix too, kept alongside
+    by one inverse column operation per step, and the pair stays over den 1.
+    """
+    f, g = block_unit_iso(m)
+    n = m.rank
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    a_inv = [row[:] for row in a]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-1, 1)) * rng.randrange(size, 2 * size)
+        # a <- (I + t e_ij) a adds t times row j to row i; a^-1 <- a^-1 (I - t e_ij)
+        a[i] = [x + t * y for x, y in zip(a[i], a[j])]
+        for row in a_inv:
+            row[j] -= t * row[i]
+    f2 = OrbitMorphism._from_rows(m, f.target, 1, tuple(map(tuple, _int_matmul(a, f.rows))))
+    g2 = OrbitMorphism._from_rows(g.source, m, 1, tuple(map(tuple, _int_matmul(g.rows, a_inv))))
+    return f2, g2
+
+
 @lru_cache(maxsize=None)
 def _partitions(total, parts, largest):
     """Partitions of ``total`` into at most ``parts`` parts, each <= ``largest``."""

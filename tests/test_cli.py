@@ -339,7 +339,7 @@ status = lefschetz.cli.main(sys.argv[1:])
 layers = ("tate", "orbit", "sod", "varieties", "measures", "exprlang")
 print(repr((
     status,
-    sorted({"dataclasses", "inspect", "typing", "json"} & set(sys.modules)),
+    sorted({"dataclasses", "inspect", "typing", "fractions", "decimal", "json"} & set(sys.modules)),
     [name for name in layers if "lefschetz." + name not in sys.modules],
 )))
 """

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,21 @@ class TestHodgeDelignePoly:
     def test_json_round_trip(self):
         p = HodgeDelignePoly({(1, 2): -3, (0, 0): 1})
         assert HodgeDelignePoly.from_json(p.to_json()) == p
+        assert HodgeDelignePoly.from_json({"terms": {"1,-2": 1}}) == HodgeDelignePoly({(1, -2): 1})
+
+    @pytest.mark.parametrize(
+        "key",
+        ["\u0661,\u0662", "1", "1,2,3", " 1,2", "1, 2", "1_0,2", ",", "1,", "9" * 101 + ",0", 1],
+        ids=repr,
+    )
+    def test_json_keys_only_as_to_json_writes_them(self, key):
+        with pytest.raises(ValueError, match="invalid bidegree key %s" % re.escape(repr(key))):
+            HodgeDelignePoly.from_json({"terms": {key: 1}})
+
+    @pytest.mark.parametrize("key", ["\u0663", "1_0", " 2 "], ids=repr)
+    def test_k0_json_keys_only_as_to_json_writes_them(self, key):
+        with pytest.raises(ValueError, match="invalid exponent key"):
+            K0Class.from_json({"terms": {key: 1}})
 
     @pytest.mark.parametrize(
         "terms", [{(True, 0): 1}, {(0, False): 1}, {(1, 1): True}], ids=repr

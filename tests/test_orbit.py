@@ -3,10 +3,12 @@
 import copy
 import pickle
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -16,13 +18,16 @@ from helpers import (
     fraction_conjugated_unit_iso,
     fraction_matmul,
     graded_compose,
+    grassmannian_oracle,
     invert,
     matmul,
     rand_entry,
     rand_morphism,
     rand_motive,
+    row_product_is_inverse,
     scan_and_compose_lift,
     trace_multiset,
+    unimodular_conjugated_unit_iso,
 )
 from lefschetz.orbit import (
     CompositionError,
@@ -31,6 +36,7 @@ from lefschetz.orbit import (
     OrbitMorphism,
     RankMismatchError,
     SupportViolationError,
+    _is_inverse,
     block_unit_iso,
     canonical_unit_iso,
     chow_morphism,
@@ -91,6 +97,29 @@ class TestConstruction:
         assert OrbitMorphism.from_json(f.to_json()) == f
         with pytest.raises(ValueError):
             OrbitMorphism.from_json({"source": x.to_json()})
+
+    @pytest.mark.parametrize("key", ["\u0661", "1_0", " 1 ", "+1", "1.0"], ids=repr)
+    def test_json_grade_keys_only_as_to_json_writes_them(self, key):
+        x = TateMotive({0: 1, 1: 1})
+        data = {"source": x.to_json(), "target": x.to_json(), "components": {key: [[0, 1], [0, 0]]}}
+        with pytest.raises(ValueError, match="invalid grade key %s" % re.escape(repr(key))):
+            OrbitMorphism.from_json(data)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["1e3", " 1.5 ", "1.5", "\u0661/\u0662", "1_0", "+1", "1/-2", "1/+2", "1/0", "1/2/3",
+         "/2", "1/", "", "9" * 101, "1/" + "9" * 101],
+        ids=repr,
+    )
+    def test_string_entries_only_as_to_json_writes_them(self, entry):
+        m = TateMotive({0: 1})
+        with pytest.raises(ValueError, match="invalid matrix entry %s" % re.escape(repr(entry))):
+            OrbitMorphism(m, m, {0: [[entry]]})
+
+    def test_string_entries_accepted(self):
+        m = TateMotive({0: 1})
+        for entry, value in [("-1/2", Fraction(-1, 2)), ("2/4", Fraction(1, 2)), ("-3", -3), ("0", 0)]:
+            assert OrbitMorphism(m, m, {0: [[entry]]}) == OrbitMorphism(m, m, {0: [[value]]})
 
 
 def _assert_canonical(f):
@@ -516,3 +545,72 @@ class TestDecompose:
             decompose_via_orbit(m, f, g, -1)
         with pytest.raises(ValueError, match="non-negative integer"):
             decompose_via_orbit(m, f, g, True)
+
+
+class TestIsInverse:
+    """The packed check of G F = s I against the row-by-row product."""
+
+    @staticmethod
+    def _pairs(rng):
+        """(m, f, g): inverse pairs for m, dense and sparse, then broken copies."""
+        motives = [ZERO, lefschetz(3), TateMotive(grassmannian_oracle(3, 7))]
+        motives += [rand_motive(rng, max_exp=6, max_distinct=4, max_mult=3) for _ in range(12)]
+        for m in motives:
+            pairs = [block_unit_iso(m), conjugated_unit_iso(m, rng)]
+            pairs.append(unimodular_conjugated_unit_iso(m, rng, 1 << 200, 3))
+            for pair in pairs:
+                for f, g in _lift_variants(m, *pair, rng):
+                    yield m, f, g
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_row_product_oracle(self, seed):
+        seen = {True: 0, False: 0}
+        big = 0
+        for m, f, g in self._pairs(random.Random(seed)):
+            got = _is_inverse(g, f)
+            assert got == row_product_is_inverse(g, f), (m, f, g)
+            seen[got] += 1
+            big = max(big, *map(abs, chain.from_iterable(g.rows)), 0)
+        assert seen[True] and seen[False]
+        # the unimodular conjugations reach entries of 2^200 and more
+        assert big.bit_length() > 200
+
+    def test_sparse_rank_252(self):
+        m = TateMotive(grassmannian_oracle(5, 10))
+        assert m.rank == 252
+        rng = random.Random(252)
+        outcomes = []
+        for f, g in _lift_variants(m, *block_unit_iso(m), rng):
+            outcomes.append(_is_inverse(g, f))
+            assert outcomes[-1] == row_product_is_inverse(g, f)
+        assert outcomes == [True, False, False, False, False]
+
+    def test_rank_zero(self):
+        f, g = block_unit_iso(ZERO)
+        assert _is_inverse(g, f) and row_product_is_inverse(g, f)
+
+    @staticmethod
+    def _unit_pair(den_g, f_rows, g_rows):
+        m = TateMotive({0: 1, 1: 1})
+        units = TateMotive({0: 2})
+        f = OrbitMorphism._from_rows(m, units, 1, f_rows)
+        g = OrbitMorphism._from_rows(units, m, den_g, g_rows)
+        return f, g
+
+    def test_fields_need_the_sign_bit(self):
+        # s = 6 and bound = max(2 * 2 * 3, s) = 12, which takes 4 bits, so
+        # fields are 5 bits wide.  Row 0 of G F is (-10, 1): in 4-bit fields
+        # it would pack to -10 + 16 = 6 = s, the packed value of s e_0.
+        f, g = self._unit_pair(6, ((-2, -1), (2, -1)), ((2, -3), (-3, -3)))
+        assert [[sum(map(mul, r, c)) for c in zip(*f.rows)] for r in g.rows] == [[-10, 1], [0, 6]]
+        assert not row_product_is_inverse(g, f)
+        assert not _is_inverse(g, f)
+
+    def test_bound_takes_absolute_values(self):
+        # s = 1; the largest entries of G are negative, so only max |G| = 2
+        # gives bound = 2 * 3 * 2 = 12.  Row 0 of G F is (-3, 1), which in
+        # the 2-bit fields of a bound of 1 would pack to -3 + 4 = 1 = s.
+        f, g = self._unit_pair(1, ((3, 1), (0, -1)), ((-1, -2), (0, -1)))
+        assert [[sum(map(mul, r, c)) for c in zip(*f.rows)] for r in g.rows] == [[-3, 1], [0, 1]]
+        assert not row_product_is_inverse(g, f)
+        assert not _is_inverse(g, f)
