@@ -23,11 +23,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exprlang import INT_TOO_LONG, MAX_INT_DIGITS, parse_expr, render_expr
+from .exprlang import INT_TOO_LONG, parse_expr, render_expr
 from .measures import hodge_numbers, k0_class
 from .orbit import block_unit_iso, decompose_via_orbit
 from .sod import FEC_FAILS_LENGTH, Collection, solve_nc_ranks
-from .tate import DomainError, poincare
+from .tate import DomainError, is_int_text, poincare
 from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
 
 EXIT_BROKEN_PIPE = 141
@@ -93,9 +93,15 @@ def cmd_check_fec(e, args):
     return fields, [line], 0 if v.ok else 1
 
 
-def _json_int(text: str) -> int:
-    """A JSON integer, capped in length as an expression's literals are."""
-    if len(text) - text.startswith("-") > MAX_INT_DIGITS:
+def integer(text: str) -> int:
+    """An integer spelled as ``to_json`` writes one, ASCII ``-?[0-9]+``.
+
+    It reads ``--dim``, where argparse reports a refused value as an
+    "invalid integer value", after this function's name, and the integers
+    of a collection file, which the JSON decoder hands over as ASCII
+    digits, so there only the length cap can refuse one.
+    """
+    if not is_int_text(text):
         raise ValueError(INT_TOO_LONG)
     return int(text)
 
@@ -105,7 +111,7 @@ def cmd_sod_solve(e, args):
 
     with open(args.collection, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_int=_json_int)
+            data = json.load(fh, parse_int=integer)
         except RecursionError:
             # the decoder recurses once per nesting level
             raise ValueError("collection JSON is nested too deeply") from None
@@ -175,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--dim",
-        type=int,
-        default=None,
+        type=integer,
         help="twist window bound (defaults to the dimension of the expression)",
     )
     return parser

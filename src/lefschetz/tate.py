@@ -22,8 +22,9 @@ which items are valid, how terms are ordered, how a monomial is written, and
 how a key is spelled in JSON.
 
 All arithmetic is exact: multiplicities are Python ints, and the morphism
-calculus built on top of this module uses ``fractions.Fraction``.  No floats
-anywhere.
+calculus built on top of this module works on integer rows over one
+denominator, with ``fractions.Fraction`` only where a morphism is built
+from its graded form and in the matrix views.  No floats anywhere.
 """
 
 from __future__ import annotations

@@ -12,8 +12,13 @@ template that ``exprlang`` parses and renders), its parameter checks in
 ``_check`` and the methods ``_dimension``, ``_motive`` and
 ``_collection(variant)``.  A method
 never visits a child: ``_dimension`` and ``_motive`` take the results of
-the node's children.  One function, ``_fold``, walks a tree, children
-first and on an explicit stack, and ``dimension_of``, ``motive_of``,
+the node's children.  ``_dimension`` runs once per node, when the node is
+built: the constructor applies it to the children's ``dim`` and stores the
+result as the node's own ``dim`` (a synthesized attribute), so a tree of
+any depth gets its dimensions in one pass, bottom up, and ``dimension_of``
+reads the root's.  A node outside the catalog, and every node above one,
+has ``dim`` None and still constructs.  One function, ``_fold``, walks a
+tree, children first and on an explicit stack, and ``motive_of``,
 ``expr_to_json``, ``exprlang.render_expr`` and ``==``, ``hash`` and
 ``repr`` all go through it, so no depth of tree exhausts the Python stack.
 ``exceptional_collection_of`` folds a tree to the summands of its top-level
@@ -22,14 +27,15 @@ generic over the fields: a field holding an expression nests, a tuple field
 is a JSON list; ``expr_from_json`` builds a tree from it on an explicit
 stack, and the text parser emits that form too.
 
-``dimension_of``, ``motive_of`` and ``exceptional_collection_of`` (once per
-quadric variant) each answer once per tree: the first result is kept on the
-node the call was given, in an attribute outside ``_fields``, and returned
-by every later call.  There is no global cache; the memo lives and dies
-with the tree.  ``==``, ``hash``, ``repr``, copies and pickles read only the
-fields, so they do not see it.  Nodes, motives and collections are
-immutable, so the first answer stays right.  A call that raises keeps
-nothing, so it raises again the next time.
+``motive_of`` and ``exceptional_collection_of`` (once per quadric variant)
+each answer once per tree: the first result is kept on the node the call
+was given, in an attribute outside ``_fields``, and returned by every later
+call.  There is no global cache; the memo lives and dies with the tree.
+``==``, ``hash``, ``repr``, copies and pickles read only the fields, so
+they see neither the memos nor ``dim``; a copy is the node itself, and a
+pickle rebuilds the tree through the constructors, which set ``dim`` again.
+Nodes, motives and collections are immutable, so the first answer stays
+right.  A call that raises keeps nothing, so it raises again the next time.
 
 Catalog formulas:
 
@@ -57,8 +63,8 @@ complete cohomological data reject motives that still carry them.
 Nodes, ``OpaquePart`` and ``GeneralizedMotive`` derive from ``tate.Record``,
 which refuses assignment and deletion.  The two motive classes are plain
 records: ``repr``, ``==``, ``hash``, copies and pickles follow their
-``__slots__``.  Nodes keep their fields (and memos) in ``__dict__`` and
-define those four through ``_fold`` instead.
+``__slots__``.  Nodes keep their fields, ``dim`` and the memos in
+``__dict__`` and define those four through ``_fold`` instead.
 """
 
 from __future__ import annotations
@@ -214,14 +220,18 @@ class VarietyExpr(Record):
     pairs, in order; the type is ``VarietyExpr`` for a child expression,
     else ``int``, ``tuple`` (of ints) or ``bool``.  The base class builds a
     node from them: it checks that each child is an expression, stores a
-    tuple field as a tuple and runs the class's ``_check``; ``tate.Record``
-    refuses assignment.  ``==``, ``hash`` and ``repr`` follow the fields.
+    tuple field as a tuple, runs the class's ``_check`` and then stores
+    ``dim``, the class's ``_dimension`` of its children's ``dim``, or None
+    when a child has none; ``tate.Record`` refuses assignment.  ``==``,
+    ``hash`` and ``repr`` follow the fields, not ``dim``.
 
     A node class also carries its JSON ``kind``, its text ``syntax`` and its
     catalog entry: the methods ``_dimension`` and ``_motive``, which take
     the results of the node's children in field order, and
     ``_collection(variant)`` where the catalog knows a collection.  No
-    method visits a child: ``_fold`` does, children first.  The base methods
+    method visits a child: the constructor hands ``_dimension`` the
+    children's ``dim``, and ``_fold`` does the rest, children first.  The
+    base ``_dimension`` gives None, no dimension, and the other base methods
     reject a node outside the catalog.
 
     ``syntax`` is ``(head, template, binding)``: the name or operator that
@@ -252,6 +262,8 @@ class VarietyExpr(Record):
                 )
             set_field(self, name, tuple(value) if typ is tuple else value)
         self._check()
+        dims = [getattr(self, name).dim for name in self._children]
+        set_field(self, "dim", None if None in dims else self._dimension(*dims))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -307,8 +319,8 @@ class VarietyExpr(Record):
         """The summands of this node as a disjoint union, left to right."""
         return [self]
 
-    def _dimension(self, *children: int) -> int:
-        raise TypeError("unknown expression node %r" % type(self).__name__)
+    def _dimension(self, *children: int) -> int | None:
+        return None  # no dimension, for this node and every node above it
 
     def _motive(self, *children: GeneralizedMotive) -> GeneralizedMotive:
         raise TypeError("unknown expression node %r" % type(self).__name__)
@@ -522,7 +534,7 @@ class Blowup(VarietyExpr):
     def _check(self):
         if not is_int(self.codim) or self.codim < 2:
             raise InvalidParameterError("blowup center must have codimension >= 2")
-        gap = dimension_of(self.base) - dimension_of(self.center)
+        gap = self.base.dim - self.center.dim
         if gap != self.codim:
             raise InvalidParameterError(
                 "stated codimension %d does not match the dimension gap %d"
@@ -640,17 +652,19 @@ def _memoized(e: VarietyExpr, name: str, compute):
     return memo[name]
 
 
-def _fold_dimension(e: VarietyExpr) -> int:
-    return _fold(e, lambda node, *dims: node._dimension(*dims))
-
-
 def _fold_motive(e: VarietyExpr) -> GeneralizedMotive:
     return _fold(e, lambda node, *parts: node._motive(*parts))
 
 
 def dimension_of(e: VarietyExpr) -> int:
-    """Dimension of the underlying variety; unions take the maximum."""
-    return _memoized(e, "_dimension_memo", _fold_dimension)
+    """Dimension of the underlying variety; unions take the maximum.
+
+    It is the node's ``dim``, set when the node was built.  A node outside
+    the catalog, a node above one and anything but a node raise TypeError.
+    """
+    if not isinstance(e, VarietyExpr) or e.dim is None:
+        raise TypeError("unknown expression node %r" % type(e).__name__)
+    return e.dim
 
 
 def motive_of(e: VarietyExpr) -> GeneralizedMotive:

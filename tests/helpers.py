@@ -356,7 +356,10 @@ def multisets_up_to(universe, max_size):
 def fresh_dimension(e):
     """``dimension_of`` as it was before it kept its answer on the node.
 
-    Folds the whole tree on every call and stores nothing.
+    Folds the whole tree on every call and stores nothing.  The library ran
+    this fold, with a memo on the node, until each node came to store its
+    dimension as ``dim`` when it is built, which replaced both; the fold
+    stays as the oracle that ``dim`` is checked against.
     """
     return _fold(e, lambda node, *dims: node._dimension(*dims))
 

@@ -268,6 +268,38 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
 
 
+class TestDimArgument:
+    """``--dim`` reads an integer as the JSON decoders do: ASCII ``-?[0-9]+``,
+    at most 100 digits; any other text is a usage error."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0661", "1_0", " 2 ", "2 ", "+3", "1.0", "", "-", "x", "1" * 101, "-" + "1" * 101],
+        ids=["arabic-indic-one", "underscore", "spaces", "trailing-space", "plus",
+             "decimal", "empty", "minus", "letter", "101-digits", "minus-101-digits"],
+    )
+    def test_refused(self, capsys, text):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "orbit-demo", "P(1)", "--dim", text, *extra)
+            assert (code, out) == (2, "")
+            assert "argument --dim: invalid integer value" in err
+
+    @pytest.mark.parametrize(
+        "text, status, out, err",
+        [
+            ("5", 0, "{0, 1}\n", ""),
+            ("9" * 100, 0, "{0, 1}\n", ""),
+            ("0", 1, "", "error: support outside the dimension window "
+             "[-0..0]/[0..0]: f at [-1], g at [1]\n"),
+            ("-1", 2, "", "error: dim must be a non-negative integer\n"),
+            ("-" + "9" * 100, 2, "", "error: dim must be a non-negative integer\n"),
+        ],
+        ids=["5", "100-digits", "0", "minus-1", "minus-100-digits"],
+    )
+    def test_accepted(self, capsys, text, status, out, err):
+        assert run(capsys, "orbit-demo", "P(1)", "--dim", text) == (status, out, err)
+
+
 class TestJsonMode:
     def test_motive(self, capsys):
         code, payload, _ = run_json(capsys, "motive", "fano(1; odd_trivial=false)", "--json")

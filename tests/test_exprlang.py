@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import two_level_parse_expr
+from helpers import fresh_dimension, two_level_parse_expr
 from lefschetz.exprlang import (
     MAX_INT_DIGITS,
     ParseError,
@@ -390,6 +390,20 @@ class TestDeepInputs:
         with pytest.raises(ParseError, match="expression nested too deeply") as exc:
             parse_expr(text)
         assert 0 < exc.value.offset < len(text)
+
+    def test_nested_blowups_10000(self):
+        # each blowup of the plane at a point is the base of the next; built
+        # from JSON, since the text parser's nesting is bounded above
+        data = {"kind": "projective", "n": 2}
+        for _ in range(10000):
+            data = {"kind": "blowup", "base": data, "center": {"kind": "point"}, "codim": 2}
+        e = expr_from_json(data)
+        twin = pickle.loads(pickle.dumps(e))
+        assert twin is not e and twin == e and hash(twin) == hash(e)
+        assert expr_from_json(expr_to_json(e)) == e
+        assert expr_to_json(e)["base"]["center"] == {"kind": "point"}
+        assert dimension_of(e) == dimension_of(twin) == fresh_dimension(e) == 2
+        assert motive_of(e).tate == TateMotive({0: 1, 1: 10001, 2: 1})
 
 
 def _random_text(rng, depth):

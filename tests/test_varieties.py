@@ -113,6 +113,65 @@ class TestDimension:
         assert dimension_of(ModuliM0(5)) == 2
         assert dimension_of(Fano3fold(2, True)) == 3
 
+    def test_nodes_outside_the_catalog(self):
+        # a tree may hold a node outside the catalog, but has no dimension
+        e = Product(VarietyExpr(), Point())
+        assert e.dim is None
+        with pytest.raises(TypeError):
+            dimension_of(e)
+        with pytest.raises(TypeError, match="unknown expression node 'VarietyExpr'"):
+            dimension_of(VarietyExpr())
+        with pytest.raises(TypeError):
+            Blowup(VarietyExpr(), Point(), 2)
+
+    def test_attribute_outside_the_fields(self):
+        e = parse_expr("blowup(P(3); P(1); 2) * Q(2) + point")
+        assert e.dim == 5
+        with pytest.raises(AttributeError):
+            e.dim = 6
+        assert repr(e) == (
+            "DisjointUnion(left=Product(left=Blowup(base=Projective(n=3), "
+            "center=Projective(n=1), codim=2), right=Quadric(d=2)), right=Point())"
+        )
+        assert [name for label in _labels(e) for name, _, _ in label[1:]] == [
+            "n", "n", "base", "center", "codim", "d", "left", "right", "left", "right"
+        ]
+        twin = pickle.loads(pickle.dumps(e))
+        assert twin == e and twin.dim == 5 and copy.deepcopy(e).dim == 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_node_against_the_fold(self, seed):
+        rng = random.Random(700 + seed)
+        for _ in range(40):
+            todo = [random_tree(rng)]
+            while todo:
+                node = todo.pop()
+                assert node.dim == dimension_of(node) == fresh_dimension(node)
+                todo += [getattr(node, name) for name in node._children]
+
+    @pytest.mark.parametrize("rebuild", ["expr_from_json", "pickle.loads"])
+    def test_nested_blowups_build_in_linear_time(self, monkeypatch, rebuild):
+        # folding the base again for each blowup made about n^2/2 calls
+        n = 2000
+        data = {"kind": "projective", "n": 2}
+        for _ in range(n):
+            data = {"kind": "blowup", "base": data, "center": {"kind": "point"}, "codim": 2}
+        e = expr_from_json(data)
+        calls = []
+        formula = Blowup._dimension
+
+        def counted(node, *dims):
+            calls.append(node)
+            return formula(node, *dims)
+
+        monkeypatch.setattr(Blowup, "_dimension", counted)
+        if rebuild == "expr_from_json":
+            twin = expr_from_json(data)
+        else:
+            twin = pickle.loads(pickle.dumps(e))
+        assert twin == e and dimension_of(twin) == 2
+        assert n <= len(calls) <= 2 * n
+
 
 class TestMotives:
     def test_projective(self):
