@@ -19,10 +19,11 @@ A Hodge-Deligne polynomial is Hodge-Tate when only diagonal monomials
 (u v)^p occur; everything in the image of chi_hd is, which is the commuting
 triangle the tests pin down.
 
-``k0_class``, ``chi_gs`` and ``chi_hd`` map the terms of a polynomial that
-is already valid, so they build their results with ``SparsePoly._wrap``
-rather than checking every item again; ``chi_gs`` still refuses a virtual
-class.
+``k0_class``, ``chi_gs``, ``chi_hd`` and ``K0Class.__neg__`` map the terms
+of a valid polynomial key by key, in order, so the result is canonical by
+construction: they build it with the trusted ``SparsePoly._wrap``, with no
+item check, zero filter or sort, and ``k0_class`` and ``chi_gs`` keep the
+very dict of their argument.  ``chi_gs`` still refuses a virtual class.
 """
 
 from __future__ import annotations

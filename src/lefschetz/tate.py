@@ -128,12 +128,21 @@ class SparsePoly(Record):
     """An immutable, finitely supported map from monomial keys to integers.
 
     The terms are stored once, as a dict in canonical order with zero
-    entries absent.  A subclass states its rules as class attributes:
+    entries absent.  The constructor checks every item, merges equal keys
+    and normalizes; sums and products normalize what they merged.
+    ``_wrap`` is the trusted constructor: it stores the dict it is given as
+    it is, so only code whose dict holds valid keys and nonzero coefficients
+    in canonical order by construction may call it, such as a conversion
+    that maps the terms of a valid polynomial in order.  The stored dict is
+    never mutated, so two values may share it.  A subclass states its rules
+    as class attributes:
 
     * ``_check(key, coeff)`` validates one input item before equal keys are
       merged, and returns the key to store;
     * ``_order`` is the sort key of a ``(key, coeff)`` item, or None for the
       natural order of the keys;
+    * ``_normalized(acc)`` turns merged items into stored terms: by default
+      it drops zero entries and sorts by ``_order``;
     * ``_add_keys`` multiplies two monomials;
     * ``_monomial(key)`` writes a monomial for ``text()`` ("" for the unit),
       by default as a power of ``_symbol``;
@@ -161,19 +170,26 @@ class SparsePoly(Record):
         for key, c in items:
             key = check(key, c)
             acc[key] = acc.get(key, 0) + c
-        self._store(acc)
+        set_field(self, "_terms", self._normalized(acc))
 
     @classmethod
-    def _wrap(cls, acc: dict):
-        """An instance holding ``acc``, whose items are already valid."""
+    def _wrap(cls, terms: dict):
+        """An instance holding ``terms`` itself: no check, filter, sort or copy.
+
+        The trusted constructor.  ``terms`` must have valid keys, nonzero
+        coefficients and canonical order, and nobody may mutate it later;
+        it may be the dict of another value.  Only a caller whose dict is
+        canonical by construction calls it.
+        """
         self = object.__new__(cls)
-        self._store(acc)
+        set_field(self, "_terms", terms)
         return self
 
-    def _store(self, acc: dict) -> None:
+    def _normalized(self, acc: dict) -> dict:
+        """Merged items as stored terms: zero entries dropped, in canonical order."""
         items = [kv for kv in acc.items() if kv[1]]
         items.sort(key=self._order)
-        set_field(self, "_terms", dict(items))
+        return dict(items)
 
     def __reduce__(self):
         # Record's version would read a subclass's own, empty, __slots__
@@ -193,7 +209,7 @@ class SparsePoly(Record):
         acc = self._terms.copy()
         for k, c in other._terms.items():
             acc[k] = acc.get(k, 0) + c
-        return self._wrap(acc)
+        return self._wrap(self._normalized(acc))
 
     def __mul__(self, other):
         if other.__class__ is not self.__class__:
@@ -205,7 +221,7 @@ class SparsePoly(Record):
             for l, d in right:
                 key = add_keys(k, l)
                 acc[key] = acc.get(key, 0) + c * d
-        return self._wrap(acc)
+        return self._wrap(self._normalized(acc))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -280,13 +296,23 @@ class TateMotive(SparsePoly):
             # multiplicities are non-negative, so no merged entry is zero
             if mult:
                 acc[exp] = acc.get(exp, 0) + mult
+        # ``_normalized`` inlined: the lift builds two motives per call
         if len(acc) > 1:
-            # inputs mostly come in ascending order; sorting ints is cheaper
-            # than sorting items
             exps = sorted(acc)
             if exps != list(acc):
                 acc = {l: acc[l] for l in exps}
         set_field(self, "_terms", acc)
+
+    @staticmethod
+    def _normalized(acc: dict) -> dict:
+        # multiplicities are non-negative, so no sum or product has a zero
+        # entry, and only the order needs fixing; inputs mostly come in
+        # ascending order, and sorting ints is cheaper than sorting items
+        if len(acc) > 1:
+            exps = sorted(acc)
+            if exps != list(acc):
+                return {l: acc[l] for l in exps}
+        return acc
 
     multiplicity = SparsePoly.coefficient
 
@@ -350,7 +376,7 @@ def poincare(x: TateMotive) -> "PoincarePoly":
         raise NonEffectiveError(
             "poincare polynomial needs an effective motive, got %s" % x.text()
         )
-    # a motive's items are valid Poincare items, so they skip the item check
+    # doubling keeps the ascending order of valid, nonzero items
     return PoincarePoly._wrap({2 * l: c for l, c in x._terms.items()})
 
 

@@ -27,10 +27,13 @@ generic over the fields: a field holding an expression nests, a tuple field
 is a JSON list; ``expr_from_json`` builds a tree from it on an explicit
 stack, and the text parser emits that form too.
 
-``motive_of`` and ``exceptional_collection_of`` (once per quadric variant)
-each answer once per tree: the first result is kept on the node the call
-was given, in an attribute outside ``_fields``, and returned by every later
-call.  There is no global cache; the memo lives and dies with the tree.
+``motive_of`` and ``exceptional_collection_of`` each answer once per tree:
+the first result is kept on the node the call was given, in an attribute
+outside ``_fields``, and returned by every later call.  The collection's
+first call fills the memos of both quadric variants from one walk over the
+summands: only a quadric summand has a different Kuznetsov piece, so every
+other summand is asked once and its pieces go into both collections.
+There is no global cache; the memo lives and dies with the tree.
 ``==``, ``hash``, ``repr``, copies and pickles read only the fields, so
 they see neither the memos nor ``dim``; a copy is the node itself, and a
 pickle rebuilds the tree through the constructors, which set ``dim`` again.
@@ -56,6 +59,13 @@ Catalog formulas:
 * Fano threefold with Betti-number input b = b_2 = b_4: even part
   1 + b L + b L^2 + L^3 plus three opaque odd-weight summands unless they are
   asserted trivial
+
+The formulas of ``Projective``, ``Quadric`` and ``Grassmannian`` give
+ascending exponents with positive multiplicities by construction, so they
+build their Tate motives with the trusted ``TateMotive._wrap``.  ``Toric``
+and ``Fano3fold`` keep the checking constructor, since a Betti number or
+``b`` may be 0, and so does ``ModuliM0``, whose constructor copies the
+class-level table, so no motive shares it.
 
 Opaque summands are never converted into Betti numbers; operations that need
 complete cohomological data reject motives that still carry them.
@@ -405,7 +415,7 @@ class Projective(VarietyExpr):
         return self.n
 
     def _motive(self) -> GeneralizedMotive:
-        return GeneralizedMotive(TateMotive({i: 1 for i in range(self.n + 1)}))
+        return GeneralizedMotive(TateMotive._wrap({i: 1 for i in range(self.n + 1)}))
 
     def _collection(self, variant: str) -> Collection:
         return Collection(tuple(_line_bundles(-self.n)))
@@ -427,7 +437,7 @@ class Quadric(VarietyExpr):
         terms = {i: 1 for i in range(self.d + 1)}
         if self.d % 2 == 0:
             terms[self.d // 2] += 1
-        return GeneralizedMotive(TateMotive(terms))
+        return GeneralizedMotive(TateMotive._wrap(terms))
 
     def _collection(self, variant: str) -> Collection:
         tail = _line_bundles(-self.d + 1)
@@ -460,7 +470,8 @@ class Grassmannian(VarietyExpr):
         return self.k * (self.n - self.k)
 
     def _motive(self) -> GeneralizedMotive:
-        return GeneralizedMotive(TateMotive(_gaussian_binomial(self.n, self.k)))
+        # every coefficient counts at least one partition, so none is zero
+        return GeneralizedMotive(TateMotive._wrap(_gaussian_binomial(self.n, self.k)))
 
 
 class Toric(VarietyExpr):
@@ -534,6 +545,8 @@ class Blowup(VarietyExpr):
     def _check(self):
         if not is_int(self.codim) or self.codim < 2:
             raise InvalidParameterError("blowup center must have codimension >= 2")
+        if self.base.dim is None or self.center.dim is None:
+            raise _unknown_node(self)
         gap = self.base.dim - self.center.dim
         if gap != self.codim:
             raise InvalidParameterError(
@@ -639,48 +652,62 @@ class Fano3fold(VarietyExpr):
 _KINDS = {cls.kind: cls for cls in VarietyExpr.__subclasses__()}
 
 
-def _memoized(e: VarietyExpr, name: str, compute):
-    """``compute(e)``, kept on ``e`` under ``name`` once it has returned.
+def _unknown_node(e) -> TypeError:
+    """The TypeError for ``e``, naming the node outside the catalog in it.
 
-    A call that raises keeps nothing, so the next one raises again.
+    That is ``e`` itself when it is not a node, else the first node, children
+    first and left to right, whose ``dim`` is None though its children's are
+    not: the node that ``motive_of`` rejects.  It walks down from ``e``
+    through the first child without a dimension, so it runs only when an
+    error is raised.
     """
-    if not isinstance(e, VarietyExpr):
-        return compute(e)  # raises the TypeError of a node outside the catalog
-    memo = e.__dict__
-    if name not in memo:
-        set_field(e, name, compute(e))
-    return memo[name]
-
-
-def _fold_motive(e: VarietyExpr) -> GeneralizedMotive:
-    return _fold(e, lambda node, *parts: node._motive(*parts))
+    while isinstance(e, VarietyExpr):
+        below = [getattr(e, name) for name in e._children if getattr(e, name).dim is None]
+        if not below:
+            break
+        e = below[0]
+    return TypeError("unknown expression node %r" % type(e).__name__)
 
 
 def dimension_of(e: VarietyExpr) -> int:
     """Dimension of the underlying variety; unions take the maximum.
 
     It is the node's ``dim``, set when the node was built.  A node outside
-    the catalog, a node above one and anything but a node raise TypeError.
+    the catalog, a node above one and anything but a node raise TypeError,
+    naming the node outside the catalog.
     """
     if not isinstance(e, VarietyExpr) or e.dim is None:
-        raise TypeError("unknown expression node %r" % type(e).__name__)
+        raise _unknown_node(e)
     return e.dim
 
 
 def motive_of(e: VarietyExpr) -> GeneralizedMotive:
     """Evaluate an expression to its generalized motive."""
-    return _memoized(e, "_motive_memo", _fold_motive)
+    if not isinstance(e, VarietyExpr) or "_motive_memo" not in e.__dict__:
+        # ``_fold`` rejects a non-node, and a call that raises keeps nothing
+        set_field(e, "_motive_memo", _fold(e, lambda node, *parts: node._motive(*parts)))
+    return e.__dict__["_motive_memo"]
 
 
 # the attribute that keeps each quadric variant's collection
 _COLLECTION_MEMO = {"split": "_split_memo", "kuznetsov": "_kuznetsov_memo"}
 
 
-def _fold_collection(e: VarietyExpr, variant: str) -> Collection:
-    pieces = []
+def _fold_collections(e: VarietyExpr) -> tuple[Collection, Collection]:
+    """The split and the Kuznetsov collection of ``e``, from one walk.
+
+    Only a quadric's pieces differ between the two, so only a quadric is
+    asked for its Kuznetsov pieces; every other summand's pieces serve
+    both, and a summand without a collection fails both.
+    """
+    split, kuznetsov = [], []
     for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
-        pieces += summand._collection(variant).pieces
-    return Collection(tuple(pieces))
+        pieces = summand._collection("split").pieces
+        split += pieces
+        if isinstance(summand, Quadric):
+            pieces = summand._collection("kuznetsov").pieces
+        kuznetsov += pieces
+    return Collection(tuple(split)), Collection(tuple(kuznetsov))
 
 
 def exceptional_collection_of(
@@ -695,15 +722,19 @@ def exceptional_collection_of(
     collection raise CollectionUnavailableError, and an argument that is not
     a node raises TypeError, as in ``motive_of``.  The collection of a
     disjoint union joins those of its summands, left to right; the first
-    summand without one raises, whatever its children.
+    summand without one raises, whatever its children.  The first call
+    builds and keeps both variants, and a tree without a collection raises
+    the same error for both.
     """
     if quadric_variant not in _COLLECTION_MEMO:
         raise ValueError("quadric_variant must be %s" % " or ".join(map(repr, _COLLECTION_MEMO)))
-    return _memoized(
-        e,
-        _COLLECTION_MEMO[quadric_variant],
-        lambda e: _fold_collection(e, quadric_variant),
-    )
+    name = _COLLECTION_MEMO[quadric_variant]
+    if not isinstance(e, VarietyExpr) or name not in e.__dict__:
+        # one walk answers both variants; ``_fold`` rejects a non-node
+        split, kuznetsov = _fold_collections(e)
+        set_field(e, "_split_memo", split)
+        set_field(e, "_kuznetsov_memo", kuznetsov)
+    return e.__dict__[name]
 
 
 def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:

@@ -14,6 +14,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
+from lefschetz import sod
 from lefschetz.exprlang import ParseError, _Parser, _tokenize
 from lefschetz.orbit import (
     NotAnIsomorphismError,
@@ -367,6 +368,30 @@ def fresh_dimension(e):
 def fresh_motive(e):
     """``motive_of`` as it was before it kept its answer on the node."""
     return _fold(e, lambda node, *parts: node._motive(*parts))
+
+
+def fresh_collection(e, variant):
+    """``exceptional_collection_of(e, quadric_variant=variant)`` from its own walk.
+
+    The library once walked the summands once per variant and asked every
+    summand for that variant's pieces; it now fills both variants from one
+    walk.  This per-variant fold, which keeps nothing, is the oracle.
+    """
+    pieces = []
+    for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
+        pieces += summand._collection(variant).pieces
+    return sod.Collection(tuple(pieces))
+
+
+def checked_rebuild(poly):
+    """``poly`` rebuilt through its class's checking constructor.
+
+    The constructor checks every item, merges equal keys, drops zero
+    entries and sorts, as every polynomial did before conversions and
+    catalog formulas took the trusted ``_wrap`` path; a trusted result must
+    equal its rebuild item for item, in order.
+    """
+    return type(poly)(poly.terms)
 
 
 class TwoLevelParser(_Parser):

@@ -9,14 +9,17 @@ import random
 import pytest
 
 from helpers import (
+    checked_rebuild,
+    fresh_collection,
     fresh_dimension,
     fresh_motive,
     gaussian_binomial_pascal,
     grassmannian_oracle,
 )
 from lefschetz.exprlang import parse_expr, render_expr
+from lefschetz.measures import chi_gs, chi_hd, k0_class
 from lefschetz.sod import FEC_FAILS_ODD, FEC_OK
-from lefschetz.tate import TateMotive
+from lefschetz.tate import TateMotive, poincare
 from lefschetz.varieties import (
     Blowup,
     CollectionUnavailableError,
@@ -35,6 +38,7 @@ from lefschetz.varieties import (
     Quadric,
     Toric,
     VarietyExpr,
+    _fold,
     _gaussian_binomial,
     _labels,
     dimension_of,
@@ -148,6 +152,29 @@ class TestDimension:
                 node = todo.pop()
                 assert node.dim == dimension_of(node) == fresh_dimension(node)
                 todo += [getattr(node, name) for name in node._children]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: dimension_of(Product(VarietyExpr(), Point())),
+            lambda: dimension_of(DisjointUnion(Point(), Product(Projective(1), VarietyExpr()))),
+            lambda: Blowup(VarietyExpr(), Point(), 2),
+            lambda: Blowup(Projective(3), VarietyExpr(), 2),
+            lambda: Blowup(Projective(3), ProjBundle(VarietyExpr(), 2), 2),
+        ],
+    )
+    def test_the_node_outside_the_catalog_is_named(self, build):
+        # as motive_of and expr_to_json name it, not the root above it
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == "unknown expression node 'VarietyExpr'"
+
+    def test_named_node_is_the_one_motive_of_rejects(self):
+        e = Product(VarietyExpr(), Point())
+        for call in (dimension_of, motive_of, expr_to_json):
+            with pytest.raises(TypeError) as info:
+                call(e)
+            assert str(info.value) == "unknown expression node 'VarietyExpr'"
 
     @pytest.mark.parametrize("rebuild", ["expr_from_json", "pickle.loads"])
     def test_nested_blowups_build_in_linear_time(self, monkeypatch, rebuild):
@@ -740,3 +767,138 @@ class TestMemo:
         first = motive_of(e)
         assert first == fresh_motive(e) and motive_of(e) is first
         assert dimension_of(e) == fresh_dimension(e) == 0
+
+
+def assert_canonical(poly):
+    """Equal to its checked rebuild: same items in the same order, ``repr`` and hash."""
+    want = checked_rebuild(poly)
+    assert type(poly) is type(want)
+    assert list(poly.terms.items()) == list(want.terms.items())
+    assert repr(poly) == repr(want) and hash(poly) == hash(want) and poly == want
+    assert 0 not in poly.terms.values()
+
+
+class TestCanonicalResults:
+    """Trusted constructors build what the checking constructor builds."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_polynomial_against_its_rebuild(self, seed):
+        rng = random.Random(900 + seed)
+        motives = [motive_of(Quadric(2)), motive_of(Fano3fold(1, False))]
+        classes = [k0_class(Projective(2))]
+        for _ in range(40):
+            e = random_tree(rng)
+            got = outcome(motive_of, e)
+            if got[0] != "value":
+                continue
+            m = got[1]
+            assert_canonical(m.tate)
+            other = rng.choice(motives)
+            assert_canonical((m + other).tate)
+            if not (m.opaque and other.opaque):
+                assert_canonical((m * other).tate)
+            motives.append(m)
+            if m.opaque:
+                continue
+            c = k0_class(e)
+            assert c == k0_class(m) == k0_class(m.tate)
+            virtual = c - rng.choice(classes)
+            classes.append(c)
+            for poly in (poincare(m.tate), c, chi_gs(c), chi_hd(c), -c, virtual, chi_hd(virtual), -virtual):
+                assert_canonical(poly)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_collections_against_the_per_variant_fold(self, seed):
+        rng = random.Random(950 + seed)
+        for _ in range(40):
+            e = random_tree(rng)
+            want = [outcome(lambda e: fresh_collection(e, v), e) for v in ("split", "kuznetsov")]
+            assert [outcome(split, e), outcome(kuznetsov, e)] == want
+            # whichever variant is asked first fills both
+            twin = parse_expr(render_expr(e))
+            assert [outcome(kuznetsov, twin), outcome(split, twin)] == want[::-1]
+
+
+def summands(e):
+    return _fold(e, lambda node, *parts: node._summands(*parts))
+
+
+class TestOneWalk:
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """Each call of a ``_collection`` method, as (node, variant)."""
+        calls = []
+        for cls in (VarietyExpr, *VarietyExpr.__subclasses__()):
+            if "_collection" in vars(cls):
+                def counted(node, variant, method=vars(cls)["_collection"]):
+                    calls.append((node, variant))
+                    return method(node, variant)
+
+                monkeypatch.setattr(cls, "_collection", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_summand_asked_once(self, asked, seed):
+        rng = random.Random(980 + seed)
+        for _ in range(40):
+            e = random_tree(rng)
+            # one walk asks each summand up to the first without a
+            # collection, and asks only a quadric for both forms
+            want = []
+            for node in summands(e):
+                want.append((id(node), "split"))
+                if isinstance(node, Quadric):
+                    want.append((id(node), "kuznetsov"))
+                if outcome(lambda node: node._collection("split"), node)[0] != "value":
+                    break
+            asked.clear()
+            first = [outcome(split, e), outcome(kuznetsov, e)]
+            assert [outcome(split, e), outcome(kuznetsov, e)] == first
+            got = [(id(node), variant) for node, variant in asked]
+            if first[0][0] == "value":
+                assert split(e) is split(e) and kuznetsov(e) is kuznetsov(e)
+                assert got == want
+            else:
+                # both fail alike and keep nothing, so each call walks again
+                assert first[1] == first[0]
+                assert "_split_memo" not in vars(e) and "_kuznetsov_memo" not in vars(e)
+                assert got == want * 4
+
+    def test_no_collection_raises_again(self, asked):
+        e = parse_expr("P(1) + Q(3) + Gr(2,4) + P(2)")
+        messages = []
+        for call in (split, kuznetsov, split, kuznetsov):
+            with pytest.raises(CollectionUnavailableError) as info:
+                call(e)
+            messages.append(str(info.value))
+            assert "_split_memo" not in vars(e) and "_kuznetsov_memo" not in vars(e)
+        assert messages == ["no collection in the catalog for Grassmannian"] * 4
+        # each call asks P(1), both forms of Q(3), then the Grassmannian
+        assert [(type(n).__name__, v) for n, v in asked] == [
+            ("Projective", "split"),
+            ("Quadric", "split"),
+            ("Quadric", "kuznetsov"),
+            ("Grassmannian", "split"),
+        ] * 4
+
+
+class TestSharedTerms:
+    """Trusted results may share one terms dict, which nobody can reach."""
+
+    @pytest.mark.parametrize("text", ["point", "P(3)", "Q(4)", "Gr(2,5)", "M0(5)", "Q(3) + toric[1,4,4]"])
+    def test_terms_is_a_copy(self, text):
+        m = motive_of(parse_expr(text)).tate
+        c = k0_class(m)
+        values = [m, c, chi_gs(c), chi_hd(c), -c, poincare(m), c - c]
+        before = [(repr(v), hash(v), list(v.terms.items())) for v in values]
+        for v in values:
+            terms = v.terms
+            assert terms is not v.terms and terms == v.terms
+            terms[next(iter(terms), 0)] = 99
+            terms[7] = 5
+            terms.clear()
+        assert [(repr(v), hash(v), list(v.terms.items())) for v in values] == before
+        for v in values:
+            twin = pickle.loads(pickle.dumps(v))
+            assert twin == v and type(twin) is type(v) and repr(twin) == repr(v)
+            assert list(twin.terms.items()) == list(v.terms.items())
