@@ -15,6 +15,16 @@ Betti number is a lower bound for the length of any such collection.
 Pieces, collections, noncommutative motives and verdicts are records
 (``tate.Record``): immutable, with ``repr``, ``==``, ``hash``, copies and
 pickles that follow their fields.
+
+``SODPiece(...)``, ``Collection(...)`` and their ``from_json`` check every
+field.  ``SODPiece._trusted`` and ``Collection._trusted`` are the trusted
+constructors: they store the fields as given, with no check or copy, so the
+caller vouches for what the checks would have refused.  A piece's label is
+a non-empty string and its rank 1 when it is exceptional, None or a
+non-negative int when it is opaque; a collection's pieces are a non-empty
+tuple of ``SODPiece``.  Only the catalog's own collections, whose labels
+and lengths are right by construction, are built this way; what comes from
+outside and what ``solve_nc_ranks`` builds goes through the checks.
 """
 
 from __future__ import annotations
@@ -66,6 +76,20 @@ class SODPiece(Record):
         set_field(self, "kind", kind)
         set_field(self, "nc_rank", nc_rank)
 
+    @classmethod
+    def _trusted(cls, label: str, kind: str, nc_rank: int | None) -> "SODPiece":
+        """A piece holding the three fields as given, with no check.
+
+        The trusted constructor.  The caller vouches for what ``__init__``
+        checks: a non-empty string label, and rank 1 for an exceptional
+        piece or None or a non-negative int for an opaque one.
+        """
+        self = object.__new__(cls)
+        _set_label(self, label)
+        _set_kind(self, kind)
+        _set_nc_rank(self, nc_rank)
+        return self
+
     def to_json(self) -> dict:
         out: dict = {"label": self.label, "kind": self.kind}
         if self.nc_rank is not None:
@@ -101,6 +125,17 @@ class Collection(Record):
                 raise TypeError("collection pieces must be SODPiece")
         set_field(self, "pieces", pieces)
 
+    @classmethod
+    def _trusted(cls, pieces: tuple) -> "Collection":
+        """A collection holding the tuple ``pieces`` itself, with no check or copy.
+
+        The trusted constructor.  The caller vouches for what ``__init__``
+        checks: ``pieces`` is a non-empty tuple of ``SODPiece``.
+        """
+        self = object.__new__(cls)
+        _set_pieces(self, pieces)
+        return self
+
     def __len__(self) -> int:
         return len(self.pieces)
 
@@ -119,6 +154,14 @@ class Collection(Record):
         if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
             raise ValueError("collection JSON needs a 'pieces' list")
         return cls(tuple(SODPiece.from_json(p) for p in data["pieces"]))
+
+
+# Each slot's own setter, for the trusted constructors: it stores in one
+# call, where ``set_field`` first looks the name up on the class.
+_set_label = SODPiece.label.__set__
+_set_kind = SODPiece.kind.__set__
+_set_nc_rank = SODPiece.nc_rank.__set__
+_set_pieces = Collection.pieces.__set__
 
 
 class NCMotive(Record):

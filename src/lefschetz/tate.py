@@ -323,7 +323,8 @@ class TateMotive(SparsePoly):
 
     @property
     def is_effective(self) -> bool:
-        return all(l >= 0 for l in self._terms)
+        """Whether every exponent is >= 0: the first, the smallest, in canonical order."""
+        return next(iter(self._terms), 0) >= 0
 
     @property
     def is_zero(self) -> bool:

@@ -67,8 +67,23 @@ and ``Fano3fold`` keep the checking constructor, since a Betti number or
 ``b`` may be 0, and so does ``ModuliM0``, whose constructor copies the
 class-level table, so no motive shares it.
 
+The collections of the catalog are built with the trusted constructors
+``SODPiece._trusted`` and ``Collection._trusted``: their labels are
+non-empty strings, their ranks right and their piece tuples non-empty by
+construction, so neither the pieces nor the per-summand collections nor
+their join go through the checks of ``sod``.
+
 Opaque summands are never converted into Betti numbers; operations that need
-complete cohomological data reject motives that still carry them.
+complete cohomological data reject motives that still carry them.  A
+product twists each opaque part object once per distinct exponent of the
+other factor and repeats the twisted part by the exponent's multiplicity.
+A factor that is itself a product repeats its part objects, so a memo that
+lives for one product, keyed on the part object's identity, copies the run
+of twists of a part object seen before instead of twisting it again.
+Equal entries of ``GeneralizedMotive.opaque`` may therefore be one shared
+object: parts are immutable, and ``==``, ``hash``, text, JSON, copies and
+pickles see only their values.  The tuple still holds one reference per
+summand.
 
 Nodes, ``OpaquePart`` and ``GeneralizedMotive`` derive from ``tate.Record``,
 which refuses assignment and deletion.  The two motive classes are plain
@@ -79,9 +94,10 @@ records: ``repr``, ``==``, ``hash``, copies and pickles follow their
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb
 
-from .sod import Collection, SODPiece, exceptional, opaque
+from .sod import EXCEPTIONAL, OPAQUE, Collection, SODPiece
 from .tate import (
     DomainError,
     Record,
@@ -128,7 +144,10 @@ class OpaquePart(Record):
         set_field(self, "twist", twist)
 
     def twisted(self, r: int) -> "OpaquePart":
-        return OpaquePart(self.name, self.odd, self.twist + r)
+        """The part times L^r: for r = 0 the part itself, which is immutable."""
+        # the sum comes first, so a twist that is no number raises for r = 0 too
+        twist = self.twist + r
+        return OpaquePart(self.name, self.odd, twist) if r else self
 
     def text(self) -> str:
         if self.twist == 0:
@@ -164,18 +183,45 @@ class GeneralizedMotive(Record):
             raise OpaqueMotiveError(
                 "cannot multiply two motives that both have opaque summands"
             )
-        parts = [
-            p.twisted(l) for p in self.opaque for l in other.tate.exponent_multiset()
-        ]
-        parts += [
-            p.twisted(l) for p in other.opaque for l in self.tate.exponent_multiset()
-        ]
-        return GeneralizedMotive(tensor(self.tate, other.tate), tuple(parts))
+        if other.opaque:
+            parts = _twisted_parts(other.opaque, self.tate)
+        else:
+            parts = _twisted_parts(self.opaque, other.tate)
+        return GeneralizedMotive(tensor(self.tate, other.tate), parts)
 
     def text(self) -> str:
         parts = [] if self.tate.is_zero else [self.tate.text()]
         parts += [p.text() for p in self.opaque]
         return " + ".join(parts) if parts else "0"
+
+
+def _twisted_parts(parts: tuple, tate: TateMotive) -> tuple:
+    """``parts`` times ``tate``: each part twisted by each exponent of ``tate``.
+
+    The order is each part in turn, its exponents ascending, each repeated
+    by its multiplicity.  A part object is twisted once per distinct
+    exponent and the twisted part is repeated, so equal entries of the
+    result may be one object.  ``spans`` keeps where each part object's run
+    of twists lies in ``out``, keyed on the object's identity, so a part
+    object that ``parts`` repeats, as a product's parts repeat, copies its
+    run instead of being twisted again; ``parts`` keeps every key's object
+    alive until the call returns, so no identity is reused meanwhile.
+    """
+    if not parts:
+        return ()
+    terms = tate._terms.items()
+    spans: dict = {}
+    out: list = []
+    for p in parts:
+        span = spans.get(id(p))
+        if span is None:
+            start = len(out)
+            for l, c in terms:
+                out += repeat(p.twisted(l), c)
+            spans[id(p)] = slice(start, len(out))
+        else:
+            out += out[span]
+    return tuple(out)
 
 
 def _gaussian_binomial(n: int, k: int) -> dict[int, int]:
@@ -214,13 +260,14 @@ def _toric_betti(cone_counts: tuple[int, ...]) -> list[int]:
 
 def _line_bundles(first: int) -> list[SODPiece]:
     """O(first), O(first+1), ..., O(-1), O with first <= 0."""
-    return [
-        exceptional("O" if k == 0 else "O(%d)" % k) for k in range(first, 1)
-    ]
+    piece = SODPiece._trusted
+    return [piece("O" if k == 0 else "O(%d)" % k, EXCEPTIONAL, 1) for k in range(first, 1)]
 
 
 def _generic_labels(count: int) -> Collection:
-    return Collection(tuple(exceptional("E%d" % (i + 1)) for i in range(count)))
+    """E1, ..., E<count> for count >= 1."""
+    piece = SODPiece._trusted
+    return Collection._trusted(tuple([piece("E%d" % i, EXCEPTIONAL, 1) for i in range(1, count + 1)]))
 
 
 class VarietyExpr(Record):
@@ -399,7 +446,7 @@ class Point(VarietyExpr):
         return GeneralizedMotive(TateMotive({0: 1}))
 
     def _collection(self, variant: str) -> Collection:
-        return Collection((exceptional("O"),))
+        return Collection._trusted((SODPiece._trusted("O", EXCEPTIONAL, 1),))
 
 
 class Projective(VarietyExpr):
@@ -418,7 +465,7 @@ class Projective(VarietyExpr):
         return GeneralizedMotive(TateMotive._wrap({i: 1 for i in range(self.n + 1)}))
 
     def _collection(self, variant: str) -> Collection:
-        return Collection(tuple(_line_bundles(-self.n)))
+        return Collection._trusted(tuple(_line_bundles(-self.n)))
 
 
 class Quadric(VarietyExpr):
@@ -440,17 +487,16 @@ class Quadric(VarietyExpr):
         return GeneralizedMotive(TateMotive._wrap(terms))
 
     def _collection(self, variant: str) -> Collection:
-        tail = _line_bundles(-self.d + 1)
         if variant == "kuznetsov":
-            head = [opaque("Cl0(Q_%d)" % self.d)]
+            head = [SODPiece._trusted("Cl0(Q_%d)" % self.d, OPAQUE, None)]
         elif self.d % 2 == 1:
-            head = [exceptional("Sigma(%d)" % -self.d)]
+            head = [SODPiece._trusted("Sigma(%d)" % -self.d, EXCEPTIONAL, 1)]
         else:
             head = [
-                exceptional("Sigma+(%d)" % -self.d),
-                exceptional("Sigma-(%d)" % -self.d),
+                SODPiece._trusted("Sigma+(%d)" % -self.d, EXCEPTIONAL, 1),
+                SODPiece._trusted("Sigma-(%d)" % -self.d, EXCEPTIONAL, 1),
             ]
-        return Collection(tuple(head + tail))
+        return Collection._trusted(tuple(head + _line_bundles(-self.d + 1)))
 
 
 class Grassmannian(VarietyExpr):
@@ -609,7 +655,7 @@ class ModuliM0(VarietyExpr):
 
     def _collection(self, variant: str) -> Collection:
         if self.n <= 4:
-            return Collection(tuple(_line_bundles(3 - self.n)))
+            return Collection._trusted(tuple(_line_bundles(3 - self.n)))
         return _generic_labels(7)
 
 
@@ -707,7 +753,8 @@ def _fold_collections(e: VarietyExpr) -> tuple[Collection, Collection]:
         if isinstance(summand, Quadric):
             pieces = summand._collection("kuznetsov").pieces
         kuznetsov += pieces
-    return Collection(tuple(split)), Collection(tuple(kuznetsov))
+    # every summand's pieces are trusted and at least one, so the joins are too
+    return Collection._trusted(tuple(split)), Collection._trusted(tuple(kuznetsov))
 
 
 def exceptional_collection_of(

@@ -14,7 +14,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from lefschetz import sod
+from lefschetz import sod, varieties
 from lefschetz.exprlang import ParseError, _Parser, _tokenize
 from lefschetz.orbit import (
     NotAnIsomorphismError,
@@ -26,11 +26,13 @@ from lefschetz.orbit import (
     term_enumeration,
 )
 from lefschetz.sod import EXCEPTIONAL, FEC_OK, OPAQUE, _is_count
-from lefschetz.tate import TateMotive, direct_sum, tensor
+from lefschetz.tate import TateMotive, direct_sum, lefschetz, tensor
 from lefschetz.varieties import (
+    Blowup,
     DisjointUnion,
     OpaqueMotiveError,
     Product,
+    ProjBundle,
     _fold,
     expr_from_json,
 )
@@ -381,6 +383,62 @@ def fresh_collection(e, variant):
     for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
         pieces += summand._collection(variant).pieces
     return sod.Collection(tuple(pieces))
+
+
+def expanding_mul(a, b):
+    """``a * b`` for two ``varieties.GeneralizedMotive``, as the library once built it.
+
+    Each opaque part is twisted once per summand of the other factor, its
+    exponent multiset written out, and every twist is a new part; the
+    library now twists each part object once per distinct exponent and
+    repeats the result.
+    """
+    if a.opaque and b.opaque:
+        raise OpaqueMotiveError("cannot multiply two motives that both have opaque summands")
+    parts = [
+        varieties.OpaquePart(p.name, p.odd, p.twist + l)
+        for p in a.opaque
+        for l in b.tate.exponent_multiset()
+    ]
+    parts += [
+        varieties.OpaquePart(p.name, p.odd, p.twist + l)
+        for p in b.opaque
+        for l in a.tate.exponent_multiset()
+    ]
+    return varieties.GeneralizedMotive(tensor(a.tate, b.tate), tuple(parts))
+
+
+def expanding_motive(e):
+    """``motive_of(e)`` with every product of motives through ``expanding_mul``.
+
+    That is each product node, each ``center * L^i`` of a blowup and each
+    ``base * L^i`` of a bundle, with the catalog's formulas written out
+    again here; every other node gives its own ``_motive``.
+    """
+
+    def step(node, *children):
+        if isinstance(node, Product):
+            return expanding_mul(*children)
+        if isinstance(node, Blowup):
+            out, center = children
+            for i in range(1, node.codim):
+                out = out + expanding_mul(center, varieties.GeneralizedMotive(lefschetz(i)))
+            return out
+        if isinstance(node, ProjBundle):
+            base = out = children[0]
+            for i in range(1, node.fiber_rank):
+                out = out + expanding_mul(base, varieties.GeneralizedMotive(lefschetz(i)))
+            return out
+        return node._motive(*children)
+
+    return _fold(e, step)
+
+
+def rebuilt_collection(collection):
+    """``collection`` rebuilt piece by piece through the checking constructors."""
+    return sod.Collection(
+        tuple(sod.SODPiece(p.label, p.kind, p.nc_rank) for p in collection.pieces)
+    )
 
 
 def checked_rebuild(poly):

@@ -77,6 +77,67 @@ class TestCollection:
             Collection.from_json({"pieces": "none"})
 
 
+class TestStillRefused:
+    """The checking constructors refuse what the catalog's trusted ones never build."""
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((7,), ValueError),
+            ((None,), ValueError),
+            (("O", None), ValueError),
+            (("O", "exceptional", 0), ValueError),
+            (("Cl0", "opaque", 1.0), ValueError),
+            (("Cl0", "opaque", "2"), ValueError),
+        ],
+        ids=["int-label", "no-label", "no-kind", "exceptional-rank-0", "float-rank", "text-rank"],
+    )
+    def test_piece(self, args, error):
+        with pytest.raises(error):
+            SODPiece(*args)
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ([], ValueError),
+            ({}, ValueError),
+            ({"pieces": []}, ValueError),
+            ({"pieces": ["O"]}, ValueError),
+            ({"pieces": [{"label": "O"}]}, ValueError),
+            ({"pieces": [{"label": "", "kind": "exceptional"}]}, ValueError),
+            ({"pieces": [{"label": 3, "kind": "exceptional"}]}, ValueError),
+            ({"pieces": [{"label": "O", "kind": "spherical"}]}, ValueError),
+            ({"pieces": [{"label": "O", "kind": "exceptional", "nc_rank": 2}]}, ValueError),
+            ({"pieces": [{"label": "C", "kind": "opaque", "nc_rank": -1}]}, ValueError),
+            ({"pieces": [{"label": "C", "kind": "opaque", "nc_rank": True}]}, ValueError),
+            ({"pieces": [{"label": "C", "kind": "opaque", "nc_rank": "1"}]}, ValueError),
+        ],
+        ids=[
+            "list",
+            "no-pieces",
+            "empty",
+            "text-piece",
+            "no-kind",
+            "empty-label",
+            "int-label",
+            "bad-kind",
+            "exceptional-rank-2",
+            "negative-rank",
+            "bool-rank",
+            "text-rank",
+        ],
+    )
+    def test_collection_json(self, data, error):
+        with pytest.raises(error):
+            Collection.from_json(data)
+
+    def test_collection_of_non_pieces(self):
+        with pytest.raises(TypeError):
+            Collection((exceptional("O"), "O(1)"))
+        with pytest.raises(TypeError):
+            Collection(5)
+
+
 class TestSolve:
     def test_all_known_consistent(self):
         c = Collection((exceptional("A"), exceptional("B")))

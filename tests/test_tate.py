@@ -1,5 +1,6 @@
 """Ring arithmetic of Tate motives and their Poincare polynomials."""
 
+import random
 import re
 
 import pytest
@@ -19,6 +20,9 @@ from lefschetz.tate import (
     tensor,
     twist,
 )
+from lefschetz.exprlang import parse_expr
+from lefschetz.measures import K0Class, chi_gs, k0_class
+from lefschetz.varieties import motive_of
 
 motives = st.dictionaries(st.integers(-4, 6), st.integers(1, 3), max_size=4).map(
     TateMotive
@@ -256,3 +260,32 @@ class TestPoincarePoly:
         assert repr(p) == "PoincarePoly({0: 1, 4: 2})"
         q = PoincarePoly([(0, 1), (4, 1), (4, 1)])
         assert p == q and hash(p) == hash(q)
+
+
+class TestEffective:
+    """``is_effective`` reads the first exponent; a scan of all of them is the oracle."""
+
+    def test_against_the_scan(self):
+        rng = random.Random(31)
+        seen = [ZERO, UNIT, lefschetz(-1), TateMotive({-3: 1, 0: 2}), TateMotive({2: 1, -1: 1})]
+        for _ in range(300):
+            a = TateMotive({rng.randint(-4, 6): rng.randint(1, 3) for _ in range(rng.randint(0, 4))})
+            b = rng.choice(seen)
+            seen += [
+                a,
+                twist(a, rng.randint(-5, 5)),
+                a + b,
+                b + a,
+                a * b,
+                tensor(a, lefschetz(rng.randint(-3, 3))),
+            ]
+        # trusted results: catalog formulas and the measure back from K0
+        for text in ("point", "P(4)", "Q(3)", "Q(6)", "Gr(2,5)", "M0(5)", "toric[1,4,4]"):
+            m = motive_of(parse_expr(text)).tate
+            seen += [m, chi_gs(k0_class(m)), twist(m, 2), twist(m, -1)]
+        for _ in range(100):
+            c = K0Class({rng.randint(-4, 4): rng.randint(1, 3) for _ in range(rng.randint(0, 3))})
+            seen += [chi_gs(c), chi_gs(c * c), TateMotive._wrap(c.terms)]
+        results = [m.is_effective for m in seen]
+        assert results == [all(l >= 0 for l in m.terms) for m in seen]
+        assert True in results and False in results

@@ -1,6 +1,7 @@
 """Catalog formulas, dimensions, collections, and the generalized motive algebra."""
 
 import copy
+import gc
 import json
 import math
 import pickle
@@ -10,15 +11,18 @@ import pytest
 
 from helpers import (
     checked_rebuild,
+    expanding_motive,
+    expanding_mul,
     fresh_collection,
     fresh_dimension,
     fresh_motive,
     gaussian_binomial_pascal,
     grassmannian_oracle,
+    rebuilt_collection,
 )
 from lefschetz.exprlang import parse_expr, render_expr
 from lefschetz.measures import chi_gs, chi_hd, k0_class
-from lefschetz.sod import FEC_FAILS_ODD, FEC_OK
+from lefschetz.sod import FEC_FAILS_ODD, FEC_OK, Collection, SODPiece
 from lefschetz.tate import TateMotive, poincare
 from lefschetz.varieties import (
     Blowup,
@@ -902,3 +906,187 @@ class TestSharedTerms:
             twin = pickle.loads(pickle.dumps(v))
             assert twin == v and type(twin) is type(v) and repr(twin) == repr(v)
             assert list(twin.terms.items()) == list(v.terms.items())
+
+
+SMALL_LEAVES = (
+    lambda rng: Point(),
+    lambda rng: Projective(rng.randint(0, 4)),
+    lambda rng: Quadric(rng.randint(1, 4)),
+    lambda rng: Grassmannian(2, rng.randint(3, 5)),
+    lambda rng: ModuliM0(rng.randint(3, 5)),
+    lambda rng: Fano3fold(rng.randint(0, 2), rng.random() < 0.25),
+)
+
+
+def opaque_tree(rng, depth=1):
+    """A random tree where opaque Fano parts meet products, unions, bundles and blowups.
+
+    Products take opaque factors on either side and nest; bundles and
+    blowups take opaque bases, and a blowup's centre may be an opaque Fano
+    threefold.  Some trees raise: a product of two opaque motives.
+    """
+    if depth >= 4 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            return Fano3fold(rng.randint(0, 2), False)
+        return rng.choice(SMALL_LEAVES)(rng)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Product(opaque_tree(rng, depth + 1), opaque_tree(rng, depth + 1))
+    if kind == 1:
+        return DisjointUnion(opaque_tree(rng, depth + 1), opaque_tree(rng, depth + 1))
+    base = opaque_tree(rng, depth + 1)
+    if kind == 2:
+        return ProjBundle(base, rng.randint(1, 3))
+    if rng.random() < 0.25:
+        # a Fano threefold as the centre, in a base of dimension 3 + codim
+        codim = rng.randint(2, 3)
+        center = Fano3fold(rng.randint(0, 2), rng.random() < 0.3)
+        dim = 3 + codim
+        if base.dim <= dim and rng.random() < 0.7:
+            base = Product(base, Projective(dim - base.dim))
+        else:
+            base = Projective(dim)
+        return Blowup(base, center, codim)
+    if base.dim < 2:
+        base = Product(Fano3fold(rng.randint(0, 2), False), base)
+    codim = rng.randint(2, min(base.dim, 4))
+    rest = base.dim - codim
+    return Blowup(base, Point() if rest == 0 else Projective(rest), codim)
+
+
+def parts_shown(m):
+    """What a reader sees of ``m``'s opaque parts: values, text and JSON, in order."""
+    return list(m.opaque), [p.text() for p in m.opaque], [p.to_json() for p in m.opaque]
+
+
+class TestSharedParts:
+    """Products twist each part object once per distinct exponent and share it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_the_expanding_product(self, seed):
+        rng = random.Random(1200 + seed)
+        opaque_seen = 0
+        for _ in range(60):
+            e = opaque_tree(rng)
+            want = outcome(expanding_motive, e)
+            got = outcome(motive_of, e)
+            if want[0] != "value":
+                assert got == want
+                continue
+            want, got = want[1], got[1]
+            assert got == want and hash(got) == hash(want)
+            assert got.tate == want.tate and list(got.tate.terms.items()) == list(want.tate.terms.items())
+            assert parts_shown(got) == parts_shown(want)
+            assert got.text() == want.text() and repr(got) == repr(want)
+            opaque_seen += bool(got.opaque)
+        assert opaque_seen >= 10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_either_side(self, seed):
+        rng = random.Random(1300 + seed)
+        # factors small enough that 150 oracle products stay quick; the
+        # trees above reach larger ones
+        motives = [motive_of(Fano3fold(1, False)), motive_of(Projective(2))]
+        for _ in range(30):
+            got = outcome(motive_of, opaque_tree(rng))
+            if got[0] == "value" and got[1].tate.rank <= 40 and len(got[1].opaque) <= 120:
+                motives.append(got[1])
+        for _ in range(150):
+            a, b = rng.choice(motives), rng.choice(motives)
+            want = outcome(lambda _: expanding_mul(a, b), None)
+            assert outcome(lambda _: a * b, None) == want
+            if want[0] == "value":
+                assert parts_shown(a * b) == parts_shown(want[1])
+            assert outcome(lambda _: b * a, None) == outcome(lambda _: expanding_mul(b, a), None)
+
+    def test_twisted_zero_is_the_part(self):
+        p = OpaquePart("M^1(J)", True, 1)
+        assert p.twisted(0) is p
+        assert p.twisted(2) == OpaquePart("M^1(J)", True, 3)
+
+    def test_parts_built_once_per_distinct_exponent(self, monkeypatch):
+        built = []
+        init = OpaquePart.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OpaquePart, "__init__", counted)
+        m = motive_of(parse_expr("fano(1; false)*Gr(5,10)"))
+        # the Fano's 3 parts, and each twisted by the 25 nonzero exponents
+        # of Gr(5,10); the list-expanding product built 756
+        assert len(m.opaque) == 756 and len(built) <= 78
+        assert len({id(p) for p in m.opaque}) == len(set(m.opaque)) == 78
+        built.clear()
+        m = motive_of(parse_expr("fano(1; false)*Gr(5,10)*P(3)*Gr(3,7)"))
+        assert len(m.opaque) == 105840 and len(built) < 5000
+
+    def test_shared_parts_pickle_copy_and_compare(self):
+        shared = motive_of(parse_expr("fano(1; false)*Gr(3,6)*P(2)"))
+        assert len({id(p) for p in shared.opaque}) < len(shared.opaque)
+        distinct = GeneralizedMotive(
+            shared.tate, tuple(OpaquePart(p.name, p.odd, p.twist) for p in shared.opaque)
+        )
+        assert len({id(p) for p in distinct.opaque}) == len(distinct.opaque)
+        assert shared == distinct and distinct == shared and hash(shared) == hash(distinct)
+        for twin in (
+            copy.copy(shared),
+            copy.deepcopy(shared),
+            pickle.loads(pickle.dumps(shared)),
+        ):
+            assert twin == distinct and repr(twin) == repr(distinct)
+            assert parts_shown(twin) == parts_shown(distinct)
+        assert pickle.loads(pickle.dumps(shared)) == pickle.loads(pickle.dumps(distinct))
+
+    def test_no_part_outlives_its_product(self):
+        def live_parts():
+            gc.collect()
+            return sum(isinstance(x, OpaquePart) for x in gc.get_objects())
+
+        a = motive_of(parse_expr("fano(2; false)*P(3)"))
+        b = motive_of(Grassmannian(3, 6))
+        before = live_parts()
+        for product in (lambda: a * b, lambda: b * a, lambda: (a * b) * b):
+            m = product()
+            assert m.opaque
+            del m
+            assert live_parts() == before
+
+
+class TestTrustedCollections:
+    """The catalog's trusted pieces and collections are what the checks build."""
+
+    @staticmethod
+    def assert_checked(collection):
+        want = rebuilt_collection(collection)
+        assert type(collection) is Collection and type(collection.pieces) is tuple
+        assert all(type(p) is SODPiece for p in collection.pieces)
+        assert collection == want and want == collection and hash(collection) == hash(want)
+        assert repr(collection) == repr(want)
+        assert collection.to_json() == want.to_json()
+        assert Collection.from_json(collection.to_json()) == collection
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_collection_against_its_checked_rebuild(self, seed):
+        rng = random.Random(1400 + seed)
+        seen = 0
+        for _ in range(50):
+            e = random_tree(rng)
+            for variant in ("split", "kuznetsov"):
+                for node in summands(e):
+                    got = outcome(lambda node: node._collection(variant), node)
+                    if got[0] == "value":
+                        self.assert_checked(got[1])
+                got = outcome(lambda e: exceptional_collection_of(e, quadric_variant=variant), e)
+                if got[0] == "value":
+                    self.assert_checked(got[1])
+                    seen += 1
+        assert seen >= 20
+
+    @pytest.mark.parametrize(
+        "text", ["point", "P(0)", "P(5)", "Q(1)", "Q(2)", "Q(7)", "M0(3)", "M0(4)", "M0(5)", "fano(0; true)", "toric[1,3,3]"]
+    )
+    def test_each_catalog_entry(self, text):
+        for variant in ("split", "kuznetsov"):
+            self.assert_checked(exceptional_collection_of(parse_expr(text), quadric_variant=variant))
