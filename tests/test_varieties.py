@@ -1,5 +1,6 @@
 """Catalog formulas, dimensions, collections, and the generalized motive algebra."""
 
+import base64
 import copy
 import gc
 import json
@@ -554,6 +555,65 @@ class TestExprJson:
         ]
         for e, text in expected:
             assert json.dumps(expr_to_json(e)) == text
+
+    def test_first_problem_met_is_reported(self):
+        # a child is built before the next field is read, so a bad left
+        # child wins over a missing right one
+        point = {"kind": "point"}
+        data = {"kind": "product", "left": {"kind": "projective", "n": -1}}
+        with pytest.raises(InvalidParameterError) as info:
+            expr_from_json(data)
+        assert str(info.value) == "projective space needs n >= 0"
+        assert info.value.path == "$.left"
+        # a valid left child, then a field missing deep in the right subtree
+        data = {
+            "kind": "disjoint_union",
+            "left": {"kind": "blowup", "base": {"kind": "projective", "n": 2}, "center": point, "codim": 2},
+            "right": {"kind": "product", "left": point, "right": {"kind": "blowup", "base": point, "center": point}},
+        }
+        with pytest.raises(ValueError) as info:
+            expr_from_json(data)
+        assert str(info.value) == "blowup expression JSON needs a field 'codim'"
+        assert not isinstance(info.value, InvalidParameterError)
+        # the same tree with the field, out of range, names its node
+        data["right"]["right"]["codim"] = 1
+        with pytest.raises(InvalidParameterError) as info:
+            expr_from_json(data)
+        assert str(info.value) == "blowup center must have codimension >= 2"
+        assert info.value.path == "$.right.right"
+
+
+# ``pickle.dumps`` of ``PICKLED_TEXT``'s tree, saved when the pickle format
+# was first pinned: a pickle names ``varieties._from_labels`` and the node
+# classes, and holds the flat post-order labels.
+PICKLED_TEXT = (
+    "blowup(P(1) * P(3); point + P(2); 2) + toric[1,4,4] * fano(2; true)"
+    " + projbundle(Q(3); 2) * M0(5) + Gr(2,4) + fano(0; false)"
+)
+PICKLED = base64.b64decode(
+    "gASViQIAAAAAAACME2xlZnNjaGV0ei52YXJpZXRpZXOUjAxfZnJvbV9sYWJlbHOUk5Rd"
+    "lChoAIwKUHJvamVjdGl2ZZSTlIwBbpSMCGJ1aWx0aW5zlIwDaW50lJOUSwGHlIaUaAVo"
+    "BmgJSwOHlIaUaACMB1Byb2R1Y3SUk5SMBGxlZnSUaACMC1ZhcmlldHlFeHBylJOUToeU"
+    "jAVyaWdodJRoEk6HlIeUaACMBVBvaW50lJOUhZRoBWgGaAlLAoeUhpRoAIwNRGlzam9p"
+    "bnRVbmlvbpSTlGgQaBJOh5RoFGgSToeUh5QoaACMBkJsb3d1cJSTlIwEYmFzZZRoEk6H"
+    "lIwGY2VudGVylGgSToeUjAVjb2RpbZRoCUsCh5R0lGgAjAVUb3JpY5STlIwLY29uZV9j"
+    "b3VudHOUaAeMBXR1cGxllJOUSwFLBEsEh5SHlIaUaACMCUZhbm8zZm9sZJSTlIwBYpRo"
+    "CUsCh5SMC29kZF90cml2aWFslGgHjARib29slJOUiIeUh5RoD2gQaBJOh5RoFGgSToeU"
+    "h5RoHWgQaBJOh5RoFGgSToeUh5RoAIwHUXVhZHJpY5STlIwBZJRoCUsDh5SGlGgAjApQ"
+    "cm9qQnVuZGxllJOUaCNoEk6HlIwKZmliZXJfcmFua5RoCUsCh5SHlGgAjAhNb2R1bGlN"
+    "MJSTlGgGaAlLBYeUhpRoD2gQaBJOh5RoFGgSToeUh5RoHWgQaBJOh5RoFGgSToeUh5Ro"
+    "AIwMR3Jhc3NtYW5uaWFulJOUjAFrlGgJSwKHlGgGaAlLBIeUh5RoHWgQaBJOh5RoFGgS"
+    "ToeUh5RoM2g0aAlLAIeUaDZoOImHlIeUaB1oEGgSToeUaBRoEk6HlIeUZYWUUpQu"
+)
+
+
+def test_stored_pickle_loads():
+    e = parse_expr(PICKLED_TEXT)
+    twin = pickle.loads(PICKLED)
+    assert twin == e and hash(twin) == hash(e)
+    assert _labels(twin) == _labels(e)
+    assert dimension_of(twin) == dimension_of(e) == 6
+    assert pickle.dumps(e) == PICKLED
 
 
 class TestNodes:
