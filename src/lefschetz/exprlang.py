@@ -22,26 +22,24 @@ them; a longer run is a syntax error at its first digit.  This module holds
 no table of constructors or operators: each node class in ``varieties``
 carries its ``syntax``, its head, its canonical text template with one
 ``%s`` per field and, for an operator, its binding.  The punctuation the
-tokenizer accepts is read off those heads and templates.  ``expr`` is one
-precedence loop over ``_OPERATORS`` (head -> class, for the classes with a
-binding): it joins operands with every operator that binds at least as
-tightly as its floor and reads each right operand at one above the
-operator's binding, so both operators associate to the left.  The parser
-looks a constructor head up in ``_CONSTRUCTORS``, also built once from
-``varieties._KINDS``, and has no branch per constructor: it expects each
-punctuation character of the template in turn and reads each field in the
-class's ``_fields`` by its type (an expression, an INT, a list of INTs, or
-a flag written ``name=true`` or ``name=false``).  ``render_expr`` fills
-the template.
+tokenizer accepts is read off those heads and templates.  ``_CONSTRUCTORS``
+and ``_OPERATORS``, built once from ``varieties._KINDS``, map each head to
+its class and its steps after the head: a punctuation character to expect,
+or a field of the class's ``_fields`` to read by its type (an expression, an
+INT, a list of INTs, or a flag written ``name=true`` or ``name=false``).
+After an operator's head comes its right operand.  There is no branch per
+constructor or operator.  ``render_expr`` fills the template.
 
-Tokens are plain ``(kind, text, byte offset)`` tuples.  The parser emits
-the JSON form of the expression and ``varieties.expr_from_json`` types it,
-so text and JSON input share one builder.  The parser's depth of recursion
-grows only with parentheses (a right operand adds at most one level per
-binding), and nesting deeper than the interpreter's recursion limit is the
-ParseError ``expression nested too deeply``.  ``render_expr`` runs
-``varieties._fold`` with one step, ``_render``, which builds a node's text
-from its children's.
+Tokens are plain ``(kind, text, byte offset)`` tuples.  ``_parse`` is one
+loop on explicit stacks, Dijkstra's shunting-yard algorithm with the
+templates on the stack beside the operators, so nothing recurses and
+nesting is bounded by memory alone, which grows linearly with the text.
+It emits the flat post-order labels that pickles hold
+(``varieties._labels``), and ``varieties._from_labels`` builds the tree
+from them, as it does for JSON and pickles.  The whole text is parsed
+before any node is built, so a syntax error wins over a semantic one.
+``render_expr`` runs ``varieties._fold`` with one step, ``_render``, which
+builds a node's text from its children's.
 
 Syntax problems raise ParseError carrying the byte offset into the UTF-8
 encoded input; out-of-range parameters raise SemanticError carrying the node
@@ -53,7 +51,7 @@ whitespace.
 from __future__ import annotations
 
 from .tate import MAX_INT_DIGITS
-from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _fold, expr_from_json
+from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _fold, _from_labels
 
 
 class ParseError(ValueError):
@@ -72,14 +70,19 @@ class SemanticError(ValueError):
         self.path = path
 
 
-# Each character of a head or template that is not a letter, digit, space
-# or field slot, plus '=' of a flag and the grouping parentheses.
-_PUNCT = set("=()").union(
-    ch
-    for cls in _KINDS.values()
-    for ch in cls.syntax[0] + cls.syntax[1]
-    if not (ch.isalnum() or ch.isspace() or ch == "%")
-)
+# Head -> (node class, its steps after the head: each character of the
+# template but spaces, with a ``(name, type)`` field for each slot), read
+# off each class's ``syntax``.  The tokenizer's punctuation is '=' of a
+# flag, the grouping parentheses and every character of a head or template
+# that is not a letter, digit, space or field slot.
+_CONSTRUCTORS, _OPERATORS, _PUNCT = {}, {}, set("=()")
+for _cls in _KINDS.values():
+    _head, _template, _binding = _cls.syntax
+    _before, _, _rest = _template.replace("%s", "%").replace(" ", "").partition(_head)
+    _slots = iter(_cls._fields[len(_before):])
+    _steps = tuple(next(_slots) if ch == "%" else ch for ch in _rest)
+    (_CONSTRUCTORS if _binding is None else _OPERATORS)[_head] = (_cls, _steps)
+    _PUNCT.update(ch for ch in _head + _rest if not (ch.isalnum() or ch == "%"))
 _DIGITS = set("0123456789")
 INT_TOO_LONG = "integer literal too long (more than %d digits)" % MAX_INT_DIGITS
 
@@ -113,108 +116,98 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _Parser:
-    """Recursive descent into the JSON form; ``expr_from_json`` types it."""
-
-    def __init__(self, toks: list[tuple[str, str, int]]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.toks[self.pos][0]
-
-    def expect(self, kind: str, what: str = "") -> tuple[str, str, int]:
+def _expect(toks: list, pos: int, kind: str, what: str = "") -> int:
+    """The position after ``toks[pos]``, which must be of ``kind``."""
+    tok = toks[pos]
+    if tok[0] != kind:
         # a punctuation token names itself in the error message
-        tok = self.toks[self.pos]
-        if tok[0] != kind:
-            got = repr(tok[1]) if tok[0] != "eof" else "end of input"
-            raise ParseError("expected %s, got %s" % (what or "'%s'" % kind, got), tok[2])
-        self.pos += 1
-        return tok
+        got = repr(tok[1]) if tok[0] != "eof" else "end of input"
+        raise ParseError("expected %s, got %s" % (what or "'%s'" % kind, got), tok[2])
+    return pos + 1
 
-    def integer(self) -> int:
-        return int(self.expect("num", "an integer")[1])
 
-    def expr(self, floor: int = 1) -> dict:
-        """Atoms joined by operators that bind at least ``floor``."""
-        out = self.atom()
-        while True:
-            cls = _OPERATORS.get(self.peek())
-            if cls is None or cls.syntax[2] < floor:
-                return out
-            self.pos += 1
-            # a right operand binds tighter, so both operators are left-associative
-            right = self.expr(cls.syntax[2] + 1)
-            out = {"kind": cls.kind, **dict(zip(cls._children, (out, right)))}
-
-    def atom(self) -> dict:
-        if self.peek() == "(":
-            self.pos += 1
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        _, text, offset = self.expect("name", "an expression")
-        entry = _CONSTRUCTORS.get(text)
-        if entry is None:
-            raise ParseError("unknown constructor %r" % text, offset)
-        cls, pattern = entry
-        out = {"kind": cls.kind}
-        fields = iter(cls._fields)
-        for ch in pattern:
-            if ch != "%":
-                self.expect(ch)
-                continue
-            name, typ = next(fields)
-            if typ is VarietyExpr:
-                out[name] = self.expr()
-            elif typ is int:
-                out[name] = self.integer()
-            elif typ is tuple:
-                counts = [self.integer()]
-                while self.peek() == ",":
-                    self.pos += 1
-                    counts.append(self.integer())
-                out[name] = counts
-            else:
-                out[name] = self.flag(name)
-        return out
-
-    def flag(self, name: str) -> bool:
-        """``(name '=')? ('true' | 'false')``"""
-        _, text, offset = self.expect("name", "%r or a boolean" % name)
-        if text == name:
-            self.expect("=")
-            _, text, offset = self.expect("name", "'true' or 'false'")
+def _field(toks: list, pos: int, name: str, typ: type) -> tuple:
+    """``(value, position after it)`` for a field that holds no expression."""
+    if typ is bool:
+        # (name '=')? ('true' | 'false')
+        pos = _expect(toks, pos, "name", "%r or a boolean" % name)
+        if toks[pos - 1][1] == name:
+            pos = _expect(toks, _expect(toks, pos, "="), "name", "'true' or 'false'")
+        _, text, offset = toks[pos - 1]
         if text not in ("true", "false"):
             raise ParseError("expected 'true' or 'false', got %r" % text, offset)
-        return text == "true"
+        return text == "true", pos
+    # an int is one INT, a tuple INT (',' INT)*
+    pos = _expect(toks, pos, "num", "an integer")
+    counts = [int(toks[pos - 1][1])]
+    while typ is tuple and toks[pos][0] == ",":
+        pos = _expect(toks, pos + 1, "num", "an integer")
+        counts.append(int(toks[pos - 1][1]))
+    return (tuple(counts) if typ is tuple else counts[0]), pos
 
 
-# Constructor head -> (node class, its template after the head with each
-# field slot written '%' and no spaces), read off each class's ``syntax``.
-_CONSTRUCTORS = {
-    head: (cls, template[len(head):].replace("%s", "%").replace(" ", ""))
-    for cls in _KINDS.values()
-    for head, template, binding in [cls.syntax]
-    if binding is None
-}
-# Operator head -> node class, for the classes whose ``syntax`` has a binding.
-_OPERATORS = {cls.syntax[0]: cls for cls in _KINDS.values() if cls.syntax[2] is not None}
+def _parse(toks: list[tuple[str, str, int]]) -> list:
+    """The ``varieties._labels`` of the expression that ``toks`` spell.
+
+    One loop reads an operand, a constructor or a group, and follows its
+    steps; a group's are an expression field and ')'.  At an expression
+    field the template waits on ``waiting`` with the least binding that an
+    operator needs to take the operand read there as its left one: 1, any
+    operator, in a constructor's field or a group, and one more than its
+    own in an operator's right operand, so both operators associate to the
+    left.  After an operand, an operator that may take it starts its own
+    steps; any other token ends the operand of the field that waits last,
+    and that template goes on.  The whole text waits at the bottom, as None.
+    """
+    out = []
+    waiting = [(1, None)]
+    pos = 0
+    while True:
+        kind, text, offset = toks[pos]
+        if kind != "(" and (kind != "name" or text not in _CONSTRUCTORS):
+            # neither a group nor a constructor: only a name gets this far
+            _expect(toks, pos, "name", "an expression")
+            raise ParseError("unknown constructor %r" % text, offset)
+        # a group is an expression field and ')', with no node
+        cls, steps = _CONSTRUCTORS.get(text, (None, ((None, VarietyExpr), ")")))
+        frame = (cls, iter(steps), [], 1)
+        pos += 1
+        while frame:
+            cls, steps, items, floor = frame
+            for step in steps:
+                if isinstance(step, str):
+                    pos = _expect(toks, pos, step)
+                    continue
+                name, typ = step
+                if typ is VarietyExpr:
+                    items.append((name, typ, None))
+                    waiting.append((floor, frame))
+                    frame = None
+                    break
+                value, pos = _field(toks, pos, name, typ)
+                items.append((name, typ, value))
+            else:
+                if cls is not None:
+                    out.append((cls, *items))
+                kind, text, offset = toks[pos]
+                if kind in _OPERATORS and _OPERATORS[kind][0].syntax[2] >= waiting[-1][0]:
+                    # the operand read last is the operator's left one
+                    cls, steps = _OPERATORS[kind]
+                    frame = (cls, iter(steps), [(*cls._fields[0], None)], cls.syntax[2] + 1)
+                    pos += 1
+                    continue
+                frame = waiting.pop()[1]
+                if frame is None:
+                    if kind != "eof":
+                        raise ParseError("unexpected trailing input %r" % text, offset)
+                    return out
 
 
 def parse_expr(text: str) -> VarietyExpr:
     """Parse a catalog expression; see the module docstring for the grammar."""
-    parser = _Parser(_tokenize(text))
+    labels = _parse(_tokenize(text))
     try:
-        data = parser.expr()
-    except RecursionError:
-        # the parser recurses once per parenthesis
-        raise ParseError("expression nested too deeply", parser.toks[parser.pos][2]) from None
-    kind, trailing, offset = parser.toks[parser.pos]
-    if kind != "eof":
-        raise ParseError("unexpected trailing input %r" % trailing, offset)
-    try:
-        return expr_from_json(data)
+        return _from_labels(labels)
     except InvalidParameterError as exc:
         raise SemanticError(str(exc), exc.path) from exc
 

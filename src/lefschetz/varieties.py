@@ -24,8 +24,11 @@ tree, children first and on an explicit stack, and ``motive_of``,
 ``exceptional_collection_of`` folds a tree to the summands of its top-level
 disjoint union and asks each summand for its collection.  The JSON form is
 generic over the fields: a field holding an expression nests, a tuple field
-is a JSON list; ``expr_from_json`` builds a tree from it on an explicit
-stack, and the text parser emits that form too.
+is a JSON list.  One function, ``_from_labels``, builds every tree that
+does not come from the constructors directly, on an explicit stack, from
+the flat post-order labels that ``_labels`` lists: a pickle holds them,
+the text parser emits them, and ``expr_from_json`` translates the JSON
+into them as it reads it.
 
 ``motive_of`` and ``exceptional_collection_of`` each answer once per tree:
 the first result is kept on the node the call was given, in an attribute
@@ -115,8 +118,9 @@ from . import sod
 class InvalidParameterError(ValueError):
     """A catalog constructor was given out-of-range or ill-typed parameters.
 
-    Raised from ``expr_from_json``, it carries ``path``, the node path of the
-    node whose constructor refused (the root is ``$``).
+    Raised through ``_from_labels``, so from ``expr_from_json``,
+    ``exprlang.parse_expr`` and unpickling, it carries ``path``, the node
+    path of the node whose constructor refused (the root is ``$``).
     """
 
 
@@ -424,14 +428,38 @@ def _labels(e: VarietyExpr) -> list:
     return labels
 
 
-def _from_labels(labels: list) -> VarietyExpr:
-    """The tree whose ``_labels`` are ``labels``, built on an explicit stack."""
+def _from_labels(labels) -> VarietyExpr:
+    """The tree whose ``_labels`` are ``labels``, built on an explicit stack.
+
+    The one builder: ``exprlang.parse_expr`` hands it the labels of the
+    whole text, ``expr_from_json`` a generator that yields each label as
+    soon as its node's fields are read, and a pickle the labels it holds.
+    An InvalidParameterError from a constructor gets ``path``, the node path
+    of that node (the root is ``$``, a child adds ``.`` and its field name),
+    worked out only when a build fails.
+    """
     built = []
+    labels = iter(labels)
     for cls, *items in labels:
-        at = len(built) - len(cls._children)
-        children = iter(built[at:])
-        args = [next(children) if typ is VarietyExpr else value for _, typ, value in items]
-        built[at:] = [cls(*args)]
+        # the children are the last nodes built, the rightmost on top
+        args = [built.pop() if typ is VarietyExpr else value for _, typ, value in reversed(items)]
+        args.reverse()
+        try:
+            built.append(cls(*args))
+        except InvalidParameterError as exc:
+            if hasattr(labels, "throw"):
+                # a generator names the path of the node whose label it yielded
+                labels.throw(exc)
+            # each later label takes its children off the stack and goes on
+            # it; ``above`` counts the nodes above this node's subtree, and
+            # the first label that takes more than those takes the subtree
+            names, above = [], 0
+            for later, *_ in labels:
+                if len(later._children) > above:
+                    names.append(later._children[-1 - above])
+                above = max(above + 1 - len(later._children), 0)
+            exc.path = ".".join(["$", *reversed(names)])
+            raise
     return built[0]
 
 
@@ -811,44 +839,55 @@ def expr_to_json(e: VarietyExpr) -> dict:
     return _fold(e, lambda node, *children: node._json(*children))
 
 
-def _frame(data, name: str) -> list:
-    """``[class, JSON, field name, arguments so far]`` for one JSON node."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("expression JSON needs a 'kind' field")
-    kind = data["kind"]
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ValueError("unknown expression kind %r" % (kind,))
-    return [_KINDS[kind], data, name, []]
-
-
 def expr_from_json(data: dict) -> VarietyExpr:
-    """Build an expression from its JSON form, on an explicit stack.
+    """Build an expression from its JSON form, through ``_from_labels``.
 
     Fields are read in order and a child is built before the next field is
     read, so the first problem met is the one reported.  An
     InvalidParameterError from a constructor gets ``path``, the node path
-    of that node (the root is ``$``, a child adds ``.`` and its field name).
+    of that node.
     """
-    frames = [_frame(data, "$")]
+    return _from_labels(_json_labels(data))
+
+
+def _json_labels(data):
+    """Yield the ``_labels`` of the tree whose JSON form is ``data``.
+
+    ``frames`` holds ``(class, JSON, items so far)`` for each node whose
+    fields are being read, root first.  A node's label is yielded as soon as
+    its last field is read, so a consumer builds a child before the next
+    field is read.  An InvalidParameterError thrown in at the yield gets the
+    path of the node whose label was yielded: the name of the last item of
+    each node below it on ``frames``, its ancestors.
+    """
+    frames = []
     while True:
-        cls, data, _, args = frames[-1]
-        if len(args) < len(cls._fields):
-            name, typ = cls._fields[len(args)]
-            if name not in data:
-                raise ValueError("%s expression JSON needs a field %r" % (cls.kind, name))
-            if typ is VarietyExpr:
-                frames.append(_frame(data[name], name))
+        # open the node ``data``
+        if not isinstance(data, dict) or "kind" not in data:
+            raise ValueError("expression JSON needs a 'kind' field")
+        kind = data["kind"]
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValueError("unknown expression kind %r" % (kind,))
+        frames.append((_KINDS[kind], data, []))
+        # read fields up to the next child, yielding each node whose last field is read
+        while True:
+            cls, node, items = frames[-1]
+            if len(items) < len(cls._fields):
+                name, typ = cls._fields[len(items)]
+                if name not in node:
+                    raise ValueError("%s expression JSON needs a field %r" % (cls.kind, name))
+                data = node[name]
+                if typ is tuple and not isinstance(data, list):
+                    raise ValueError("%s expression JSON needs %r as a list" % (cls.kind, name))
+                items.append((name, typ, None if typ is VarietyExpr else data))
+                if typ is VarietyExpr:
+                    break
                 continue
-            if typ is tuple and not isinstance(data[name], list):
-                raise ValueError("%s expression JSON needs %r as a list" % (cls.kind, name))
-            args.append(data[name])
-            continue
-        try:
-            node = cls(*args)
-        except InvalidParameterError as exc:
-            exc.path = ".".join(frame[2] for frame in frames)
-            raise
-        frames.pop()
-        if not frames:
-            return node
-        frames[-1][3].append(node)
+            try:
+                yield (cls, *items)
+            except InvalidParameterError as exc:
+                exc.path = ".".join(["$"] + [frame[2][-1][0] for frame in frames[:-1]])
+                raise
+            frames.pop()
+            if not frames:
+                return

@@ -15,7 +15,7 @@ from operator import mul
 from typing import Optional
 
 from lefschetz import sod, varieties
-from lefschetz.exprlang import ParseError, _Parser, _tokenize
+from lefschetz.exprlang import ParseError, SemanticError, _tokenize
 from lefschetz.orbit import (
     NotAnIsomorphismError,
     OrbitMorphism,
@@ -30,11 +30,13 @@ from lefschetz.tate import TateMotive, direct_sum, lefschetz, tensor
 from lefschetz.varieties import (
     Blowup,
     DisjointUnion,
+    InvalidParameterError,
     OpaqueMotiveError,
     Product,
     ProjBundle,
+    VarietyExpr,
+    _KINDS,
     _fold,
-    expr_from_json,
 )
 
 
@@ -452,7 +454,167 @@ def checked_rebuild(poly):
     return type(poly)(poly.terms)
 
 
-class TwoLevelParser(_Parser):
+# The expression front end as it was before one loop on explicit stacks
+# turned text into post-order labels for ``varieties._from_labels``: a
+# recursive descent into the JSON form, whose depth the interpreter's
+# recursion limit bounds, and a builder that types that JSON on a stack of
+# frames, one per node whose fields are being read.
+
+
+def _frame(data, name: str) -> list:
+    """``[class, JSON, field name, arguments so far]`` for one JSON node."""
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ValueError("expression JSON needs a 'kind' field")
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError("unknown expression kind %r" % (kind,))
+    return [_KINDS[kind], data, name, []]
+
+
+def frame_expr_from_json(data: dict) -> VarietyExpr:
+    """``expr_from_json`` as it was: the tree, built on an explicit stack of frames.
+
+    Fields are read in order and a child is built before the next field is
+    read, so the first problem met is the one reported.  An
+    InvalidParameterError from a constructor gets ``path``, the node path
+    of that node (the root is ``$``, a child adds ``.`` and its field name).
+    """
+    frames = [_frame(data, "$")]
+    while True:
+        cls, data, _, args = frames[-1]
+        if len(args) < len(cls._fields):
+            name, typ = cls._fields[len(args)]
+            if name not in data:
+                raise ValueError("%s expression JSON needs a field %r" % (cls.kind, name))
+            if typ is VarietyExpr:
+                frames.append(_frame(data[name], name))
+                continue
+            if typ is tuple and not isinstance(data[name], list):
+                raise ValueError("%s expression JSON needs %r as a list" % (cls.kind, name))
+            args.append(data[name])
+            continue
+        try:
+            node = cls(*args)
+        except InvalidParameterError as exc:
+            exc.path = ".".join(frame[2] for frame in frames)
+            raise
+        frames.pop()
+        if not frames:
+            return node
+        frames[-1][3].append(node)
+
+
+# Constructor head -> (node class, its template after the head with each
+# field slot written '%' and no spaces), read off each class's ``syntax``.
+_CONSTRUCTORS = {
+    head: (cls, template[len(head):].replace("%s", "%").replace(" ", ""))
+    for cls in _KINDS.values()
+    for head, template, binding in [cls.syntax]
+    if binding is None
+}
+# Operator head -> node class, for the classes whose ``syntax`` has a binding.
+_OPERATORS = {cls.syntax[0]: cls for cls in _KINDS.values() if cls.syntax[2] is not None}
+
+
+class RecursiveParser:
+    """Recursive descent into the JSON form; ``frame_expr_from_json`` types it."""
+
+    def __init__(self, toks: list[tuple[str, str, int]]):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
+
+    def expect(self, kind: str, what: str = "") -> tuple[str, str, int]:
+        # a punctuation token names itself in the error message
+        tok = self.toks[self.pos]
+        if tok[0] != kind:
+            got = repr(tok[1]) if tok[0] != "eof" else "end of input"
+            raise ParseError("expected %s, got %s" % (what or "'%s'" % kind, got), tok[2])
+        self.pos += 1
+        return tok
+
+    def integer(self) -> int:
+        return int(self.expect("num", "an integer")[1])
+
+    def expr(self, floor: int = 1) -> dict:
+        """Atoms joined by operators that bind at least ``floor``."""
+        out = self.atom()
+        while True:
+            cls = _OPERATORS.get(self.peek())
+            if cls is None or cls.syntax[2] < floor:
+                return out
+            self.pos += 1
+            # a right operand binds tighter, so both operators are left-associative
+            right = self.expr(cls.syntax[2] + 1)
+            out = {"kind": cls.kind, **dict(zip(cls._children, (out, right)))}
+
+    def atom(self) -> dict:
+        if self.peek() == "(":
+            self.pos += 1
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        _, text, offset = self.expect("name", "an expression")
+        entry = _CONSTRUCTORS.get(text)
+        if entry is None:
+            raise ParseError("unknown constructor %r" % text, offset)
+        cls, pattern = entry
+        out = {"kind": cls.kind}
+        fields = iter(cls._fields)
+        for ch in pattern:
+            if ch != "%":
+                self.expect(ch)
+                continue
+            name, typ = next(fields)
+            if typ is VarietyExpr:
+                out[name] = self.expr()
+            elif typ is int:
+                out[name] = self.integer()
+            elif typ is tuple:
+                counts = [self.integer()]
+                while self.peek() == ",":
+                    self.pos += 1
+                    counts.append(self.integer())
+                out[name] = counts
+            else:
+                out[name] = self.flag(name)
+        return out
+
+    def flag(self, name: str) -> bool:
+        """``(name '=')? ('true' | 'false')``"""
+        _, text, offset = self.expect("name", "%r or a boolean" % name)
+        if text == name:
+            self.expect("=")
+            _, text, offset = self.expect("name", "'true' or 'false'")
+        if text not in ("true", "false"):
+            raise ParseError("expected 'true' or 'false', got %r" % text, offset)
+        return text == "true"
+
+
+def recursive_parse_expr(text, parser=RecursiveParser):
+    """``parse_expr`` as it was: the text through ``parser`` into JSON, then typed.
+
+    Nesting past the interpreter's recursion limit is the ParseError
+    ``expression nested too deeply``.
+    """
+    parser = parser(_tokenize(text))
+    try:
+        data = parser.expr()
+    except RecursionError:
+        # the parser recurses once per parenthesis
+        raise ParseError("expression nested too deeply", parser.toks[parser.pos][2]) from None
+    kind, trailing, offset = parser.toks[parser.pos]
+    if kind != "eof":
+        raise ParseError("unexpected trailing input %r" % trailing, offset)
+    try:
+        return frame_expr_from_json(data)
+    except InvalidParameterError as exc:
+        raise SemanticError(str(exc), exc.path) from exc
+
+
+class TwoLevelParser(RecursiveParser):
     """The expression parser as it was before one precedence loop read the
     operators off the node classes: one method per binding level, each
     operator and its field names written out."""
@@ -474,12 +636,7 @@ class TwoLevelParser(_Parser):
 
 def two_level_parse_expr(text):
     """``parse_expr`` through ``TwoLevelParser``: the tree, or its ParseError."""
-    parser = TwoLevelParser(_tokenize(text))
-    data = parser.expr()
-    kind, trailing, offset = parser.toks[parser.pos]
-    if kind != "eof":
-        raise ParseError("unexpected trailing input %r" % trailing, offset)
-    return expr_from_json(data)
+    return recursive_parse_expr(text, TwoLevelParser)
 
 
 # The six frozen dataclasses that ``tate.Record`` replaced, as they were in

@@ -1,18 +1,27 @@
 """Parsing, error reporting, and the renderer round trip."""
 
 import copy
+import json
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fresh_dimension, two_level_parse_expr
+from helpers import (
+    fresh_dimension,
+    frame_expr_from_json,
+    recursive_parse_expr,
+    two_level_parse_expr,
+)
 from lefschetz.exprlang import (
     MAX_INT_DIGITS,
     ParseError,
     SemanticError,
+    _parse,
+    _tokenize,
     parse_expr,
     render_expr,
 )
@@ -23,6 +32,7 @@ from lefschetz.varieties import (
     DisjointUnion,
     Fano3fold,
     Grassmannian,
+    InvalidParameterError,
     ModuliM0,
     Point,
     Product,
@@ -31,6 +41,7 @@ from lefschetz.varieties import (
     Quadric,
     Toric,
     _KINDS,
+    _labels,
     dimension_of,
     exceptional_collection_of,
     expr_from_json,
@@ -322,11 +333,12 @@ def test_render_round_trip_property(e):
 class TestDeepInputs:
     """Every stage handles long chains and deep nesting.
 
-    No stage after tokenizing recurses on a child, so the chains pass at
-    the default recursion limit at any length.  The parser's recursion
-    grows with each parenthesis (a right operand adds at most one level per
-    operator binding), which bounds the nesting: past the recursion limit
-    the text is the syntax error ``expression nested too deeply``.
+    No stage recurses on a child, the parser included, so chains and
+    nesting pass at the default recursion limit at any length, and the
+    parser needs no more of the stack at 100000 parentheses than at one.
+    Operator nesting is tested at 10000 levels, since ``render_expr``
+    copies each child's text into its parent's, which is quadratic in the
+    depth.
     """
 
     @pytest.mark.parametrize(
@@ -337,6 +349,9 @@ class TestDeepInputs:
             "+".join(["point"] * 10000),
             "*".join(["point"] * 10000),
             "point+(" * 299 + "point" + ")" * 299,
+            "point+(" * 10000 + "point" + ")" * 10000,
+            "point*(" * 10000 + "point" + ")" * 10000,
+            "(" * 100000 + "point" + ")" * 100000,
         ],
         ids=[
             "sum-chain-900",
@@ -344,6 +359,9 @@ class TestDeepInputs:
             "sum-chain-10000",
             "product-chain-10000",
             "nested-300",
+            "nested-sum-10000",
+            "nested-product-10000",
+            "parentheses-100000",
         ],
     )
     def test_every_stage(self, text):
@@ -380,24 +398,48 @@ class TestDeepInputs:
         assert render_expr(twin) == render_expr(e)
 
     @pytest.mark.parametrize(
-        "text",
-        ["(" * 3000 + "point" + ")" * 3000, "point*(" * 3000 + "point" + ")" * 3000],
+        "text,cls",
+        [
+            ("(" * 3000 + "point" + ")" * 3000, Point),
+            ("point*(" * 3000 + "point" + ")" * 3000, Product),
+        ],
         ids=["parentheses-3000", "nested-product-3000"],
     )
-    def test_nested_too_deeply(self, text):
-        # the offset is where the recursion limit stopped the parser, which
-        # varies with the interpreter, so only its range is checked
-        with pytest.raises(ParseError, match="expression nested too deeply") as exc:
-            parse_expr(text)
-        assert 0 < exc.value.offset < len(text)
+    def test_nested_3000(self, text, cls):
+        # past the recursion limit that bounded the nesting of the recursive
+        # parser, which gave the syntax error ``expression nested too deeply``
+        e = parse_expr(text)
+        assert type(e) is cls and dimension_of(e) == 0
+        assert motive_of(e).tate == TateMotive({0: 1})
+        assert parse_expr(render_expr(e)) == e
+        assert _labels(e) == _parse(_tokenize(text))
+
+    def test_parentheses_100000_at_a_low_recursion_limit(self):
+        # 50 frames above the caller's suffice for the parser and the
+        # builder; the recursive parser gives up at that limit
+        text = "(" * 100000 + "point" + ")" * 100000
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            e = parse_expr(text)
+            with pytest.raises(ParseError, match="expression nested too deeply"):
+                recursive_parse_expr(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert e == Point()
 
     def test_nested_blowups_10000(self):
-        # each blowup of the plane at a point is the base of the next; built
-        # from JSON, since the text parser's nesting is bounded above
+        # each blowup of the plane at a point is the base of the next
         data = {"kind": "projective", "n": 2}
         for _ in range(10000):
             data = {"kind": "blowup", "base": data, "center": {"kind": "point"}, "codim": 2}
         e = expr_from_json(data)
+        assert parse_expr("blowup(" * 10000 + "P(2)" + "; point; 2)" * 10000) == e
         twin = pickle.loads(pickle.dumps(e))
         assert twin is not e and twin == e and hash(twin) == hash(e)
         assert expr_from_json(expr_to_json(e)) == e
@@ -452,3 +494,124 @@ def test_precedence_loop_matches_two_level_parser():
     assert len(mixed) > 50
     kinds = [o[0] for o in outcomes[len(valid):]]
     assert kinds.count("tree") > 50 and kinds.count("error") > 500
+
+
+def _random_catalog_text(rng, depth):
+    """An expression over every constructor, its tokens separated by single
+    spaces; one parameter in ten, and most blowups, are out of range."""
+
+    def n(low, high):
+        return str(rng.randint(0, 5) if rng.random() < 0.1 else rng.randint(low, high))
+
+    r = rng.random()
+    if depth == 0 or r < 0.35:
+        k = rng.randint(1, 3)
+        return rng.choice(
+            [
+                "point",
+                "P ( %s )" % n(0, 4),
+                "Q ( %s )" % n(1, 4),
+                "Gr ( %s , %s )" % (n(k, k), n(k + 1, 5)),
+                "toric [ %s ]" % " , ".join([n(1, 1)] + [n(1, 6) for _ in range(rng.randint(0, 2))]),
+                "M0 ( %s )" % n(3, 5),
+                "fano ( %s ; %s )" % (n(0, 3), rng.choice(["true", "false", "odd_trivial = true"])),
+            ]
+        )
+    if r < 0.45:
+        return "( %s )" % _random_catalog_text(rng, depth - 1)
+    if r < 0.55:
+        return "projbundle ( %s ; %s )" % (_random_catalog_text(rng, depth - 1), n(1, 3))
+    if r < 0.6:
+        base, center = _random_catalog_text(rng, depth - 1), _random_catalog_text(rng, depth - 1)
+        return "blowup ( %s ; %s ; %s )" % (base, center, n(2, 3))
+    parts = [_random_catalog_text(rng, depth - 1) for _ in range(rng.randint(2, 4))]
+    return rng.choice([" + ", " * "]).join(parts)
+
+
+# stray tokens: punctuation out of place, integer literals of 100 and 101
+# digits, non-ASCII letters and digits
+_STRAY = [
+    "=", ";", "]", ",", "[", "9" * 100, "9" * 101, "\u00e9", "P\u00e9", "\u0663", "Q\u0663", "\u03a9"
+]
+
+
+def _insertions(rng, text):
+    """``text`` with a stray token put in and with a number made long."""
+    toks = text.split()
+    i = rng.randrange(len(toks) + 1)
+    stray = toks[:i] + [rng.choice(_STRAY)] + toks[i:]
+    numbers = [k for k, tok in enumerate(toks) if tok.isdigit()]
+    long = list(toks)
+    if numbers:
+        long[rng.choice(numbers)] = rng.choice(["9" * 100, "1" + "0" * 100])
+    return [" ".join(stray), " ".join(long)]
+
+
+def _label_outcome(parse, text):
+    try:
+        return "tree", _labels(parse(text))
+    except (ParseError, SemanticError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "path", None)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stack_parser_matches_recursive_parser(seed):
+    # the recursive descent into JSON, typed by the frame builder, is the oracle
+    rng = random.Random(2026 + seed)
+    valid = [_random_text(rng, 4) for _ in range(100)]
+    wide = [_random_catalog_text(rng, 4) for _ in range(200)]
+    texts = valid + wide
+    texts += [m for text in texts for m in _mutations(rng, text) + _insertions(rng, text)]
+    outcomes = [_label_outcome(parse_expr, text) for text in texts]
+    assert outcomes == [_label_outcome(recursive_parse_expr, text) for text in texts]
+    kinds = [o[0] for o in outcomes]
+    assert kinds.count("tree") > 150
+    assert kinds.count(SemanticError) > 100 and kinds.count(ParseError) > 500
+    paths = {o[3] for o in outcomes if o[0] is SemanticError}
+    assert any(path.count(".") >= 2 for path in paths)
+
+
+def _json_mutations(rng, data):
+    """``data`` with one field of one node dropped, and with one set to a bad value."""
+    out = []
+    for mutate in ("drop", "set"):
+        copied = json.loads(json.dumps(data))
+        nodes, todo = [], [copied]
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            todo += [value for value in node.values() if isinstance(value, dict)]
+        node = rng.choice(nodes)
+        key = rng.choice(sorted(node))
+        if mutate == "drop":
+            del node[key]
+        else:
+            node[key] = rng.choice([None, -1, 0, 7, True, "x", [], [1, "a"], {}, {"kind": "point"}])
+        out.append(copied)
+    return out
+
+
+def _json_outcome(build, data):
+    try:
+        return "tree", _labels(build(data))
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_json_labels_match_frame_builder(seed):
+    # the builder on a stack of JSON frames is the oracle for paths, messages and order
+    rng = random.Random(1961 + seed)
+    trees = []
+    while len(trees) < 150:
+        try:
+            trees.append(parse_expr(_random_catalog_text(rng, 4)))
+        except SemanticError:
+            pass
+    docs = [expr_to_json(e) for e in trees]
+    docs += [m for data in docs for m in _json_mutations(rng, data)]
+    outcomes = [_json_outcome(expr_from_json, data) for data in docs]
+    assert outcomes == [_json_outcome(frame_expr_from_json, data) for data in docs]
+    kinds = [o[0] for o in outcomes]
+    assert kinds.count("tree") > 150
+    assert kinds.count(InvalidParameterError) > 30 and kinds.count(ValueError) > 100
