@@ -12,6 +12,7 @@ integer or rational arithmetic.
 
 from .tate import (
     DomainError,
+    InputError,
     NonEffectiveError,
     PoincarePoly,
     TateMotive,

@@ -5,14 +5,22 @@ prints a deterministic text form; ``--json`` switches to a JSON document that
 validates against ``schemas/cli_output.json``.  Each verb is one function
 from the parsed expression and the arguments to its JSON fields, its text
 lines and its exit status; ``run`` loads the expression and emits one of the
-two forms.  Exit codes: 0 on success, 1 when the computation ran but the
-domain verdict is negative (a ``DomainError``: an obstruction fired, ranks
-cannot be reconciled, opaque summands block the request), 2 on input errors
-(syntax, out-of-range parameters, unreadable files), and ``EXIT_BROKEN_PIPE``
-(141, 128 + SIGPIPE, as a shell reports a process killed by the signal),
-with nothing on stderr, when the reader of stdout closes it early, and
-``EXIT_INTERNAL`` (70, ``EX_SOFTWARE`` of sysexits.h), with one ``error:``
-line, when anything else goes wrong, ``MemoryError`` included.
+two forms.  ``main`` maps an exception to an exit status by its type alone:
+
+* 0 on success;
+* 1 for a ``DomainError``: the computation ran but the domain verdict is
+  negative (an obstruction fired, ranks cannot be reconciled, opaque
+  summands block the request);
+* 2 for an ``InputError`` (syntax, out-of-range parameters, malformed
+  collection JSON, a closed stdin), an ``OSError`` (a file that cannot be
+  read) or a ``UnicodeError`` (stdin or a file that is not UTF-8);
+* ``EXIT_BROKEN_PIPE`` (141, 128 + SIGPIPE, as a shell reports a process
+  killed by the signal), with nothing on stderr, when the reader of stdout
+  closes it early;
+* ``EXIT_INTERNAL`` (70, ``EX_SOFTWARE`` of sysexits.h) for anything else,
+  a plain ``ValueError`` and ``MemoryError`` included.
+
+Every status but 0 and 141 comes with one ``error:`` line on stderr.
 
 ``json`` is imported by the two paths that use it, ``--json`` output and
 ``sod-solve``, so a text-mode run does not pay for it.
@@ -23,11 +31,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exprlang import INT_TOO_LONG, parse_expr, render_expr
+from .exprlang import parse_expr, render_expr
 from .measures import hodge_numbers, k0_class
 from .orbit import block_unit_iso, decompose_via_orbit
 from .sod import FEC_FAILS_LENGTH, Collection, solve_nc_ranks
-from .tate import DomainError, is_int_text, poincare
+from .tate import DomainError, InputError, decoded, integer, poincare
 from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
 
 EXIT_BROKEN_PIPE = 141
@@ -93,28 +101,15 @@ def cmd_check_fec(e, args):
     return fields, [line], 0 if v.ok else 1
 
 
-def integer(text: str) -> int:
-    """An integer spelled as ``to_json`` writes one, ASCII ``-?[0-9]+``.
-
-    It reads ``--dim``, where argparse reports a refused value as an
-    "invalid integer value", after this function's name, and the integers
-    of a collection file, which the JSON decoder hands over as ASCII
-    digits, so there only the length cap can refuse one.
-    """
-    if not is_int_text(text):
-        raise ValueError(INT_TOO_LONG)
-    return int(text)
-
-
 def cmd_sod_solve(e, args):
     import json
 
     with open(args.collection, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_int=integer)
+            data = decoded(json.load, fh, parse_int=integer)
         except RecursionError:
             # the decoder recurses once per nesting level
-            raise ValueError("collection JSON is nested too deeply") from None
+            raise InputError("collection JSON is nested too deeply") from None
     collection = Collection.from_json(data)
     total = _pure_tate(e)
     solved = solve_nc_ranks(collection, total)
@@ -133,6 +128,9 @@ def cmd_orbit_demo(e, args):
 
 def run(verb, args) -> int:
     """Load the expression, run ``verb`` on it, emit JSON or text lines."""
+    if args.expr == "-" and sys.stdin is None:
+        # the interpreter found descriptor 0 closed at start-up
+        raise InputError("stdin is closed, so there is no expression to read")
     e = parse_expr(sys.stdin.read() if args.expr == "-" else args.expr)
     fields, lines, status = verb(e, args)
     if args.json:
@@ -208,7 +206,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (InputError, OSError, UnicodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

@@ -18,8 +18,10 @@ tighter, both left-associative::
     flag  := ('odd_trivial' '=')? ('true' | 'false')
 
 INT is a run of ASCII digits 0-9, at most ``MAX_INT_DIGITS`` (100) of
-them; a longer run is a syntax error at its first digit.  This module holds
-no table of constructors or operators: each node class in ``varieties``
+them; a longer run is a syntax error at its first digit.  The tokenizer
+checks the run itself, to report that offset, against the cap that
+``tate.integer`` reads too.  This module holds no table of constructors
+or operators: each node class in ``varieties``
 carries its ``syntax``, its head, its canonical text template with one
 ``%s`` per field and, for an operator, its binding.  The punctuation the
 tokenizer accepts is read off those heads and templates.  ``_CONSTRUCTORS``
@@ -38,36 +40,35 @@ It emits the flat post-order labels that pickles hold
 (``varieties._labels``), and ``varieties._from_labels`` builds the tree
 from them, as it does for JSON and pickles.  The whole text is parsed
 before any node is built, so a syntax error wins over a semantic one.
-``render_expr`` runs ``varieties._fold`` with one step, ``_render``, which
-builds a node's text from its children's.
+``render_expr`` runs ``varieties._expand`` with one step, ``_render``,
+which lists a node's text with each child in its place, in parentheses
+when the child binds less tightly than its place asks.
 
 Syntax problems raise ParseError carrying the byte offset into the UTF-8
 encoded input; out-of-range parameters raise SemanticError carrying the node
 path (like ``$.right.center``) so a caller can point at the offending
-subexpression.  ``render_expr`` is the inverse of ``parse_expr`` up to
-whitespace.
+subexpression; both are ``tate.InputError``s.  ``render_expr`` is the
+inverse of ``parse_expr`` up to whitespace.
 """
 
 from __future__ import annotations
 
-from .tate import MAX_INT_DIGITS
-from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _fold, _from_labels
+from .tate import INT_TOO_LONG, MAX_INT_DIGITS, InputError
+from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _expand, _from_labels, _unknown_node
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Syntax error; ``offset`` is the byte position in the UTF-8 input."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__("syntax error at byte %d: %s" % (offset, message))
-        self.offset = offset
+        super().__init__("syntax error at byte %d: %s" % (offset, message), offset=offset)
 
 
-class SemanticError(ValueError):
+class SemanticError(InputError):
     """Parameter out of range; ``path`` points at the node, root is ``$``."""
 
     def __init__(self, message: str, path: str):
-        super().__init__("semantic error at %s: %s" % (path, message))
-        self.path = path
+        super().__init__("semantic error at %s: %s" % (path, message), path=path)
 
 
 # Head -> (node class, its steps after the head: each character of the
@@ -84,7 +85,6 @@ for _cls in _KINDS.values():
     (_CONSTRUCTORS if _binding is None else _OPERATORS)[_head] = (_cls, _steps)
     _PUNCT.update(ch for ch in _head + _rest if not (ch.isalnum() or ch == "%"))
 _DIGITS = set("0123456789")
-INT_TOO_LONG = "integer literal too long (more than %d digits)" % MAX_INT_DIGITS
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -212,31 +212,37 @@ def parse_expr(text: str) -> VarietyExpr:
         raise SemanticError(str(exc), exc.path) from exc
 
 
-def _render(e: VarietyExpr, *children: tuple[str, int | None]) -> tuple[str, int | None]:
-    """Fold step: the text of ``e`` and how tightly it binds."""
-    syntax = type(e).syntax
+def _render(e: VarietyExpr, need: int) -> list:
+    """Expansion step: the template of ``e`` with a piece in each slot.
+
+    A child goes in as ``(child, need)``: an operator asks its left operand
+    to bind at least as tightly as itself and its right operand more
+    tightly, since both operators are left-associative, and a constructor's
+    own delimiters ask nothing.  ``e`` is in parentheses when it binds less
+    tightly than its parent asks.  Anything without a ``syntax``, a node
+    outside the catalog or no node at all, raises TypeError, naming the
+    node outside the catalog that a walk children first meets first.
+    """
+    syntax = getattr(type(e), "syntax", None)
     if syntax is None:
-        raise TypeError("unknown expression node %r" % type(e).__name__)
+        raise _unknown_node(e)
     _, template, strength = syntax
-    args = []
-    for name, typ, value in e._items(children):
+    literals = template.split("%s")
+    pieces = ["(" if strength is not None and strength < need else "", literals[0]]
+    for i, (name, typ) in enumerate(e._fields):
+        value = getattr(e, name)
         if typ is VarietyExpr:
-            value, inner = value
-            # both operators are left-associative, so a right operand must
-            # bind more tightly than its operator; a constructor's own
-            # delimiters need no parentheses
-            if strength is not None and inner is not None and inner < strength + len(args):
-                value = "(%s)" % value
+            value = (value, 0 if strength is None else strength + i)
         elif typ is bool:
             value = "%s=%s" % (name, "true" if value else "false")
         elif typ is tuple:
             value = ",".join(str(c) for c in value)
         else:
             value = "%d" % value
-        args.append(value)
-    return template % tuple(args), strength
+        pieces += (value, literals[i + 1])
+    return pieces + [")"] if pieces[0] else pieces
 
 
 def render_expr(e: VarietyExpr) -> str:
     """Canonical text for an expression; ``parse_expr`` inverts it exactly."""
-    return _fold(e, _render)[0]
+    return _expand(e, _render)

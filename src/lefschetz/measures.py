@@ -28,7 +28,7 @@ very dict of their argument.  ``chi_gs`` still refuses a virtual class.
 
 from __future__ import annotations
 
-from .tate import DomainError, NonEffectiveError, SparsePoly, TateMotive, is_int, is_int_text
+from .tate import DomainError, InputError, NonEffectiveError, SparsePoly, TateMotive, integer, is_int
 from .varieties import GeneralizedMotive, OpaqueMotiveError, VarietyExpr, motive_of
 
 
@@ -104,9 +104,11 @@ class HodgeDelignePoly(SparsePoly):
     @staticmethod
     def _key_from_json(key: str) -> tuple[int, int]:
         p, comma, q = key.partition(",") if isinstance(key, str) else ("", "", "")
-        if not (comma and is_int_text(p) and is_int_text(q)):
-            raise ValueError("invalid bidegree key %r" % (key,))
-        return int(p), int(q)
+        try:
+            # without a comma, p is the whole key and q is empty
+            return integer(p), integer(q)
+        except InputError:
+            raise InputError("invalid bidegree key %r" % (key,)) from None
 
 
 def k0_class(e: VarietyExpr | GeneralizedMotive | TateMotive) -> K0Class:

@@ -64,12 +64,13 @@ from collections.abc import Iterable, Mapping
 
 from .tate import (
     DomainError,
+    InputError,
     Record,
     TateMotive,
+    decoded,
     hom_dim,
-    int_from_json,
+    integer,
     is_int,
-    is_int_text,
     set_field,
     twist,
 )
@@ -119,16 +120,18 @@ def term_enumeration(m: TateMotive) -> tuple[tuple[int, int], ...]:
 def _fraction_from_text(text: str):
     """The matrix entry ``text`` spells as ``to_json`` writes one.
 
-    That is ASCII ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+`` with a nonzero
-    denominator, each number at most ``MAX_INT_DIGITS`` digits; anything
-    else raises ValueError naming the entry.
+    That is an integer as ``tate.integer`` reads one, or two of them around
+    a ``/`` with a denominator of at least 1; anything else raises
+    InputError naming the entry.
     """
     num, slash, den = text.partition("/")
-    den = den if slash else "1"
-    # isdigit refuses a sign, is_int_text other scripts' digits
-    if is_int_text(num) and den.isdigit() and is_int_text(den) and int(den):
-        return _fraction_class()(int(num), int(den))
-    raise ValueError("invalid matrix entry %r" % (text,))
+    try:
+        num, den = integer(num), integer(den) if slash else 1
+    except InputError:
+        den = 0
+    if den < 1:
+        raise InputError("invalid matrix entry %r" % (text,))
+    return _fraction_class()(num, den)
 
 
 def _identity_rows(n: int) -> Rows:
@@ -285,14 +288,14 @@ class OrbitMorphism(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "OrbitMorphism":
-        for key in ("source", "target", "components"):
-            if key not in data:
-                raise ValueError("morphism JSON needs a %r field" % key)
-        return cls(
-            TateMotive.from_json(data["source"]),
-            TateMotive.from_json(data["target"]),
-            {int_from_json(r, "grade key"): rows for r, rows in data["components"].items()},
-        )
+        if not (isinstance(data, dict) and data.keys() >= {"source", "target"}
+                and isinstance(data.get("components"), dict)):
+            raise InputError("morphism JSON needs 'source', 'target' and a 'components' object")
+        source, target = TateMotive.from_json(data["source"]), TateMotive.from_json(data["target"])
+        # items, not a dict: grade keys that spell one number, like "1" and
+        # "01", meet the constructor's duplicate check
+        components = [(integer(r, "grade key"), rows) for r, rows in data["components"].items()]
+        return decoded(cls, source, target, components)
 
 
 def chow_morphism(source: TateMotive, target: TateMotive, matrix) -> OrbitMorphism:
@@ -398,7 +401,8 @@ def decompose_via_orbit(
     first row that differs.
     """
     if not is_int(dim) or dim < 0:
-        raise ValueError("dim must be a non-negative integer")
+        # the one check of ``--dim`` beyond its spelling
+        raise InputError("dim must be a non-negative integer")
     if f.source != m or g.target != m:
         raise ValueError("f must start at m and g must end at m")
     units = f.target

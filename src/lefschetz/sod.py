@@ -17,9 +17,11 @@ Pieces, collections, noncommutative motives and verdicts are records
 pickles that follow their fields.
 
 ``SODPiece(...)``, ``Collection(...)`` and their ``from_json`` check every
-field.  ``SODPiece._trusted`` and ``Collection._trusted`` are the trusted
-constructors: they store the fields as given, with no check or copy, so the
-caller vouches for what the checks would have refused.  A piece's label is
+field and raise ``tate.InputError`` for what they refuse, since a
+collection file reaches them as it was written.  ``SODPiece._trusted`` and
+``Collection._trusted`` are the trusted constructors: they store the
+fields as given, with no check or copy, so the caller vouches for what the
+checks would have refused.  A piece's label is
 a non-empty string and its rank 1 when it is exceptional, None or a
 non-negative int when it is opaque; a collection's pieces are a non-empty
 tuple of ``SODPiece``.  Only the catalog's own collections, whose labels
@@ -29,7 +31,7 @@ outside and what ``solve_nc_ranks`` builds goes through the checks.
 
 from __future__ import annotations
 
-from .tate import DomainError, PoincarePoly, Record, TateMotive, is_int, set_field
+from .tate import DomainError, InputError, PoincarePoly, Record, TateMotive, is_int, set_field
 
 EXCEPTIONAL = "exceptional"
 OPAQUE = "opaque"
@@ -63,15 +65,15 @@ class SODPiece(Record):
 
     def __init__(self, label: str, kind: str = EXCEPTIONAL, nc_rank: int | None = None):
         if not isinstance(label, str) or not label:
-            raise ValueError("piece label must be a non-empty string")
+            raise InputError("piece label must be a non-empty string")
         if kind not in (EXCEPTIONAL, OPAQUE):
-            raise ValueError("piece kind must be %r or %r" % (EXCEPTIONAL, OPAQUE))
+            raise InputError("piece kind must be %r or %r" % (EXCEPTIONAL, OPAQUE))
         if kind == EXCEPTIONAL:
             if nc_rank not in (None, 1):
-                raise ValueError("an exceptional piece has rank 1")
+                raise InputError("an exceptional piece has rank 1")
             nc_rank = 1
         elif nc_rank is not None and not _is_count(nc_rank):
-            raise ValueError("nc_rank must be a non-negative integer or None")
+            raise InputError("nc_rank must be a non-negative integer or None")
         set_field(self, "label", label)
         set_field(self, "kind", kind)
         set_field(self, "nc_rank", nc_rank)
@@ -99,7 +101,7 @@ class SODPiece(Record):
     @classmethod
     def from_json(cls, data: dict) -> "SODPiece":
         if not isinstance(data, dict) or "label" not in data or "kind" not in data:
-            raise ValueError("piece JSON needs 'label' and 'kind'")
+            raise InputError("piece JSON needs 'label' and 'kind'")
         return cls(data["label"], data["kind"], data.get("nc_rank"))
 
 
@@ -119,7 +121,7 @@ class Collection(Record):
     def __init__(self, pieces: tuple[SODPiece, ...]):
         pieces = tuple(pieces)
         if not pieces:
-            raise ValueError("a collection has at least one piece")
+            raise InputError("a collection has at least one piece")
         for p in pieces:
             if not isinstance(p, SODPiece):
                 raise TypeError("collection pieces must be SODPiece")
@@ -152,7 +154,7 @@ class Collection(Record):
     @classmethod
     def from_json(cls, data: dict) -> "Collection":
         if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
-            raise ValueError("collection JSON needs a 'pieces' list")
+            raise InputError("collection JSON needs a 'pieces' list")
         return cls(tuple(SODPiece.from_json(p) for p in data["pieces"]))
 
 

@@ -25,12 +25,33 @@ All arithmetic is exact: multiplicities are Python ints, and the morphism
 calculus built on top of this module works on integer rows over one
 denominator, with ``fractions.Fraction`` only where a morphism is built
 from its graded form and in the matrix views.  No floats anywhere.
+
+The two error bases of the package live here too.  ``InputError`` is
+malformed input: every reader of outside input raises it, and ``integer``
+is the one reader of integer text.  ``DomainError`` is a negative verdict
+of a computation that ran.  The CLI maps each to its exit status by type.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Mapping
+
+
+class InputError(ValueError):
+    """The input is malformed, so no computation ran.
+
+    Every reader of outside input raises it or a subclass: the expression
+    parser, the JSON decoders and ``integer``.  ``offset`` is a byte offset
+    into the text and ``path`` a node path like ``$.left.right``, each None
+    where it does not apply.  The CLI maps exactly these, with unreadable
+    input, to exit status 2.
+    """
+
+    def __init__(self, message: str, offset: int | None = None, path: str | None = None):
+        super().__init__(message)
+        self.offset = offset
+        self.path = path
 
 
 class DomainError(ValueError):
@@ -54,26 +75,39 @@ def is_int(x) -> bool:
 # matrix entry.  Far above any catalog parameter that can be evaluated, and
 # far below the interpreter's int-to-string limit.
 MAX_INT_DIGITS = 100
+INT_TOO_LONG = "integer literal too long (more than %d digits)" % MAX_INT_DIGITS
 
 
-def is_int_text(text) -> bool:
-    """Whether ``text`` spells an integer as ``to_json`` writes one.
+def integer(text, what: str | None = None) -> int:
+    """The integer that ``text`` spells as ``to_json`` writes one.
 
     That is ASCII ``-?[0-9]+`` with at most ``MAX_INT_DIGITS`` digits:
     ``int`` alone would also take other scripts' digits, underscores and
-    surrounding whitespace.
+    surrounding whitespace.  Anything else raises InputError, ``invalid
+    <what> <text>``; without ``what``, a digit run that is only too long
+    gets ``INT_TOO_LONG``, since a JSON number, which the decoder has
+    already matched, can be wrong in no other way.  The CLI reads ``--dim``
+    with it too: argparse names a refused value after this function.
     """
-    if not isinstance(text, str):
-        return False
-    digits = text[1:] if text[:1] == "-" else text
-    return digits.isascii() and digits.isdigit() and len(digits) <= MAX_INT_DIGITS
-
-
-def int_from_json(text, what: str) -> int:
-    """The integer that the JSON key ``text`` spells; ValueError names it otherwise."""
-    if not is_int_text(text):
-        raise ValueError("invalid %s %r" % (what, text))
+    digits = text[1:] if isinstance(text, str) and text[:1] == "-" else text
+    if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
+        raise InputError("invalid %s %r" % (what or "integer", text))
+    if len(digits) > MAX_INT_DIGITS:
+        raise InputError("invalid %s %r" % (what, text) if what else INT_TOO_LONG)
     return int(text)
+
+
+def decoded(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on outside input, such as JSON.
+
+    ``build`` refuses a malformed value with TypeError or ValueError, as a
+    JSON decoder or the checks of a constructor do; here the input is at
+    fault, so that is an InputError with the same message.
+    """
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 TermsLike = Mapping[int, int] | Iterable[tuple[int, int]]
@@ -161,7 +195,7 @@ class SparsePoly(Record):
 
     @staticmethod
     def _key_from_json(key: str):
-        return int_from_json(key, "exponent key")
+        return integer(key, "exponent key")
 
     def __init__(self, terms: TermsLike = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -263,8 +297,10 @@ class SparsePoly(Record):
     @classmethod
     def from_json(cls, data: dict):
         if not isinstance(data, dict) or not isinstance(data.get("terms"), dict):
-            raise ValueError("expected an object with a 'terms' mapping")
-        return cls({cls._key_from_json(k): c for k, c in data["terms"].items()})
+            raise InputError("expected an object with a 'terms' mapping")
+        # items, not a dict: keys that spell one number, like "7" and "07",
+        # merge as the constructor merges equal keys
+        return decoded(cls, [(cls._key_from_json(k), c) for k, c in data["terms"].items()])
 
 
 class TateMotive(SparsePoly):
@@ -296,12 +332,7 @@ class TateMotive(SparsePoly):
             # multiplicities are non-negative, so no merged entry is zero
             if mult:
                 acc[exp] = acc.get(exp, 0) + mult
-        # ``_normalized`` inlined: the lift builds two motives per call
-        if len(acc) > 1:
-            exps = sorted(acc)
-            if exps != list(acc):
-                acc = {l: acc[l] for l in exps}
-        set_field(self, "_terms", acc)
+        set_field(self, "_terms", self._normalized(acc))
 
     @staticmethod
     def _normalized(acc: dict) -> dict:

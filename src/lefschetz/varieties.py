@@ -19,8 +19,10 @@ any depth gets its dimensions in one pass, bottom up, and ``dimension_of``
 reads the root's.  A node outside the catalog, and every node above one,
 has ``dim`` None and still constructs.  One function, ``_fold``, walks a
 tree, children first and on an explicit stack, and ``motive_of``,
-``expr_to_json``, ``exprlang.render_expr`` and ``==``, ``hash`` and
-``repr`` all go through it, so no depth of tree exhausts the Python stack.
+``expr_to_json``, ``==`` and ``hash`` go through it.  Text is written top
+down instead, by ``_expand`` on one explicit stack and joined once, so
+``repr`` and ``exprlang.render_expr`` copy each piece of text once.  No
+depth of tree exhausts the Python stack.
 ``exceptional_collection_of`` folds a tree to the summands of its top-level
 disjoint union and asks each summand for its collection.  The JSON form is
 generic over the fields: a field holding an expression nests, a tuple field
@@ -92,7 +94,8 @@ Nodes, ``OpaquePart`` and ``GeneralizedMotive`` derive from ``tate.Record``,
 which refuses assignment and deletion.  The two motive classes are plain
 records: ``repr``, ``==``, ``hash``, copies and pickles follow their
 ``__slots__``.  Nodes keep their fields, ``dim`` and the memos in
-``__dict__`` and define those four through ``_fold`` instead.
+``__dict__`` and define those four through ``_fold`` and ``_expand``
+instead.
 """
 
 from __future__ import annotations
@@ -103,6 +106,7 @@ from math import comb
 from .sod import EXCEPTIONAL, OPAQUE, Collection, SODPiece
 from .tate import (
     DomainError,
+    InputError,
     Record,
     TateMotive,
     direct_sum,
@@ -115,7 +119,7 @@ from .tate import (
 from . import sod
 
 
-class InvalidParameterError(ValueError):
+class InvalidParameterError(InputError):
     """A catalog constructor was given out-of-range or ill-typed parameters.
 
     Raised through ``_from_labels``, so from ``expr_from_json``,
@@ -335,7 +339,7 @@ class VarietyExpr(Record):
         return hash(tuple(_labels(self)))
 
     def __repr__(self):
-        return _fold(self, VarietyExpr._repr)
+        return _expand(self, VarietyExpr._repr)
 
     # Nodes are immutable, so a copy is the node itself, and a pickle holds
     # the flat ``_labels`` list, so no depth of tree recurses in either.
@@ -359,14 +363,13 @@ class VarietyExpr(Record):
             for name, typ in self._fields
         ]
 
-    def _repr(self, *children: str) -> str:
-        # one join, so a long chain copies each child's text only once
-        parts = [type(self).__qualname__, "("]
-        for i, (name, typ, value) in enumerate(self._items(children)):
-            text = value if typ is VarietyExpr else repr(value)
-            parts += (", " if i else "", name, "=", text)
-        parts.append(")")
-        return "".join(parts)
+    def _repr(self, need) -> list:
+        """Expansion step: ``Cls(field=value, ...)``, with a child as ``(child, 0)``."""
+        out = [type(self).__qualname__ + "("]
+        for i, (name, typ) in enumerate(self._fields):
+            value = getattr(self, name)
+            out += (", " if i else "", name + "=", (value, 0) if typ is VarietyExpr else repr(value))
+        return out + [")"]
 
     def _json(self, *children: dict) -> dict:
         if self.kind is None:
@@ -415,6 +418,28 @@ def _fold(e: VarietyExpr, step):
         at = len(results) - len(node._children)
         results[at:] = [step(node, *results[at:])]
     return results[0]
+
+
+def _expand(e: VarietyExpr, pieces) -> str:
+    """The text of ``e``, written top down and joined once.
+
+    ``pieces(node, need)`` lists a node's text in order: strings, and a
+    ``(child, need)`` pair where a child's text goes, ``need`` being what
+    the node asks of the child (for ``exprlang.render_expr``, the least
+    binding that needs no parentheses; the root is asked for 0).  The
+    pieces wait on one explicit stack, the next one on top, so nothing
+    recurses, and each string is copied once, into the final join: the
+    time is linear in the length of the text, whatever the depth.
+    """
+    out = []
+    todo = [(e, 0)]
+    while todo:
+        piece = todo.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+        else:
+            todo += reversed(pieces(*piece))
+    return "".join(out)
 
 
 def _labels(e: VarietyExpr) -> list:
@@ -864,10 +889,10 @@ def _json_labels(data):
     while True:
         # open the node ``data``
         if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError("expression JSON needs a 'kind' field")
+            raise InputError("expression JSON needs a 'kind' field")
         kind = data["kind"]
         if not isinstance(kind, str) or kind not in _KINDS:
-            raise ValueError("unknown expression kind %r" % (kind,))
+            raise InputError("unknown expression kind %r" % (kind,))
         frames.append((_KINDS[kind], data, []))
         # read fields up to the next child, yielding each node whose last field is read
         while True:
@@ -875,10 +900,10 @@ def _json_labels(data):
             if len(items) < len(cls._fields):
                 name, typ = cls._fields[len(items)]
                 if name not in node:
-                    raise ValueError("%s expression JSON needs a field %r" % (cls.kind, name))
+                    raise InputError("%s expression JSON needs a field %r" % (cls.kind, name))
                 data = node[name]
                 if typ is tuple and not isinstance(data, list):
-                    raise ValueError("%s expression JSON needs %r as a list" % (cls.kind, name))
+                    raise InputError("%s expression JSON needs %r as a list" % (cls.kind, name))
                 items.append((name, typ, None if typ is VarietyExpr else data))
                 if typ is VarietyExpr:
                     break

@@ -639,6 +639,57 @@ def two_level_parse_expr(text):
     return recursive_parse_expr(text, TwoLevelParser)
 
 
+# ``render_expr`` and ``repr`` as they were before ``varieties._expand``
+# wrote text top down: each a fold step that builds a node's text from its
+# children's, so every parent copies its children's text and the time is
+# quadratic in the depth.
+
+
+def _fold_render_step(e, *children):
+    """Fold step: the text of ``e`` and how tightly it binds."""
+    syntax = type(e).syntax
+    if syntax is None:
+        raise TypeError("unknown expression node %r" % type(e).__name__)
+    _, template, strength = syntax
+    args = []
+    for name, typ, value in e._items(children):
+        if typ is VarietyExpr:
+            value, inner = value
+            # both operators are left-associative, so a right operand must
+            # bind more tightly than its operator; a constructor's own
+            # delimiters need no parentheses
+            if strength is not None and inner is not None and inner < strength + len(args):
+                value = "(%s)" % value
+        elif typ is bool:
+            value = "%s=%s" % (name, "true" if value else "false")
+        elif typ is tuple:
+            value = ",".join(str(c) for c in value)
+        else:
+            value = "%d" % value
+        args.append(value)
+    return template % tuple(args), strength
+
+
+def fold_render_expr(e):
+    """Canonical text for an expression, child texts first."""
+    return _fold(e, _fold_render_step)[0]
+
+
+def _fold_repr_step(e, *children):
+    # one join, so a long chain copies each child's text only once
+    parts = [type(e).__qualname__, "("]
+    for i, (name, typ, value) in enumerate(e._items(children)):
+        text = value if typ is VarietyExpr else repr(value)
+        parts += (", " if i else "", name, "=", text)
+    parts.append(")")
+    return "".join(parts)
+
+
+def fold_repr(e):
+    """``repr(e)``, child texts first."""
+    return _fold(e, _fold_repr_step)
+
+
 # The six frozen dataclasses that ``tate.Record`` replaced, as they were in
 # ``sod`` and ``varieties``: the oracle for the records' ``repr``, ``==``,
 # ``hash``, copies, pickles and validation errors.

@@ -445,8 +445,64 @@ class TestExitStatusRule:
             cls = getattr(lefschetz, name)
             assert issubclass(cls, lefschetz.DomainError)
             assert issubclass(cls, ValueError)
+            assert not issubclass(cls, lefschetz.InputError)
         for name in ("ParseError", "SemanticError", "InvalidParameterError"):
             assert not issubclass(getattr(lefschetz, name), lefschetz.DomainError)
+            assert issubclass(getattr(lefschetz, name), lefschetz.InputError)
+        assert issubclass(lefschetz.InputError, ValueError)
+        assert not issubclass(lefschetz.InputError, lefschetz.DomainError)
+
+    def test_plain_value_error_exits_internal(self, capsys, monkeypatch):
+        # only the type decides: a ValueError that is no InputError is a bug
+        import lefschetz.cli
+
+        def fail(e):
+            raise ValueError("a library bug")
+
+        monkeypatch.setattr(lefschetz.cli, "motive_of", fail)
+        for extra in ((), ("--json",)):
+            got = run(capsys, "motive", "P(1)", *extra)
+            assert got == (EXIT_INTERNAL, "", "error: internal error: ValueError: a library bug\n")
+
+    def test_any_input_error_exits_2(self, capsys, monkeypatch):
+        import lefschetz.cli
+        from lefschetz import InputError
+
+        def fail(e):
+            raise InputError("a new input check", offset=3, path="$.left")
+
+        monkeypatch.setattr(lefschetz.cli, "motive_of", fail)
+        for extra in ((), ("--json",)):
+            got = run(capsys, "motive", "P(1)", *extra)
+            assert got == (2, "", "error: a new input check\n")
+
+    def test_closed_stdin(self, capsys, monkeypatch):
+        # the interpreter sets sys.stdin to None when descriptor 0 is closed
+        monkeypatch.setattr(sys, "stdin", None)
+        for extra in ((), ("--json",)):
+            got = run(capsys, "motive", "-", *extra)
+            assert got == (2, "", "error: stdin is closed, so there is no expression to read\n")
+        # an expression on the command line needs no stdin
+        assert run(capsys, "motive", "P(1)") == (0, "1 + L\n", "")
+
+    def test_undecodable_stdin(self, capsys, monkeypatch):
+        for extra in ((), ("--json",)):
+            stdin = io.TextIOWrapper(io.BytesIO(b"P(\xff)"), encoding="utf-8", errors="strict")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            code, out, err = run(capsys, "motive", "-", *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+    def test_closed_stdin_in_a_process(self):
+        # as ``lefschetz motive - <&-`` starts it: descriptor 0 closed
+        proc = subprocess.run(
+            [sys.executable, "-m", "lefschetz.cli", "motive", "-"],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: os.close(0),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: stdin is closed, so there is no expression to read\n"
 
     def test_any_domain_error_exits_1(self, capsys, monkeypatch):
         import lefschetz.cli

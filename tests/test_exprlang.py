@@ -11,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    fold_render_expr,
+    fold_repr,
     fresh_dimension,
     frame_expr_from_json,
     recursive_parse_expr,
@@ -25,7 +27,7 @@ from lefschetz.exprlang import (
     parse_expr,
     render_expr,
 )
-from lefschetz.tate import TateMotive
+from lefschetz.tate import InputError, TateMotive
 from lefschetz.varieties import (
     Blowup,
     CollectionUnavailableError,
@@ -40,7 +42,9 @@ from lefschetz.varieties import (
     Projective,
     Quadric,
     Toric,
+    VarietyExpr,
     _KINDS,
+    _from_labels,
     _labels,
     dimension_of,
     exceptional_collection_of,
@@ -336,9 +340,9 @@ class TestDeepInputs:
     No stage recurses on a child, the parser included, so chains and
     nesting pass at the default recursion limit at any length, and the
     parser needs no more of the stack at 100000 parentheses than at one.
-    Operator nesting is tested at 10000 levels, since ``render_expr``
-    copies each child's text into its parent's, which is quadratic in the
-    depth.
+    Operator nesting goes through every stage at 10000 levels, and
+    through ``render_expr`` and ``repr``, which copy each piece of text
+    once, at 100000.
     """
 
     @pytest.mark.parametrize(
@@ -433,6 +437,17 @@ class TestDeepInputs:
             sys.setrecursionlimit(limit)
         assert e == Point()
 
+    def test_render_and_repr_100000(self):
+        # each level is a right operand of '+', so each needs parentheses
+        e = Point()
+        for _ in range(100000):
+            e = DisjointUnion(Point(), e)
+        assert render_expr(e) == "point + (" * 99999 + "point + point" + ")" * 99999
+        text = repr(e)
+        assert text.startswith("DisjointUnion(left=Point(), right=DisjointUnion(left=Point(), ")
+        assert text.endswith("right=Point()" + ")" * 100000)
+        assert text.count("Point()") == 100001
+
     def test_nested_blowups_10000(self):
         # each blowup of the plane at a point is the base of the next
         data = {"kind": "projective", "n": 2}
@@ -481,6 +496,64 @@ def _outcome(parse, text):
         return "tree", expr_to_json(parse(text))
     except ParseError as exc:
         return "error", str(exc), exc.offset
+
+
+class Outside(VarietyExpr):
+    """A leaf outside the catalog: no kind, no syntax."""
+
+
+class OutsidePair(VarietyExpr):
+    """A node outside the catalog with two children."""
+
+    _fields = (("left", VarietyExpr), ("right", VarietyExpr))
+
+
+def _with_outside_node(rng, e):
+    """``e`` with one leaf replaced by ``Outside()``, or one node by an
+    ``OutsidePair`` of its children; None when a blowup above refuses it."""
+    labels = _labels(e)
+    i = rng.randrange(len(labels))
+    cls = labels[i][0]
+    if cls._children:
+        labels[i] = (OutsidePair, *[(name, VarietyExpr, None) for name in OutsidePair._children])
+        if len(cls._children) == 1:
+            labels.insert(i, (Outside,))
+    else:
+        labels[i] = (Outside,)
+    try:
+        return _from_labels(labels)
+    except TypeError:
+        return None
+
+
+def _text_outcome(write, e):
+    try:
+        return "text", write(e)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_render_and_repr_match_the_fold_oracles(seed):
+    # the fold steps that built a parent's text from its children's texts
+    rng = random.Random(1832 + seed)
+    trees = []
+    while len(trees) < 200:
+        try:
+            trees.append(parse_expr(_random_catalog_text(rng, 4)))
+        except SemanticError:
+            pass
+    trees += [t for t in (_with_outside_node(rng, e) for e in trees for _ in range(2)) if t]
+    trees += [Outside(), OutsidePair(Outside(), Point()), Product(Point(), OutsidePair(Point(), Outside()))]
+    outcomes = [_text_outcome(render_expr, e) for e in trees]
+    assert outcomes == [_text_outcome(fold_render_expr, e) for e in trees]
+    assert [repr(e) for e in trees] == [fold_repr(e) for e in trees]
+    kinds = [o[0] for o in outcomes]
+    assert kinds.count("text") >= 200 and kinds.count(TypeError) > 100
+    named = {o[1] for o in outcomes if o[0] is TypeError}
+    assert named == {"unknown expression node 'Outside'", "unknown expression node 'OutsidePair'"}
+    # no node at all
+    assert _text_outcome(render_expr, 5) == _text_outcome(fold_render_expr, 5)
 
 
 def test_precedence_loop_matches_two_level_parser():
@@ -611,7 +684,10 @@ def test_json_labels_match_frame_builder(seed):
     docs = [expr_to_json(e) for e in trees]
     docs += [m for data in docs for m in _json_mutations(rng, data)]
     outcomes = [_json_outcome(expr_from_json, data) for data in docs]
-    assert outcomes == [_json_outcome(frame_expr_from_json, data) for data in docs]
+    # where the oracle raises a plain ValueError, the builder raises exactly
+    # its InputError, with the same message and path
+    want = [_json_outcome(frame_expr_from_json, data) for data in docs]
+    assert outcomes == [(InputError, *o[1:]) if o[0] is ValueError else o for o in want]
     kinds = [o[0] for o in outcomes]
     assert kinds.count("tree") > 150
-    assert kinds.count(InvalidParameterError) > 30 and kinds.count(ValueError) > 100
+    assert kinds.count(InvalidParameterError) > 30 and kinds.count(InputError) > 100

@@ -1,0 +1,214 @@
+"""The input boundary: every reader of outside input raises ``InputError``.
+
+The JSON decoders of the library, the collection loader of ``sod-solve``
+and ``tate.integer``, the one reader of integer text, refuse malformed
+input with ``InputError`` and nothing else: no TypeError, AttributeError
+or KeyError leaks out of them, so the CLI can map exactly this class to
+exit status 2.
+"""
+
+import json
+
+import pytest
+
+from lefschetz import (
+    Collection,
+    InputError,
+    InvalidParameterError,
+    OrbitMorphism,
+    PoincarePoly,
+    SODPiece,
+    TateMotive,
+    expr_from_json,
+)
+from lefschetz.cli import main
+from lefschetz.measures import HodgeDelignePoly, K0Class
+from lefschetz.tate import INT_TOO_LONG, MAX_INT_DIGITS, integer
+
+POLYS = (TateMotive, PoincarePoly, K0Class, HodgeDelignePoly)
+
+
+def _key(cls, text):
+    """``text`` as an exponent key, or as both halves of a bidegree key."""
+    return "%s,%s" % (text, text) if cls is HodgeDelignePoly else text
+
+
+def _poly_cases():
+    for cls in POLYS:
+        name = cls.__name__
+        for data in ([], 5, None, "terms", {}, {"nope": {}}, {"terms": []}, {"terms": 5}):
+            yield "%s-%r" % (name, data), cls.from_json, data
+        for value in ("x", None, 1.5, True, [], {}):
+            yield "%s-value-%r" % (name, value), cls.from_json, {"terms": {_key(cls, "0"): value}}
+        for key in ("x", "1_0", "٣", " 2 ", "+2", "", "-", "9" * (MAX_INT_DIGITS + 1)):
+            yield "%s-key-%r" % (name, key), cls.from_json, {"terms": {_key(cls, key): 1}}
+        yield "%s-int-key" % name, cls.from_json, {"terms": {3: 1}}
+    yield "HodgeDelignePoly-key-no-comma", HodgeDelignePoly.from_json, {"terms": {"1": 1}}
+    yield "HodgeDelignePoly-key-two-commas", HodgeDelignePoly.from_json, {"terms": {"1,2,3": 1}}
+    for cls in (TateMotive, PoincarePoly):
+        yield "%s-negative" % cls.__name__, cls.from_json, {"terms": {"0": -1}}
+    yield "PoincarePoly-negative-degree", PoincarePoly.from_json, {"terms": {"-1": 1}}
+
+
+def _morphism(components, source=None):
+    unit = {"terms": {"0": 1}}
+    return {"source": unit if source is None else source, "target": unit, "components": components}
+
+
+def _morphism_cases():
+    for data in (5, [], None, {}, {"source": {"terms": {"0": 1}}}, _morphism(None) | {"target": None}):
+        yield "morphism-%r" % (data,), data
+    for components in ([], 5, None, "x", [[1]]):
+        yield "components-%r" % (components,), _morphism(components)
+    rows = (5, [5], [[None]], [[[]]], [[{}]], [[1.5]], [[True]], [["1/0"]], [["1/-2"]], [["x"]],
+            [[1, 2]], [], "ab")
+    for grade_rows in rows:
+        yield "rows-%r" % (grade_rows,), _morphism({"0": grade_rows})
+    yield "delta-pattern", _morphism({"1": [[1]]})
+    yield "duplicate-grade", _morphism({"0": [[1]], "00": [[2]]})
+    yield "grade-key", _morphism({"x": [[1]]})
+    yield "grade-key-101-digits", _morphism({"9" * (MAX_INT_DIGITS + 1): [[1]]})
+    yield "bad-source", _morphism({}, source={"terms": {"0": -1}})
+
+
+def _piece_cases():
+    pieces = (5, [], None, {}, {"label": "O"}, {"kind": "exceptional"},
+              {"label": "", "kind": "exceptional"}, {"label": 3, "kind": "exceptional"},
+              {"label": "O", "kind": "spherical"}, {"label": "O", "kind": []},
+              {"label": "O", "kind": "exceptional", "nc_rank": 2})
+    for data in pieces:
+        yield "piece-%r" % (data,), data
+    for rank in (-1, True, "1", 1.0, [], {}):
+        yield "opaque-rank-%r" % (rank,), {"label": "C", "kind": "opaque", "nc_rank": rank}
+
+
+def _collection_cases():
+    for data in ([], 5, None, {}, {"pieces": []}, {"pieces": 5}, {"pieces": {}}, {"pieces": ["O"]}):
+        yield "collection-%r" % (data,), data
+    for _, piece in _piece_cases():
+        yield "collection-of-%r" % (piece,), {"pieces": [{"label": "O", "kind": "exceptional"}, piece]}
+
+
+def _expr_cases():
+    point = {"kind": "point"}
+    cases = [
+        5, [], None, "point", {}, {"n": 2}, {"kind": "elliptic"}, {"kind": ["point"]}, {"kind": None},
+        {"kind": "projective"}, {"kind": "projective", "n": True}, {"kind": "projective", "n": "2"},
+        {"kind": "projective", "n": -1}, {"kind": "projective", "n": 1.0},
+        {"kind": "grassmannian", "k": None, "n": 3}, {"kind": "quadric", "d": []},
+        {"kind": "toric", "cone_counts": 5}, {"kind": "toric", "cone_counts": [1, "a"]},
+        {"kind": "toric", "cone_counts": [True, 2, 1]}, {"kind": "toric", "cone_counts": []},
+        {"kind": "product", "left": point}, {"kind": "product", "left": 5, "right": point},
+        {"kind": "disjoint_union", "left": point, "right": {"kind": "x"}},
+        {"kind": "blowup", "base": point, "center": point, "codim": 2},
+        {"kind": "blowup", "base": point, "center": point},
+        {"kind": "proj_bundle", "base": point, "fiber_rank": 0},
+        {"kind": "moduli_m0", "n": 6}, {"kind": "fano3fold", "b": 1, "odd_trivial": "x"},
+        {"kind": "fano3fold", "b": -1, "odd_trivial": True},
+    ]
+    for data in cases:
+        yield "expr-%r" % (data,), data
+
+
+DECODER_CASES = [
+    *[pytest.param(decode, data, id=name) for name, decode, data in _poly_cases()],
+    *[pytest.param(OrbitMorphism.from_json, data, id=name) for name, data in _morphism_cases()],
+    *[pytest.param(SODPiece.from_json, data, id=name) for name, data in _piece_cases()],
+    *[pytest.param(Collection.from_json, data, id=name) for name, data in _collection_cases()],
+    *[pytest.param(expr_from_json, data, id=name) for name, data in _expr_cases()],
+]
+
+
+@pytest.mark.parametrize("decode, data", DECODER_CASES)
+def test_every_decoder_refuses_with_input_error(decode, data):
+    with pytest.raises(InputError) as info:
+        decode(data)
+    # one line, as the CLI prints it
+    assert str(info.value) and "\n" not in str(info.value)
+
+
+def test_decoded_round_trips_still_build():
+    m = TateMotive({0: 1, 2: 3})
+    f = OrbitMorphism(m, m, {0: [[1, 0, 0, 0], [0, "1/2", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]})
+    assert OrbitMorphism.from_json(f.to_json()) == f
+    for cls in POLYS:
+        p = cls({(1, 2) if cls is HodgeDelignePoly else 1: 2})
+        assert cls.from_json(p.to_json()) == p
+    c = Collection((SODPiece("O"), SODPiece("C", "opaque", 2)))
+    assert Collection.from_json(c.to_json()) == c
+
+
+def test_keys_that_spell_one_number_merge():
+    # the constructor merges equal exponents, and refuses a grade twice
+    assert TateMotive.from_json({"terms": {"7": 1, "07": 2}}) == TateMotive({7: 3})
+    with pytest.raises(InputError, match="duplicate grade 1"):
+        OrbitMorphism.from_json(
+            {"source": {"terms": {"0": 1}}, "target": {"terms": {"1": 1}},
+             "components": {"1": [[1]], "01": [[1]]}}
+        )
+
+
+def test_semantic_errors_keep_their_class_and_path():
+    with pytest.raises(InvalidParameterError) as info:
+        expr_from_json({"kind": "product", "left": {"kind": "point"}, "right": {"kind": "quadric", "d": 0}})
+    assert isinstance(info.value, InputError)
+    assert (info.value.path, info.value.offset) == ("$.right", None)
+
+
+class TestInteger:
+    """``tate.integer`` is the one reader of integer text."""
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", 0), ("-0", 0), ("07", 7), ("-12", -12), ("9" * 100, int("9" * 100)),
+         ("-" + "9" * 100, -int("9" * 100))],
+    )
+    def test_accepted(self, text, value):
+        assert integer(text) == value == integer(text, "exponent key")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "--1", "+1", " 1", "1 ", "1_0", "1.0", "1e3", "١", "x", "1/2", 3, None, b"1"],
+        ids=repr,
+    )
+    def test_refused(self, text):
+        with pytest.raises(InputError) as info:
+            integer(text, "grade key")
+        assert str(info.value) == "invalid grade key %r" % (text,)
+        with pytest.raises(InputError) as info:
+            integer(text)
+        assert str(info.value) == "invalid integer %r" % (text,)
+
+    @pytest.mark.parametrize("text", ["9" * 101, "-" + "9" * 101, "1" * 5000], ids=["101", "-101", "5000"])
+    def test_too_long(self, text):
+        # a JSON number, already matched as digits, can only be too long
+        with pytest.raises(InputError) as info:
+            integer(text)
+        assert str(info.value) == INT_TOO_LONG
+        with pytest.raises(InputError, match="invalid exponent key"):
+            integer(text, "exponent key")
+
+    def test_input_error_attributes(self):
+        exc = InputError("bad", offset=4, path="$.left")
+        assert (str(exc), exc.offset, exc.path) == ("bad", 4, "$.left")
+        exc = InputError("bad")
+        assert (exc.offset, exc.path) == (None, None)
+        assert isinstance(exc, ValueError)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b'{"pieces": [{"label": "O", "kind": "exceptional", "nc_rank": 1e999}]}',
+     b'{"pieces": [{"label": "\xff", "kind": "exceptional"}]}', b"[" * 100000 + b"]" * 100000,
+     b'{"pieces": [{"label": "A", "kind": "opaque", "nc_rank": ' + b"7" * 101 + b"}]}",
+     b'{"pieces": {}}', b"5"],
+    ids=["syntax", "float-rank", "not-utf8", "nested", "101-digits", "pieces-object", "number"],
+)
+def test_collection_loader_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "collection.json"
+    path.write_bytes(content)
+    for extra in ((), ("--json",)):
+        code = main(["sod-solve", "Q(3)", "--collection", str(path), *extra])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

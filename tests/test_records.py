@@ -16,12 +16,15 @@ import pytest
 
 import helpers
 from lefschetz import sod, varieties
-from lefschetz.tate import PoincarePoly, Record, SparsePoly, TateMotive
+from lefschetz.tate import InputError, PoincarePoly, Record, SparsePoly, TateMotive
 from lefschetz.varieties import Projective, VarietyExpr
 
 NAMES = ("SODPiece", "Collection", "NCMotive", "FecVerdict", "OpaquePart", "GeneralizedMotive")
 NEW = {name: getattr(sod, name, None) or getattr(varieties, name) for name in NAMES}
 OLD = {name: getattr(helpers, name) for name in NAMES}
+# A collection file reaches these two as it was written, so where the
+# oracle raises a plain ValueError they raise exactly its InputError.
+READ_FROM_INPUT = ("SODPiece", "Collection")
 
 
 class Call:
@@ -173,6 +176,8 @@ def test_records_match_dataclass_oracle(seed):
         call = rand_record(rng)
         new, old = outcome(lambda: call.build(NEW)), outcome(lambda: call.build(OLD))
         if new[0] != "ok" or old[0] != "ok":
+            if call.name in READ_FROM_INPUT and old[0] is ValueError:
+                old = InputError, old[1]
             assert shown(new) == shown(old), call
             continue
         new, old = new[1], old[1]
