@@ -54,7 +54,7 @@ inverse of ``parse_expr`` up to whitespace.
 from __future__ import annotations
 
 from .tate import INT_TOO_LONG, MAX_INT_DIGITS, InputError
-from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _expand, _from_labels, _unknown_node
+from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _expand, _from_labels, _node
 
 
 class ParseError(InputError):
@@ -219,14 +219,10 @@ def _render(e: VarietyExpr, need: int) -> list:
     to bind at least as tightly as itself and its right operand more
     tightly, since both operators are left-associative, and a constructor's
     own delimiters ask nothing.  ``e`` is in parentheses when it binds less
-    tightly than its parent asks.  Anything without a ``syntax``, a node
-    outside the catalog or no node at all, raises TypeError, naming the
-    node outside the catalog that a walk children first meets first.
+    tightly than its parent asks.  Every node is a catalog entry, so its
+    class has a ``syntax``; ``render_expr`` refuses a root that is no node.
     """
-    syntax = getattr(type(e), "syntax", None)
-    if syntax is None:
-        raise _unknown_node(e)
-    _, template, strength = syntax
+    _, template, strength = e.syntax
     literals = template.split("%s")
     pieces = ["(" if strength is not None and strength < need else "", literals[0]]
     for i, (name, typ) in enumerate(e._fields):
@@ -245,4 +241,4 @@ def _render(e: VarietyExpr, need: int) -> list:
 
 def render_expr(e: VarietyExpr) -> str:
     """Canonical text for an expression; ``parse_expr`` inverts it exactly."""
-    return _expand(e, _render)
+    return _expand(_node(e), _render)

@@ -294,7 +294,19 @@ class OrbitMorphism(Record):
         source, target = TateMotive.from_json(data["source"]), TateMotive.from_json(data["target"])
         # items, not a dict: grade keys that spell one number, like "1" and
         # "01", meet the constructor's duplicate check
-        components = [(integer(r, "grade key"), rows) for r, rows in data["components"].items()]
+        components = []
+        for key, rows in data["components"].items():
+            components.append((integer(key, "grade key"), rows))
+            # rows of entries as ``to_json`` writes them, or ints, checked
+            # before the constructor reads them, so the message names the grade
+            if not isinstance(rows, list):
+                raise InputError("grade %s needs a list of rows, got %r" % (key, rows))
+            for row in rows:
+                if not isinstance(row, list):
+                    raise InputError("grade %s needs each row as a list, got %r" % (key, row))
+                for entry in row:
+                    if type(entry) is not int and type(entry) is not str:
+                        raise InputError("grade %s needs integer or string entries, got %r" % (key, entry))
         return decoded(cls, source, target, components)
 
 

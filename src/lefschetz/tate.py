@@ -34,6 +34,7 @@ of a computation that ran.  The CLI maps each to its exit status by type.
 
 from __future__ import annotations
 
+import copyreg
 import operator
 from collections.abc import Iterable, Mapping
 
@@ -45,13 +46,19 @@ class InputError(ValueError):
     parser, the JSON decoders and ``integer``.  ``offset`` is a byte offset
     into the text and ``path`` a node path like ``$.left.right``, each None
     where it does not apply.  The CLI maps exactly these, with unreadable
-    input, to exit status 2.
+    input, to exit status 2.  Copies and pickles rebuild an error from its
+    ``args`` and attributes without calling ``__init__`` again, since a
+    subclass's ``__init__`` takes other arguments than the message it
+    formats.
     """
 
     def __init__(self, message: str, offset: int | None = None, path: str | None = None):
         super().__init__(message)
         self.offset = offset
         self.path = path
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DomainError(ValueError):

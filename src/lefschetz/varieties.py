@@ -16,8 +16,9 @@ the node's children.  ``_dimension`` runs once per node, when the node is
 built: the constructor applies it to the children's ``dim`` and stores the
 result as the node's own ``dim`` (a synthesized attribute), so a tree of
 any depth gets its dimensions in one pass, bottom up, and ``dimension_of``
-reads the root's.  A node outside the catalog, and every node above one,
-has ``dim`` None and still constructs.  One function, ``_fold``, walks a
+reads the root's.  The catalog is closed: a class without a ``kind``, the
+base class included, refuses to build, so every node that exists is a
+catalog entry and its ``dim`` an integer.  One function, ``_fold``, walks a
 tree, children first and on an explicit stack, and ``motive_of``,
 ``expr_to_json``, ``==`` and ``hash`` go through it.  Text is written top
 down instead, by ``_expand`` on one explicit stack and joined once, so
@@ -284,11 +285,12 @@ class VarietyExpr(Record):
     Each node class lists its fields in ``_fields`` as ``(name, type)``
     pairs, in order; the type is ``VarietyExpr`` for a child expression,
     else ``int``, ``tuple`` (of ints) or ``bool``.  The base class builds a
-    node from them: it checks that each child is an expression, stores a
-    tuple field as a tuple, runs the class's ``_check`` and then stores
-    ``dim``, the class's ``_dimension`` of its children's ``dim``, or None
-    when a child has none; ``tate.Record`` refuses assignment.  ``==``,
-    ``hash`` and ``repr`` follow the fields, not ``dim``.
+    node from them: it refuses a class without a ``kind`` with TypeError,
+    checks that each child is an expression, stores a tuple field as a
+    tuple, runs the class's ``_check`` and then stores ``dim``, the class's
+    ``_dimension`` of its children's ``dim``; ``tate.Record`` refuses
+    assignment.  ``==``, ``hash`` and ``repr`` follow the fields, not
+    ``dim``.
 
     A node class also carries its JSON ``kind``, its text ``syntax`` and its
     catalog entry: the methods ``_dimension`` and ``_motive``, which take
@@ -296,8 +298,10 @@ class VarietyExpr(Record):
     ``_collection(variant)`` where the catalog knows a collection.  No
     method visits a child: the constructor hands ``_dimension`` the
     children's ``dim``, and ``_fold`` does the rest, children first.  The
-    base ``_dimension`` gives None, no dimension, and the other base methods
-    reject a node outside the catalog.
+    base class is no catalog entry: its ``kind`` is None and it has no
+    ``syntax``, ``_dimension`` or ``_motive``, so neither it nor a subclass
+    that sets no ``kind`` builds a node, and its ``_collection`` raises
+    CollectionUnavailableError.
 
     ``syntax`` is ``(head, template, binding)``: the name or operator that
     ``exprlang`` reads, the canonical text with one ``%s`` per field, in
@@ -307,7 +311,6 @@ class VarietyExpr(Record):
     """
 
     kind = None
-    syntax = None
     _fields: tuple = ()
     _children: tuple = ()
 
@@ -315,6 +318,8 @@ class VarietyExpr(Record):
         cls._children = tuple(name for name, typ in cls._fields if typ is VarietyExpr)
 
     def __init__(self, *args, **kwargs):
+        if self.kind is None:
+            raise TypeError("unknown expression node %r" % type(self).__name__)
         if kwargs or len(args) != len(self._fields):
             names = [name for name, _ in self._fields]
             args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
@@ -327,8 +332,7 @@ class VarietyExpr(Record):
                 )
             set_field(self, name, tuple(value) if typ is tuple else value)
         self._check()
-        dims = [getattr(self, name).dim for name in self._children]
-        set_field(self, "dim", None if None in dims else self._dimension(*dims))
+        set_field(self, "dim", self._dimension(*[getattr(self, name).dim for name in self._children]))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -372,8 +376,6 @@ class VarietyExpr(Record):
         return out + [")"]
 
     def _json(self, *children: dict) -> dict:
-        if self.kind is None:
-            raise TypeError("unknown expression node %r" % type(self).__name__)
         out = {"kind": self.kind}
         for name, typ, value in self._items(children):
             out[name] = list(value) if typ is tuple else value
@@ -383,16 +385,17 @@ class VarietyExpr(Record):
         """The summands of this node as a disjoint union, left to right."""
         return [self]
 
-    def _dimension(self, *children: int) -> int | None:
-        return None  # no dimension, for this node and every node above it
-
-    def _motive(self, *children: GeneralizedMotive) -> GeneralizedMotive:
-        raise TypeError("unknown expression node %r" % type(self).__name__)
-
     def _collection(self, variant: str) -> Collection:
         raise CollectionUnavailableError(
             "no collection in the catalog for %s" % type(self).__name__
         )
+
+
+def _node(e) -> VarietyExpr:
+    """``e``, which must be a node: anything else raises TypeError naming its type."""
+    if not isinstance(e, VarietyExpr):
+        raise TypeError("unknown expression node %r" % type(e).__name__)
+    return e
 
 
 def _fold(e: VarietyExpr, step):
@@ -404,10 +407,8 @@ def _fold(e: VarietyExpr, step):
     node's children's results are the last ones on ``results`` when its turn
     comes.  Nothing recurses, so the depth of the tree does not matter.
     """
-    if not isinstance(e, VarietyExpr):
-        raise TypeError("unknown expression node %r" % type(e).__name__)
     nodes = []
-    todo = [e]
+    todo = [_node(e)]
     while todo:
         node = todo.pop()
         nodes.append(node)
@@ -644,8 +645,6 @@ class Blowup(VarietyExpr):
     def _check(self):
         if not is_int(self.codim) or self.codim < 2:
             raise InvalidParameterError("blowup center must have codimension >= 2")
-        if self.base.dim is None or self.center.dim is None:
-            raise _unknown_node(self)
         gap = self.base.dim - self.center.dim
         if gap != self.codim:
             raise InvalidParameterError(
@@ -751,33 +750,14 @@ class Fano3fold(VarietyExpr):
 _KINDS = {cls.kind: cls for cls in VarietyExpr.__subclasses__()}
 
 
-def _unknown_node(e) -> TypeError:
-    """The TypeError for ``e``, naming the node outside the catalog in it.
-
-    That is ``e`` itself when it is not a node, else the first node, children
-    first and left to right, whose ``dim`` is None though its children's are
-    not: the node that ``motive_of`` rejects.  It walks down from ``e``
-    through the first child without a dimension, so it runs only when an
-    error is raised.
-    """
-    while isinstance(e, VarietyExpr):
-        below = [getattr(e, name) for name in e._children if getattr(e, name).dim is None]
-        if not below:
-            break
-        e = below[0]
-    return TypeError("unknown expression node %r" % type(e).__name__)
-
-
 def dimension_of(e: VarietyExpr) -> int:
     """Dimension of the underlying variety; unions take the maximum.
 
-    It is the node's ``dim``, set when the node was built.  A node outside
-    the catalog, a node above one and anything but a node raise TypeError,
-    naming the node outside the catalog.
+    It is the node's ``dim``, set when the node was built; every node has
+    one, since only catalog classes build.  Anything but a node raises
+    TypeError, naming its type.
     """
-    if not isinstance(e, VarietyExpr) or e.dim is None:
-        raise _unknown_node(e)
-    return e.dim
+    return _node(e).dim
 
 
 def motive_of(e: VarietyExpr) -> GeneralizedMotive:

@@ -7,7 +7,9 @@ or KeyError leaks out of them, so the CLI can map exactly this class to
 exit status 2.
 """
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -16,10 +18,13 @@ from lefschetz import (
     InputError,
     InvalidParameterError,
     OrbitMorphism,
+    ParseError,
     PoincarePoly,
     SODPiece,
+    SemanticError,
     TateMotive,
     expr_from_json,
+    parse_expr,
 )
 from lefschetz.cli import main
 from lefschetz.measures import HodgeDelignePoly, K0Class
@@ -127,6 +132,34 @@ def test_every_decoder_refuses_with_input_error(decode, data):
     assert str(info.value) and "\n" not in str(info.value)
 
 
+# malformed rows of a grade, each refused with a message that names the grade
+GRADE_CASES = [
+    ({"0": 5}, "grade 0 needs a list of rows, got 5"),
+    ({"0": "ab"}, "grade 0 needs a list of rows, got 'ab'"),
+    ({"0": {}}, "grade 0 needs a list of rows, got {}"),
+    ({"0": [5]}, "grade 0 needs each row as a list, got 5"),
+    ({"0": [[0], "ab"]}, "grade 0 needs each row as a list, got 'ab'"),
+    ({"0": [[None]]}, "grade 0 needs integer or string entries, got None"),
+    ({"0": [[[]]]}, "grade 0 needs integer or string entries, got []"),
+    ({"0": [[1.5]]}, "grade 0 needs integer or string entries, got 1.5"),
+    ({"0": [[True]]}, "grade 0 needs integer or string entries, got True"),
+    ({"00": [[0, None]]}, "grade 00 needs integer or string entries, got None"),
+    # the grade named is the one at fault, not the first
+    ({"2": [["1/2"]], "-1": [[None]]}, "grade -1 needs integer or string entries, got None"),
+    ({"2": [[1]], "3": [5]}, "grade 3 needs each row as a list, got 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "components, message", [pytest.param(*case, id=repr(case[0])) for case in GRADE_CASES]
+)
+def test_morphism_rows_name_their_grade(components, message):
+    data = {"source": {"terms": {"0": 1}}, "target": {"terms": {"2": 1}}, "components": components}
+    with pytest.raises(InputError) as info:
+        OrbitMorphism.from_json(data)
+    assert str(info.value) == message
+
+
 def test_decoded_round_trips_still_build():
     m = TateMotive({0: 1, 2: 3})
     f = OrbitMorphism(m, m, {0: [[1, 0, 0, 0], [0, "1/2", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]})
@@ -194,6 +227,53 @@ class TestInteger:
         exc = InputError("bad")
         assert (exc.offset, exc.path) == (None, None)
         assert isinstance(exc, ValueError)
+
+
+def _raised(build):
+    try:
+        build()
+    except InputError as exc:
+        return exc
+    raise AssertionError("no InputError raised")
+
+
+def _input_errors():
+    """One error of each class, with the attributes its raiser sets."""
+    return [
+        InputError("bad", offset=4, path="$.left"),
+        InputError("bad"),
+        ParseError("unexpected character '!'", 3),
+        _raised(lambda: parse_expr("P(1) + !")),
+        SemanticError("quadric needs dimension d >= 1", "$.right"),
+        _raised(lambda: parse_expr("P(1) * Q(0)")),
+        InvalidParameterError("bundle rank must be >= 1"),
+        # ``_from_labels`` sets ``path`` after the constructor raised
+        _raised(lambda: expr_from_json({"kind": "product", "left": {"kind": "point"},
+                                        "right": {"kind": "quadric", "d": 0}})),
+    ]
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{
+        "pickle-%d" % protocol: lambda exc, protocol=protocol: pickle.loads(pickle.dumps(exc, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+}
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+def test_input_errors_copy_and_pickle(copier):
+    # a subclass's __init__ takes the parts of the message, not the message,
+    # so a twin is rebuilt from ``args`` and the attributes
+    errors = _input_errors()
+    assert {type(exc) for exc in errors} == {InputError, ParseError, SemanticError, InvalidParameterError}
+    for exc in errors:
+        twin = copier(exc)
+        assert type(twin) is type(exc) and twin is not exc
+        assert (str(twin), twin.args, twin.offset, twin.path) == (str(exc), exc.args, exc.offset, exc.path)
+    assert errors[3].offset == 7 and errors[5].path == errors[7].path == "$.right"
 
 
 @pytest.mark.parametrize(

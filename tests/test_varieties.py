@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -44,6 +45,7 @@ from lefschetz.varieties import (
     Toric,
     VarietyExpr,
     _fold,
+    _from_labels,
     _gaussian_binomial,
     _labels,
     dimension_of,
@@ -107,6 +109,39 @@ class TestValidation:
             Product(Point(), "P(1)")
 
 
+class Outside(VarietyExpr):
+    """A leaf outside the catalog: no kind."""
+
+
+class OutsidePair(VarietyExpr):
+    """A node outside the catalog with two children."""
+
+    _fields = (("left", VarietyExpr), ("right", VarietyExpr))
+
+
+# each class without a kind, with the labels of a node of it
+KINDLESS = (
+    (VarietyExpr, [(VarietyExpr,)]),
+    (Outside, [(Outside,)]),
+    (OutsidePair, [(Point,), (Point,), (OutsidePair, ("left", VarietyExpr, None), ("right", VarietyExpr, None))]),
+)
+
+
+class PickledLabels:
+    """Pickles as ``_from_labels(labels)``, the call a node's pickle holds."""
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def __reduce__(self):
+        return _from_labels, (self.labels,)
+
+
+def unpickled(labels):
+    """What a pickle that holds ``labels`` loads as."""
+    return pickle.loads(pickle.dumps(PickledLabels(labels)))
+
+
 class TestDimension:
     def test_catalog(self):
         assert dimension_of(Point()) == 0
@@ -123,15 +158,17 @@ class TestDimension:
         assert dimension_of(Fano3fold(2, True)) == 3
 
     def test_nodes_outside_the_catalog(self):
-        # a tree may hold a node outside the catalog, but has no dimension
-        e = Product(VarietyExpr(), Point())
-        assert e.dim is None
-        with pytest.raises(TypeError):
-            dimension_of(e)
-        with pytest.raises(TypeError, match="unknown expression node 'VarietyExpr'"):
-            dimension_of(VarietyExpr())
-        with pytest.raises(TypeError):
-            Blowup(VarietyExpr(), Point(), 2)
+        # the catalog is closed: a class without a kind builds no node,
+        # whether directly, from labels or from a pickle
+        for cls, labels in KINDLESS:
+            for build in (
+                lambda: cls(*[Point()] * len(cls._children)),
+                lambda: _from_labels(labels),
+                lambda: unpickled(labels),
+            ):
+                with pytest.raises(TypeError) as info:
+                    build()
+                assert str(info.value) == "unknown expression node %r" % cls.__name__
 
     def test_attribute_outside_the_fields(self):
         e = parse_expr("blowup(P(3); P(1); 2) * Q(2) + point")
@@ -175,11 +212,23 @@ class TestDimension:
         assert str(info.value) == "unknown expression node 'VarietyExpr'"
 
     def test_named_node_is_the_one_motive_of_rejects(self):
-        e = Product(VarietyExpr(), Point())
-        for call in (dimension_of, motive_of, expr_to_json):
-            with pytest.raises(TypeError) as info:
-                call(e)
-            assert str(info.value) == "unknown expression node 'VarietyExpr'"
+        # labels that put a node outside the catalog below catalog nodes
+        # fail where that node is built, naming it, not the root above it
+        leaf = _labels(Product(Projective(1), Point()))
+        leaf[1] = (Outside,)
+        pair = _labels(DisjointUnion(Point(), Product(Point(), Point())))
+        pair[3] = (OutsidePair, *pair[3][1:])
+        for labels, name in ((leaf, "Outside"), (pair, "OutsidePair")):
+            for build in (_from_labels, unpickled):
+                with pytest.raises(TypeError) as info:
+                    build(labels)
+                assert str(info.value) == "unknown expression node %r" % name
+        # every entry point names the type of a root that is no node
+        for call in (dimension_of, motive_of, expr_to_json, render_expr, split):
+            for value in (42, "P(1)", None):
+                with pytest.raises(TypeError) as info:
+                    call(value)
+                assert str(info.value) == "unknown expression node %r" % type(value).__name__
 
     @pytest.mark.parametrize("rebuild", ["expr_from_json", "pickle.loads"])
     def test_nested_blowups_build_in_linear_time(self, monkeypatch, rebuild):
@@ -808,8 +857,6 @@ class TestMemo:
             (motive_of, parse_expr("fano(1; false)*fano(0; false)"), OpaqueMotiveError),
             (split, Grassmannian(2, 4), CollectionUnavailableError),
             (kuznetsov, parse_expr("P(1) + fano(1; false)"), CollectionUnavailableError),
-            (motive_of, VarietyExpr(), TypeError),
-            (dimension_of, VarietyExpr(), TypeError),
             (motive_of, 42, TypeError),
             (dimension_of, "P(1)", TypeError),
             (lambda e: exceptional_collection_of(e, quadric_variant="x"), Point(), ValueError),
@@ -1017,6 +1064,54 @@ def opaque_tree(rng, depth=1):
 def parts_shown(m):
     """What a reader sees of ``m``'s opaque parts: values, text and JSON, in order."""
     return list(m.opaque), [p.text() for p in m.opaque], [p.to_json() for p in m.opaque]
+
+
+def shape(m):
+    """``m`` up to the order of its opaque parts: its Tate part and a count of the parts."""
+    return m.tate, Counter((p.name, p.odd, p.twist) for p in m.opaque)
+
+
+class TestMonoidalLaws:
+    """Product and sum of motives are associative, commutative and distributive
+    up to the order of the opaque parts, wherever no product has two opaque
+    factors."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_laws_up_to_order(self, seed):
+        rng = random.Random(1400 + seed)
+        # small motives, so that a product of three stays quick
+        pools = {False: [], True: []}
+        while min(map(len, pools.values())) < 15:
+            e = opaque_tree(rng) if rng.random() < 0.5 else random_tree(rng)
+            got = outcome(motive_of, e)
+            if got[0] == "value" and got[1].tate.rank <= 30 and len(got[1].opaque) <= 30:
+                pools[bool(got[1].opaque)].append(e)
+        with_opaque = 0
+        for _ in range(60):
+            # at most one opaque factor, in any place, or none
+            trees = [rng.choice(pools[False]) for _ in range(3)]
+            place = rng.randrange(4)
+            if place < 3:
+                trees[place] = rng.choice(pools[True])
+                with_opaque += 1
+            a, b, c = trees
+            for left, right in (
+                (Product(Product(a, b), c), Product(a, Product(b, c))),
+                (Product(a, b), Product(b, a)),
+                (Product(a, DisjointUnion(b, c)), DisjointUnion(Product(a, b), Product(a, c))),
+                (Product(DisjointUnion(b, c), a), DisjointUnion(Product(b, a), Product(c, a))),
+            ):
+                assert shape(motive_of(left)) == shape(motive_of(right)), (render_expr(left), render_expr(right))
+        assert with_opaque >= 30
+
+    def test_order_follows_the_bracketing(self):
+        # each factor's parts are listed in turn, twisted by the other
+        # factor's exponents ascending, so regrouping reorders the parts
+        left = motive_of(parse_expr("fano(1; false)*P(1)*P(2)"))
+        right = motive_of(parse_expr("fano(1; false)*(P(1)*P(2))"))
+        twists = [[p.twist for p in m.opaque if p.name == "M^1(X)"] for m in (left, right)]
+        assert twists == [[0, 1, 2, 1, 2, 3], [0, 1, 1, 2, 2, 3]]
+        assert shape(left) == shape(right) and left != right
 
 
 class TestSharedParts:
