@@ -9,10 +9,10 @@ decomposition for quadrics, where defined.
 Each node class lists its fields in ``_fields`` and holds its own catalog
 entry: its JSON ``kind``, its text ``syntax`` (the head and canonical
 template that ``exprlang`` parses and renders), its parameter checks in
-``_check`` and the methods ``_dimension``, ``_motive`` and
-``_collection(variant)``.  A method
-never visits a child: ``_dimension`` and ``_motive`` take the results of
-the node's children.  ``_dimension`` runs once per node, when the node is
+``_check`` and the methods ``_dimension``, ``_motive``, ``_pieces`` and
+``_kuznetsov``.  A method never visits a child: ``_dimension`` and
+``_motive`` take the results of the node's children.  ``_dimension`` runs
+once per node, when the node is
 built: the constructor applies it to the children's ``dim`` and stores the
 result as the node's own ``dim`` (a synthesized attribute), so a tree of
 any depth gets its dimensions in one pass, bottom up, and ``dimension_of``
@@ -25,7 +25,8 @@ down instead, by ``_expand`` on one explicit stack and joined once, so
 ``repr`` and ``exprlang.render_expr`` copy each piece of text once.  No
 depth of tree exhausts the Python stack.
 ``exceptional_collection_of`` folds a tree to the summands of its top-level
-disjoint union and asks each summand for its collection.  The JSON form is
+disjoint union and asks each summand for its split ``_pieces`` and their
+``_kuznetsov`` form.  The JSON form is
 generic over the fields: a field holding an expression nests, a tuple field
 is a JSON list.  One function, ``_from_labels``, builds every tree that
 does not come from the constructors directly, on an explicit stack, from
@@ -36,9 +37,8 @@ into them as it reads it.
 ``motive_of`` and ``exceptional_collection_of`` each answer once per tree:
 the first result is kept on the node the call was given, in an attribute
 outside ``_fields``, and returned by every later call.  The collection's
-first call fills the memos of both quadric variants from one walk over the
-summands: only a quadric summand has a different Kuznetsov piece, so every
-other summand is asked once and its pieces go into both collections.
+first call keeps both quadric variants in one attribute, from one walk
+over the summands that asks each summand the same two questions once.
 There is no global cache; the memo lives and dies with the tree.
 ``==``, ``hash``, ``repr``, copies and pickles read only the fields, so
 they see neither the memos nor ``dim``; a copy is the node itself, and a
@@ -75,9 +75,9 @@ class-level table, so no motive shares it.
 
 The collections of the catalog are built with the trusted constructors
 ``SODPiece._trusted`` and ``Collection._trusted``: their labels are
-non-empty strings, their ranks right and their piece tuples non-empty by
-construction, so neither the pieces nor the per-summand collections nor
-their join go through the checks of ``sod``.
+non-empty strings, their ranks right and each summand's piece tuple
+non-empty by construction, so neither the pieces nor their joins go
+through the checks of ``sod``.
 
 Opaque summands are never converted into Betti numbers; operations that need
 complete cohomological data reject motives that still carry them.  A
@@ -267,16 +267,16 @@ def _toric_betti(cone_counts: tuple[int, ...]) -> list[int]:
     return betti
 
 
-def _line_bundles(first: int) -> list[SODPiece]:
+def _line_bundles(first: int) -> tuple:
     """O(first), O(first+1), ..., O(-1), O with first <= 0."""
     piece = SODPiece._trusted
-    return [piece("O" if k == 0 else "O(%d)" % k, EXCEPTIONAL, 1) for k in range(first, 1)]
+    return tuple([piece("O" if k == 0 else "O(%d)" % k, EXCEPTIONAL, 1) for k in range(first, 1)])
 
 
-def _generic_labels(count: int) -> Collection:
+def _generic_labels(count: int) -> tuple:
     """E1, ..., E<count> for count >= 1."""
     piece = SODPiece._trusted
-    return Collection._trusted(tuple([piece("E%d" % i, EXCEPTIONAL, 1) for i in range(1, count + 1)]))
+    return tuple([piece("E%d" % i, EXCEPTIONAL, 1) for i in range(1, count + 1)])
 
 
 class VarietyExpr(Record):
@@ -294,13 +294,15 @@ class VarietyExpr(Record):
 
     A node class also carries its JSON ``kind``, its text ``syntax`` and its
     catalog entry: the methods ``_dimension`` and ``_motive``, which take
-    the results of the node's children in field order, and
-    ``_collection(variant)`` where the catalog knows a collection.  No
+    the results of the node's children in field order, and ``_pieces()``,
+    the tuple of split pieces, where the catalog knows a collection.
+    ``_kuznetsov(pieces)`` gives the Kuznetsov form of those pieces; the
+    base class returns them unchanged, and only ``Quadric`` differs.  No
     method visits a child: the constructor hands ``_dimension`` the
     children's ``dim``, and ``_fold`` does the rest, children first.  The
     base class is no catalog entry: its ``kind`` is None and it has no
     ``syntax``, ``_dimension`` or ``_motive``, so neither it nor a subclass
-    that sets no ``kind`` builds a node, and its ``_collection`` raises
+    that sets no ``kind`` builds a node, and its ``_pieces`` raises
     CollectionUnavailableError.
 
     ``syntax`` is ``(head, template, binding)``: the name or operator that
@@ -385,10 +387,15 @@ class VarietyExpr(Record):
         """The summands of this node as a disjoint union, left to right."""
         return [self]
 
-    def _collection(self, variant: str) -> Collection:
+    def _pieces(self) -> tuple:
+        """The split pieces of this node's collection, where the catalog knows one."""
         raise CollectionUnavailableError(
             "no collection in the catalog for %s" % type(self).__name__
         )
+
+    def _kuznetsov(self, pieces: tuple) -> tuple:
+        """The Kuznetsov form of this node's split ``pieces``: the same but for a quadric."""
+        return pieces
 
 
 def _node(e) -> VarietyExpr:
@@ -499,8 +506,8 @@ class Point(VarietyExpr):
     def _motive(self) -> GeneralizedMotive:
         return GeneralizedMotive(TateMotive({0: 1}))
 
-    def _collection(self, variant: str) -> Collection:
-        return Collection._trusted((SODPiece._trusted("O", EXCEPTIONAL, 1),))
+    def _pieces(self) -> tuple:
+        return _line_bundles(0)
 
 
 class Projective(VarietyExpr):
@@ -518,8 +525,8 @@ class Projective(VarietyExpr):
     def _motive(self) -> GeneralizedMotive:
         return GeneralizedMotive(TateMotive._wrap({i: 1 for i in range(self.n + 1)}))
 
-    def _collection(self, variant: str) -> Collection:
-        return Collection._trusted(tuple(_line_bundles(-self.n)))
+    def _pieces(self) -> tuple:
+        return _line_bundles(-self.n)
 
 
 class Quadric(VarietyExpr):
@@ -540,17 +547,20 @@ class Quadric(VarietyExpr):
             terms[self.d // 2] += 1
         return GeneralizedMotive(TateMotive._wrap(terms))
 
-    def _collection(self, variant: str) -> Collection:
-        if variant == "kuznetsov":
-            head = [SODPiece._trusted("Cl0(Q_%d)" % self.d, OPAQUE, None)]
-        elif self.d % 2 == 1:
-            head = [SODPiece._trusted("Sigma(%d)" % -self.d, EXCEPTIONAL, 1)]
+    def _pieces(self) -> tuple:
+        if self.d % 2 == 1:
+            head = (SODPiece._trusted("Sigma(%d)" % -self.d, EXCEPTIONAL, 1),)
         else:
-            head = [
+            head = (
                 SODPiece._trusted("Sigma+(%d)" % -self.d, EXCEPTIONAL, 1),
                 SODPiece._trusted("Sigma-(%d)" % -self.d, EXCEPTIONAL, 1),
-            ]
-        return Collection._trusted(tuple(head + _line_bundles(-self.d + 1)))
+            )
+        return head + _line_bundles(-self.d + 1)
+
+    def _kuznetsov(self, pieces: tuple) -> tuple:
+        # the even Clifford algebra takes the place of the one or two spinor
+        # bundles, ahead of the d line bundles
+        return (SODPiece._trusted("Cl0(Q_%d)" % self.d, OPAQUE, None),) + pieces[-self.d:]
 
 
 class Grassmannian(VarietyExpr):
@@ -599,7 +609,7 @@ class Toric(VarietyExpr):
             )
         return GeneralizedMotive(TateMotive(dict(enumerate(betti))))
 
-    def _collection(self, variant: str) -> Collection:
+    def _pieces(self) -> tuple:
         return _generic_labels(self._motive().tate.rank)
 
 
@@ -705,10 +715,8 @@ class ModuliM0(VarietyExpr):
     def _motive(self) -> GeneralizedMotive:
         return GeneralizedMotive(TateMotive(self._TERMS[self.n]))
 
-    def _collection(self, variant: str) -> Collection:
-        if self.n <= 4:
-            return Collection._trusted(tuple(_line_bundles(3 - self.n)))
-        return _generic_labels(7)
+    def _pieces(self) -> tuple:
+        return _line_bundles(3 - self.n) if self.n <= 4 else _generic_labels(7)
 
 
 class Fano3fold(VarietyExpr):
@@ -738,7 +746,7 @@ class Fano3fold(VarietyExpr):
         )
         return GeneralizedMotive(tate, parts)
 
-    def _collection(self, variant: str) -> Collection:
+    def _pieces(self) -> tuple:
         if not self.odd_trivial:
             raise CollectionUnavailableError(
                 "odd-weight summands were not asserted trivial, so no full "
@@ -768,24 +776,22 @@ def motive_of(e: VarietyExpr) -> GeneralizedMotive:
     return e.__dict__["_motive_memo"]
 
 
-# the attribute that keeps each quadric variant's collection
-_COLLECTION_MEMO = {"split": "_split_memo", "kuznetsov": "_kuznetsov_memo"}
+# the quadric variants, in the order ``_fold_collections`` returns them
+_VARIANTS = ("split", "kuznetsov")
 
 
 def _fold_collections(e: VarietyExpr) -> tuple[Collection, Collection]:
     """The split and the Kuznetsov collection of ``e``, from one walk.
 
-    Only a quadric's pieces differ between the two, so only a quadric is
-    asked for its Kuznetsov pieces; every other summand's pieces serve
-    both, and a summand without a collection fails both.
+    Every summand is asked the same two questions: its split ``_pieces``,
+    and then their ``_kuznetsov`` form, which differs only for a quadric.
+    A summand without a collection fails both.
     """
     split, kuznetsov = [], []
     for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
-        pieces = summand._collection("split").pieces
+        pieces = summand._pieces()
         split += pieces
-        if isinstance(summand, Quadric):
-            pieces = summand._collection("kuznetsov").pieces
-        kuznetsov += pieces
+        kuznetsov += summand._kuznetsov(pieces)
     # every summand's pieces are trusted and at least one, so the joins are too
     return Collection._trusted(tuple(split)), Collection._trusted(tuple(kuznetsov))
 
@@ -798,23 +804,21 @@ def exceptional_collection_of(
     ``quadric_variant`` selects between the split form of the quadric
     collection (spinor bundles plus line bundles, a full exceptional
     collection) and the Kuznetsov form (an opaque even Clifford algebra piece
-    of initially unknown rank plus line bundles).  Expressions with no known
-    collection raise CollectionUnavailableError, and an argument that is not
+    of initially unknown rank plus line bundles); any other value, of any
+    type, raises ValueError.  Expressions with no known collection raise CollectionUnavailableError, and an argument that is not
     a node raises TypeError, as in ``motive_of``.  The collection of a
     disjoint union joins those of its summands, left to right; the first
     summand without one raises, whatever its children.  The first call
     builds and keeps both variants, and a tree without a collection raises
     the same error for both.
     """
-    if quadric_variant not in _COLLECTION_MEMO:
-        raise ValueError("quadric_variant must be %s" % " or ".join(map(repr, _COLLECTION_MEMO)))
-    name = _COLLECTION_MEMO[quadric_variant]
-    if not isinstance(e, VarietyExpr) or name not in e.__dict__:
+    # a tuple compares by ``==``, so an unhashable value gets this error too
+    if quadric_variant not in _VARIANTS:
+        raise ValueError("quadric_variant must be %s" % " or ".join(map(repr, _VARIANTS)))
+    if not isinstance(e, VarietyExpr) or "_collections_memo" not in e.__dict__:
         # one walk answers both variants; ``_fold`` rejects a non-node
-        split, kuznetsov = _fold_collections(e)
-        set_field(e, "_split_memo", split)
-        set_field(e, "_kuznetsov_memo", kuznetsov)
-    return e.__dict__[name]
+        set_field(e, "_collections_memo", _fold_collections(e))
+    return e.__dict__["_collections_memo"][_VARIANTS.index(quadric_variant)]
 
 
 def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:

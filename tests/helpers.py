@@ -374,16 +374,62 @@ def fresh_motive(e):
     return _fold(e, lambda node, *parts: node._motive(*parts))
 
 
+def _summand_pieces(node, variant):
+    """One summand's pieces for ``variant``, by the catalog's per-class table.
+
+    The library once asked each catalog class for a whole collection per
+    variant, and every class but ``Quadric`` ignored the variant; each
+    summand now lists its split pieces once and only a quadric rewrites
+    them for the Kuznetsov form.  The old table, restated here through the
+    checking constructors, is the oracle.
+    """
+
+    def bundles(first):
+        return [sod.SODPiece("O" if k == 0 else "O(%d)" % k, EXCEPTIONAL, 1) for k in range(first, 1)]
+
+    def generic(count):
+        return [sod.SODPiece("E%d" % i, EXCEPTIONAL, 1) for i in range(1, count + 1)]
+
+    cls = type(node)
+    if cls is varieties.Point:
+        return [sod.SODPiece("O", EXCEPTIONAL, 1)]
+    if cls is varieties.Projective:
+        return bundles(-node.n)
+    if cls is varieties.Quadric:
+        d = node.d
+        if variant == "kuznetsov":
+            head = [sod.SODPiece("Cl0(Q_%d)" % d, OPAQUE, None)]
+        elif d % 2 == 1:
+            head = [sod.SODPiece("Sigma(%d)" % -d, EXCEPTIONAL, 1)]
+        else:
+            head = [sod.SODPiece("Sigma+(%d)" % -d, EXCEPTIONAL, 1), sod.SODPiece("Sigma-(%d)" % -d, EXCEPTIONAL, 1)]
+        return head + bundles(1 - d)
+    if cls is varieties.Toric:
+        # a negative Betti number raises InvalidParameterError here
+        return generic(fresh_motive(node).tate.rank)
+    if cls is varieties.ModuliM0:
+        return bundles(3 - node.n) if node.n <= 4 else generic(7)
+    if cls is varieties.Fano3fold:
+        if not node.odd_trivial:
+            raise varieties.CollectionUnavailableError(
+                "odd-weight summands were not asserted trivial, so no full "
+                "exceptional collection is available"
+            )
+        return generic(2 + 2 * node.b)
+    raise varieties.CollectionUnavailableError("no collection in the catalog for %s" % cls.__name__)
+
+
 def fresh_collection(e, variant):
     """``exceptional_collection_of(e, quadric_variant=variant)`` from its own walk.
 
     The library once walked the summands once per variant and asked every
     summand for that variant's pieces; it now fills both variants from one
-    walk.  This per-variant fold, which keeps nothing, is the oracle.
+    walk.  This per-variant fold over the per-class table of
+    ``_summand_pieces``, which keeps nothing, is the oracle.
     """
     pieces = []
     for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
-        pieces += summand._collection(variant).pieces
+        pieces += _summand_pieces(summand, variant)
     return sod.Collection(tuple(pieces))
 
 

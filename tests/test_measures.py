@@ -5,7 +5,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lefschetz.measures import (
@@ -260,7 +260,6 @@ effective_motives = st.dictionaries(
 class TestTrustedConversions:
     """The conversions skip the item checks, and build what the checks build."""
 
-    @settings(derandomize=True)
     @given(effective_motives)
     def test_equal_to_validating_constructors(self, m):
         assert_same(poincare(m), PoincarePoly({2 * l: c for l, c in m.terms.items()}))
@@ -270,12 +269,10 @@ class TestTrustedConversions:
         assert_same(chi_gs(c), m)
         assert_same(chi_hd(c), HodgeDelignePoly({(e, e): k for e, k in c.terms.items()}))
 
-    @settings(derandomize=True)
     @given(classes)
     def test_chi_hd_of_any_class(self, c):
         assert_same(chi_hd(c), HodgeDelignePoly({(e, e): k for e, k in c.terms.items()}))
 
-    @settings(derandomize=True)
     @given(effective_motives, st.integers(-5, 30), st.integers(1, 3))
     def test_checks_still_fire(self, m, l, k):
         if l < 0:

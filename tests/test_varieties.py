@@ -860,6 +860,8 @@ class TestMemo:
             (motive_of, 42, TypeError),
             (dimension_of, "P(1)", TypeError),
             (lambda e: exceptional_collection_of(e, quadric_variant="x"), Point(), ValueError),
+            (lambda e: exceptional_collection_of(e, quadric_variant=[]), Point(), ValueError),
+            (lambda e: exceptional_collection_of(e, quadric_variant={}), Point(), ValueError),
             (split, 42, TypeError),
         ],
     )
@@ -934,18 +936,24 @@ def summands(e):
     return _fold(e, lambda node, *parts: node._summands(*parts))
 
 
+def memos(e):
+    """The names of the memo attributes kept on the node ``e``."""
+    return [name for name in vars(e) if name.endswith("_memo")]
+
+
 class TestOneWalk:
     @pytest.fixture
     def asked(self, monkeypatch):
-        """Each call of a ``_collection`` method, as (node, variant)."""
+        """Each call of a ``_pieces`` or ``_kuznetsov`` method, as (node, hook)."""
         calls = []
         for cls in (VarietyExpr, *VarietyExpr.__subclasses__()):
-            if "_collection" in vars(cls):
-                def counted(node, variant, method=vars(cls)["_collection"]):
-                    calls.append((node, variant))
-                    return method(node, variant)
+            for hook in ("_pieces", "_kuznetsov"):
+                if hook in vars(cls):
+                    def counted(node, *args, hook=hook, method=vars(cls)[hook]):
+                        calls.append((node, hook))
+                        return method(node, *args)
 
-                monkeypatch.setattr(cls, "_collection", counted)
+                    monkeypatch.setattr(cls, hook, counted)
         return calls
 
     @pytest.mark.parametrize("seed", range(4))
@@ -953,26 +961,28 @@ class TestOneWalk:
         rng = random.Random(980 + seed)
         for _ in range(40):
             e = random_tree(rng)
-            # one walk asks each summand up to the first without a
-            # collection, and asks only a quadric for both forms
+            # one walk asks each summand both questions, up to the first
+            # summand without a collection, which is asked only the first
             want = []
             for node in summands(e):
-                want.append((id(node), "split"))
-                if isinstance(node, Quadric):
-                    want.append((id(node), "kuznetsov"))
-                if outcome(lambda node: node._collection("split"), node)[0] != "value":
+                want.append((id(node), "_pieces"))
+                if outcome(lambda node: node._pieces(), node)[0] != "value":
                     break
+                want.append((id(node), "_kuznetsov"))
             asked.clear()
             first = [outcome(split, e), outcome(kuznetsov, e)]
             assert [outcome(split, e), outcome(kuznetsov, e)] == first
-            got = [(id(node), variant) for node, variant in asked]
+            got = [(id(node), hook) for node, hook in asked]
             if first[0][0] == "value":
                 assert split(e) is split(e) and kuznetsov(e) is kuznetsov(e)
+                # one attribute keeps both variants
+                assert memos(e) == ["_collections_memo"]
+                assert vars(e)["_collections_memo"] == (first[0][1], first[1][1])
                 assert got == want
             else:
                 # both fail alike and keep nothing, so each call walks again
                 assert first[1] == first[0]
-                assert "_split_memo" not in vars(e) and "_kuznetsov_memo" not in vars(e)
+                assert memos(e) == []
                 assert got == want * 4
 
     def test_no_collection_raises_again(self, asked):
@@ -982,14 +992,16 @@ class TestOneWalk:
             with pytest.raises(CollectionUnavailableError) as info:
                 call(e)
             messages.append(str(info.value))
-            assert "_split_memo" not in vars(e) and "_kuznetsov_memo" not in vars(e)
+            assert memos(e) == []
         assert messages == ["no collection in the catalog for Grassmannian"] * 4
-        # each call asks P(1), both forms of Q(3), then the Grassmannian
-        assert [(type(n).__name__, v) for n, v in asked] == [
-            ("Projective", "split"),
-            ("Quadric", "split"),
-            ("Quadric", "kuznetsov"),
-            ("Grassmannian", "split"),
+        # each call asks P(1) and Q(3) both questions, then the Grassmannian
+        # for its pieces
+        assert [(type(n).__name__, hook) for n, hook in asked] == [
+            ("Projective", "_pieces"),
+            ("Projective", "_kuznetsov"),
+            ("Quadric", "_pieces"),
+            ("Quadric", "_kuznetsov"),
+            ("Grassmannian", "_pieces"),
         ] * 4
 
 
@@ -1228,11 +1240,16 @@ class TestTrustedCollections:
         seen = 0
         for _ in range(50):
             e = random_tree(rng)
+            for node in summands(e):
+                got = outcome(lambda node: node._pieces(), node)
+                if got[0] == "value":
+                    pieces = got[1]
+                    assert type(pieces) is tuple
+                    self.assert_checked(Collection(pieces))
+                    kuznetsov_pieces = node._kuznetsov(pieces)
+                    assert type(kuznetsov_pieces) is tuple
+                    self.assert_checked(Collection(kuznetsov_pieces))
             for variant in ("split", "kuznetsov"):
-                for node in summands(e):
-                    got = outcome(lambda node: node._collection(variant), node)
-                    if got[0] == "value":
-                        self.assert_checked(got[1])
                 got = outcome(lambda e: exceptional_collection_of(e, quadric_variant=variant), e)
                 if got[0] == "value":
                     self.assert_checked(got[1])
