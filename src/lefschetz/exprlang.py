@@ -32,14 +32,15 @@ INT, a list of INTs, or a flag written ``name=true`` or ``name=false``).
 After an operator's head comes its right operand.  There is no branch per
 constructor or operator.  ``render_expr`` fills the template.
 
-Tokens are plain ``(kind, text, byte offset)`` tuples.  ``_parse`` is one
-loop on explicit stacks, Dijkstra's shunting-yard algorithm with the
-templates on the stack beside the operators, so nothing recurses and
-nesting is bounded by memory alone, which grows linearly with the text.
-It emits the flat post-order labels that pickles hold
-(``varieties._labels``), and ``varieties._from_labels`` builds the tree
-from them, as it does for JSON and pickles.  The whole text is parsed
-before any node is built, so a syntax error wins over a semantic one.
+A token is a bare string, an INT if it starts with an ASCII digit and a
+name if with a letter or '_', all read by one pattern, ``_TOKEN``, with
+``findall``; an error reads its token's byte offset off the text.
+``_parse`` is one loop on explicit stacks, Dijkstra's shunting-yard
+algorithm with the templates on the stack beside the operators, so nothing
+recurses.  It emits the post-order labels that pickles hold
+(``varieties._labels``), which ``varieties._from_labels`` builds, as for
+JSON and pickles.  The whole text is parsed before any node is built, so a
+syntax error wins over a semantic one.
 ``render_expr`` runs ``varieties._expand`` with one step, ``_render``,
 which lists a node's text with each child in its place, in parentheses
 when the child binds less tightly than its place asks.
@@ -52,6 +53,9 @@ inverse of ``parse_expr`` up to whitespace.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import islice
 
 from .tate import INT_TOO_LONG, MAX_INT_DIGITS, InputError
 from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _expand, _from_labels, _node
@@ -72,81 +76,84 @@ class SemanticError(InputError):
 
 
 # Head -> (node class, its steps after the head: each character of the
-# template but spaces, with a ``(name, type)`` field for each slot), read
-# off each class's ``syntax``.  The tokenizer's punctuation is '=' of a
-# flag, the grouping parentheses and every character of a head or template
-# that is not a letter, digit, space or field slot.
-_CONSTRUCTORS, _OPERATORS, _PUNCT = {}, {}, set("=()")
+# template but spaces, with a ``(name, type)`` field for each slot, and its
+# binding), read off each class's ``syntax``; a group is a constructor with
+# no node.  The tokenizer's punctuation is '=' of a flag, the grouping
+# parentheses and every character of a head or template that is not a
+# letter, digit, space or field slot.
+_CONSTRUCTORS, _OPERATORS, _PUNCT = {"(": (None, ((None, VarietyExpr), ")"), None)}, {}, set("=()")
 for _cls in _KINDS.values():
     _head, _template, _binding = _cls.syntax
     _before, _, _rest = _template.replace("%s", "%").replace(" ", "").partition(_head)
     _slots = iter(_cls._fields[len(_before):])
     _steps = tuple(next(_slots) if ch == "%" else ch for ch in _rest)
-    (_CONSTRUCTORS if _binding is None else _OPERATORS)[_head] = (_cls, _steps)
+    (_CONSTRUCTORS if _binding is None else _OPERATORS)[_head] = (_cls, _steps, _binding)
     _PUNCT.update(ch for ch in _head + _rest if not (ch.isalnum() or ch == "%"))
-_DIGITS = set("0123456789")
+
+# After any spaces, ASCII digits, ``\w`` (``str.isalnum`` or '_') or one other
+# character.  A text is valid as read if ``_SUSPECT`` finds no character in
+# it that is not an ASCII space, word character or punctuation, and it is
+# too short to hold an INT too long.
+_TOKEN = re.compile(r"\s*([0-9]+|\w+|\S)")
+_SUSPECT = re.compile(r"[^\s\w%s]" % re.escape("".join(_PUNCT)), re.ASCII)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, byte offset)`` per token, ending with an ``eof`` token."""
-    toks = []
-    i = 0
-    n = len(text)
-    at = 0  # UTF-8 byte offset of text[i]
-    while i < n:
-        ch = text[i]
-        j = i + 1
-        if ch in _DIGITS:
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j - i > MAX_INT_DIGITS:
-                raise ParseError(INT_TOO_LONG, at)
-            toks.append(("num", text[i:j], at))
-        elif ch.isalpha() or ch == "_":
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], at))
-        elif ch in _PUNCT:
-            toks.append((ch, ch, at))
-        elif not ch.isspace():
-            raise ParseError("unexpected character %r" % ch, at)
-        at += len(text[i:j].encode("utf-8"))
-        i = j
-    toks.append(("eof", "", at))
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _error(toks: list, pos: int, message: str):
+    """Raise ParseError ``message`` at token ``pos``, whose byte offset is
+    read off the text that ends ``toks``."""
+    at = next(islice(_TOKEN.finditer(toks[-1]), pos, None), None)
+    raise ParseError(message, len(toks[-1][: at.start(1) if at else None].encode("utf-8")))
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, ``""`` for the end of input, then ``text``.
+
+    The first INT over ``MAX_INT_DIGITS`` digits, or token that starts with
+    no letter, '_', ASCII digit or punctuation, raises ParseError.
+    """
+    toks = _TOKEN.findall(text) + ["", text]
+    if len(text) > MAX_INT_DIGITS or _SUSPECT.search(text):
+        for pos, tok in enumerate(toks[:-2]):
+            # an INT is a token whose first character is an ASCII digit
+            if not (_is_name(tok) or tok in _PUNCT or "0" <= tok < ":" and len(tok) <= MAX_INT_DIGITS):
+                _error(toks, pos, INT_TOO_LONG if "0" <= tok < ":" else "unexpected character %r" % tok[0])
     return toks
 
 
-def _expect(toks: list, pos: int, kind: str, what: str = "") -> int:
-    """The position after ``toks[pos]``, which must be of ``kind``."""
-    tok = toks[pos]
-    if tok[0] != kind:
-        # a punctuation token names itself in the error message
-        got = repr(tok[1]) if tok[0] != "eof" else "end of input"
-        raise ParseError("expected %s, got %s" % (what or "'%s'" % kind, got), tok[2])
-    return pos + 1
+def _expect(toks: list, pos: int, what: str):
+    """Raise: ``toks[pos]`` is not ``what``; a punctuation token names itself."""
+    _error(toks, pos, "expected %s, got %s" % (what, repr(toks[pos]) if toks[pos] else "end of input"))
 
 
 def _field(toks: list, pos: int, name: str, typ: type) -> tuple:
     """``(value, position after it)`` for a field that holds no expression."""
     if typ is bool:
         # (name '=')? ('true' | 'false')
-        pos = _expect(toks, pos, "name", "%r or a boolean" % name)
-        if toks[pos - 1][1] == name:
-            pos = _expect(toks, _expect(toks, pos, "="), "name", "'true' or 'false'")
-        _, text, offset = toks[pos - 1]
-        if text not in ("true", "false"):
-            raise ParseError("expected 'true' or 'false', got %r" % text, offset)
-        return text == "true", pos
+        if toks[pos] == name:
+            if toks[pos + 1] != "=":
+                _expect(toks, pos + 1, "'='")
+            pos += 2
+        elif not _is_name(toks[pos]):
+            _expect(toks, pos, "%r or a boolean" % name)
+        if toks[pos] not in ("true", "false"):
+            _expect(toks, pos, "'true' or 'false'")
+        return toks[pos] == "true", pos + 1
     # an int is one INT, a tuple INT (',' INT)*
-    pos = _expect(toks, pos, "num", "an integer")
-    counts = [int(toks[pos - 1][1])]
-    while typ is tuple and toks[pos][0] == ",":
-        pos = _expect(toks, pos + 1, "num", "an integer")
-        counts.append(int(toks[pos - 1][1]))
-    return (tuple(counts) if typ is tuple else counts[0]), pos
+    counts = []
+    while True:
+        if not "0" <= toks[pos] < ":":
+            _expect(toks, pos, "an integer")
+        counts.append(int(toks[pos]))
+        if typ is not tuple or toks[pos + 1] != ",":
+            return (tuple(counts) if typ is tuple else counts[0]), pos + 1
+        pos += 2
 
 
-def _parse(toks: list[tuple[str, str, int]]) -> list:
+def _parse(toks: list[str]) -> list:
     """The ``varieties._labels`` of the expression that ``toks`` spell.
 
     One loop reads an operand, a constructor or a group, and follows its
@@ -163,20 +170,21 @@ def _parse(toks: list[tuple[str, str, int]]) -> list:
     waiting = [(1, None)]
     pos = 0
     while True:
-        kind, text, offset = toks[pos]
-        if kind != "(" and (kind != "name" or text not in _CONSTRUCTORS):
-            # neither a group nor a constructor: only a name gets this far
-            _expect(toks, pos, "name", "an expression")
-            raise ParseError("unknown constructor %r" % text, offset)
-        # a group is an expression field and ')', with no node
-        cls, steps = _CONSTRUCTORS.get(text, (None, ((None, VarietyExpr), ")")))
-        frame = (cls, iter(steps), [], 1)
+        entry = _CONSTRUCTORS.get(toks[pos])
+        if entry is None:
+            # neither a group nor a constructor
+            if not _is_name(toks[pos]):
+                _expect(toks, pos, "an expression")
+            _error(toks, pos, "unknown constructor %r" % toks[pos])
+        frame = (entry[0], iter(entry[1]), [], 1)
         pos += 1
         while frame:
             cls, steps, items, floor = frame
             for step in steps:
-                if isinstance(step, str):
-                    pos = _expect(toks, pos, step)
+                if step.__class__ is str:
+                    if toks[pos] != step:
+                        _expect(toks, pos, repr(step))
+                    pos += 1
                     continue
                 name, typ = step
                 if typ is VarietyExpr:
@@ -184,30 +192,35 @@ def _parse(toks: list[tuple[str, str, int]]) -> list:
                     waiting.append((floor, frame))
                     frame = None
                     break
+                if typ is int and "0" <= toks[pos] < ":":  # an INT; else ``_field`` raises
+                    items.append((name, typ, int(toks[pos])))
+                    pos += 1
+                    continue
                 value, pos = _field(toks, pos, name, typ)
                 items.append((name, typ, value))
             else:
                 if cls is not None:
                     out.append((cls, *items))
-                kind, text, offset = toks[pos]
-                if kind in _OPERATORS and _OPERATORS[kind][0].syntax[2] >= waiting[-1][0]:
+                tok = toks[pos]
+                if tok in _OPERATORS and _OPERATORS[tok][2] >= waiting[-1][0]:
                     # the operand read last is the operator's left one
-                    cls, steps = _OPERATORS[kind]
-                    frame = (cls, iter(steps), [(*cls._fields[0], None)], cls.syntax[2] + 1)
+                    cls, steps, binding = _OPERATORS[tok]
+                    frame = (cls, iter(steps), [(*cls._fields[0], None)], binding + 1)
                     pos += 1
                     continue
                 frame = waiting.pop()[1]
                 if frame is None:
-                    if kind != "eof":
-                        raise ParseError("unexpected trailing input %r" % text, offset)
+                    if tok:
+                        _error(toks, pos, "unexpected trailing input %r" % tok)
                     return out
 
 
 def parse_expr(text: str) -> VarietyExpr:
-    """Parse a catalog expression; see the module docstring for the grammar."""
-    labels = _parse(_tokenize(text))
+    """Parse a catalog expression (grammar above); a non-``str`` raises TypeError."""
+    if not isinstance(text, str):
+        raise TypeError("expression text must be a str, not %r" % type(text).__name__)
     try:
-        return _from_labels(labels)
+        return _from_labels(_parse(_tokenize(text)))
     except InvalidParameterError as exc:
         raise SemanticError(str(exc), exc.path) from exc
 

@@ -32,7 +32,8 @@ is a JSON list.  One function, ``_from_labels``, builds every tree that
 does not come from the constructors directly, on an explicit stack, from
 the flat post-order labels that ``_labels`` lists: a pickle holds them,
 the text parser emits them, and ``expr_from_json`` translates the JSON
-into them as it reads it.
+into them as it reads it.  Every node, from a constructor or a label, is
+filled by one positional store, ``VarietyExpr._store``.
 
 ``motive_of`` and ``exceptional_collection_of`` each answer once per tree:
 the first result is kept on the node the call was given, in an attribute
@@ -285,10 +286,13 @@ class VarietyExpr(Record):
     Each node class lists its fields in ``_fields`` as ``(name, type)``
     pairs, in order; the type is ``VarietyExpr`` for a child expression,
     else ``int``, ``tuple`` (of ints) or ``bool``.  The base class builds a
-    node from them: it refuses a class without a ``kind`` with TypeError,
-    checks that each child is an expression, stores a tuple field as a
-    tuple, runs the class's ``_check`` and then stores ``dim``, the class's
-    ``_dimension`` of its children's ``dim``; ``tate.Record`` refuses
+    node from them: ``__init__`` takes them positionally or by name and
+    checks that each child is an expression, then ends in the one
+    positional store, ``_store``, which ``_from_labels`` calls on each new
+    node too.  The store refuses a class without a ``kind`` with TypeError,
+    stores a tuple field as a tuple, runs the class's ``_check`` and then
+    stores ``dim``, the class's ``_dimension`` of its children's ``dim``,
+    writing straight into the node's ``__dict__``; ``tate.Record`` refuses
     assignment.  ``==``, ``hash`` and ``repr`` follow the fields, not
     ``dim``.
 
@@ -320,8 +324,6 @@ class VarietyExpr(Record):
         cls._children = tuple(name for name, typ in cls._fields if typ is VarietyExpr)
 
     def __init__(self, *args, **kwargs):
-        if self.kind is None:
-            raise TypeError("unknown expression node %r" % type(self).__name__)
         if kwargs or len(args) != len(self._fields):
             names = [name for name, _ in self._fields]
             args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
@@ -329,12 +331,29 @@ class VarietyExpr(Record):
                 raise TypeError("%s takes the fields %s" % (type(self).__name__, names))
         for (name, typ), value in zip(self._fields, args):
             if typ is VarietyExpr and not isinstance(value, VarietyExpr):
-                raise InvalidParameterError(
-                    "expected a variety expression, got %r" % (value,)
-                )
-            set_field(self, name, tuple(value) if typ is tuple else value)
+                raise InvalidParameterError("expected a variety expression, got %r" % (value,))
+        self._store(args)
+
+    def _store(self, values) -> "VarietyExpr":
+        """Fill this node from ``values``, one per field in order, and return it.
+
+        The one positional store, which ``__init__`` ends with and
+        ``_from_labels`` calls on each new node, so a child is a node by the
+        time it gets here: it refuses a class without a ``kind``, stores a
+        tuple field as a tuple, runs ``_check`` and then sets ``dim``,
+        writing straight into the node's ``__dict__``.
+        """
+        if self.kind is None:
+            raise TypeError("unknown expression node %r" % type(self).__name__)
+        fields, dims, i = self.__dict__, [], 0
+        for name, typ in self._fields:
+            fields[name] = value = tuple(values[i]) if typ is tuple else values[i]
+            i += 1
+            if typ is VarietyExpr:
+                dims.append(value.dim)
         self._check()
-        set_field(self, "dim", self._dimension(*[getattr(self, name).dim for name in self._children]))
+        fields["dim"] = self._dimension(*dims)
+        return self
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -467,18 +486,24 @@ def _from_labels(labels) -> VarietyExpr:
     The one builder: ``exprlang.parse_expr`` hands it the labels of the
     whole text, ``expr_from_json`` a generator that yields each label as
     soon as its node's fields are read, and a pickle the labels it holds.
-    An InvalidParameterError from a constructor gets ``path``, the node path
-    of that node (the root is ``$``, a child adds ``.`` and its field name),
-    worked out only when a build fails.
+    Each label's node is filled by ``VarietyExpr._store``, each field's type
+    taken from the class's ``_fields``: a child comes off the stack, so it
+    is a node by construction.  An InvalidParameterError from ``_check``
+    gets ``path``, the node path of that node (the root is ``$``, a child
+    adds ``.`` and its field name), worked out only when a build fails.
     """
     built = []
     labels = iter(labels)
-    for cls, *items in labels:
-        # the children are the last nodes built, the rightmost on top
-        args = [built.pop() if typ is VarietyExpr else value for _, typ, value in reversed(items)]
-        args.reverse()
+    for label in labels:
+        cls, values, i = label[0], [], 0
+        # the children are the last nodes built, the leftmost lowest, and any
+        # other field's value is the label's
+        at = len(built) - len(cls._children)
+        for _, typ in cls._fields:
+            i += 1
+            values.append(built.pop(at) if typ is VarietyExpr else label[i][2])
         try:
-            built.append(cls(*args))
+            built.append(object.__new__(cls)._store(values))
         except InvalidParameterError as exc:
             if hasattr(labels, "throw"):
                 # a generator names the path of the node whose label it yielded

@@ -15,7 +15,7 @@ from operator import mul
 from typing import Optional
 
 from lefschetz import sod, varieties
-from lefschetz.exprlang import ParseError, SemanticError, _tokenize
+from lefschetz.exprlang import _PUNCT, _TOKEN, ParseError, SemanticError, _tokenize
 from lefschetz.orbit import (
     NotAnIsomorphismError,
     OrbitMorphism,
@@ -26,7 +26,7 @@ from lefschetz.orbit import (
     term_enumeration,
 )
 from lefschetz.sod import EXCEPTIONAL, FEC_OK, OPAQUE, _is_count
-from lefschetz.tate import TateMotive, direct_sum, lefschetz, tensor
+from lefschetz.tate import INT_TOO_LONG, MAX_INT_DIGITS, TateMotive, direct_sum, lefschetz, tensor
 from lefschetz.varieties import (
     Blowup,
     DisjointUnion,
@@ -500,6 +500,102 @@ def checked_rebuild(poly):
     return type(poly)(poly.terms)
 
 
+# The front end as it was before one ``re`` pattern read the tokens and
+# one positional store built the nodes: a loop per character that keeps the
+# byte offset of every token, and a builder that calls each label's class.
+
+_DIGITS = set("0123456789")
+
+
+def char_loop_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, byte offset)`` per token, ending with an ``eof`` token."""
+    toks = []
+    i = 0
+    n = len(text)
+    at = 0  # UTF-8 byte offset of text[i]
+    while i < n:
+        ch = text[i]
+        j = i + 1
+        if ch in _DIGITS:
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            if j - i > MAX_INT_DIGITS:
+                raise ParseError(INT_TOO_LONG, at)
+            toks.append(("num", text[i:j], at))
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("name", text[i:j], at))
+        elif ch in _PUNCT:
+            toks.append((ch, ch, at))
+        elif not ch.isspace():
+            raise ParseError("unexpected character %r" % ch, at)
+        at += len(text[i:j].encode("utf-8"))
+        i = j
+    toks.append(("eof", "", at))
+    return toks
+
+
+def constructor_from_labels(labels) -> VarietyExpr:
+    """``varieties._from_labels`` as it was: ``cls(*args)`` per label.
+
+    An InvalidParameterError from a constructor gets ``path``, the node path
+    of that node, worked out from the labels after it.
+    """
+    built = []
+    labels = iter(labels)
+    for cls, *items in labels:
+        # the children are the last nodes built, the rightmost on top
+        args = [built.pop() if typ is VarietyExpr else value for _, typ, value in reversed(items)]
+        args.reverse()
+        try:
+            built.append(cls(*args))
+        except InvalidParameterError as exc:
+            if hasattr(labels, "throw"):
+                # a generator names the path of the node whose label it yielded
+                labels.throw(exc)
+            # each later label takes its children off the stack and goes on
+            # it; ``above`` counts the nodes above this node's subtree, and
+            # the first label that takes more than those takes the subtree
+            names, above = [], 0
+            for later, *_ in labels:
+                if len(later._children) > above:
+                    names.append(later._children[-1 - above])
+                above = max(above + 1 - len(later._children), 0)
+            exc.path = ".".join(["$", *reversed(names)])
+            raise
+    return built[0]
+
+
+def spelled_tokens(text: str) -> list[tuple[str, str, int]]:
+    """``exprlang._tokenize`` of ``text`` in the form of ``char_loop_tokenize``:
+    each token's kind, read off its first character, its text and the UTF-8
+    byte offset of the start that ``_TOKEN`` finds for it, the end's being
+    the text's length."""
+    *toks, end = _tokenize(text)
+    assert end == text and toks[-1] == ""
+    starts = [match.start(1) for match in _TOKEN.finditer(text)] + [len(text)]
+    kinds = [
+        "num" if tok[:1] in _DIGITS else "name" if tok[:1].isalpha() or tok[:1] == "_" else tok or "eof"
+        for tok in toks
+    ]
+    return [(kind, tok, len(text[:at].encode("utf-8"))) for kind, tok, at in zip(kinds, toks, starts, strict=True)]
+
+
+def token_outcome(tokenize, text: str) -> tuple:
+    """``("tokens", tokenize(text))``, or the message and offset of its ParseError."""
+    try:
+        return "tokens", tokenize(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.offset
+
+
+# Where a code point is put to compare the two tokenizers on it: alone, as
+# an integer, inside and after a name, after an integer, as a token of its
+# own, and before an integer.
+CODE_POINT_CONTEXTS = ("%s", "P(%s)", "a%s b", "1%s", "x %s", "%s1")
+
+
 # The expression front end as it was before one loop on explicit stacks
 # turned text into post-order labels for ``varieties._from_labels``: a
 # recursive descent into the JSON form, whose depth the interpreter's
@@ -645,7 +741,7 @@ def recursive_parse_expr(text, parser=RecursiveParser):
     Nesting past the interpreter's recursion limit is the ParseError
     ``expression nested too deeply``.
     """
-    parser = parser(_tokenize(text))
+    parser = parser(char_loop_tokenize(text))
     try:
         data = parser.expr()
     except RecursionError:

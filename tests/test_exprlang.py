@@ -11,11 +11,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    CODE_POINT_CONTEXTS,
+    char_loop_tokenize,
+    constructor_from_labels,
     fold_render_expr,
     fold_repr,
     fresh_dimension,
     frame_expr_from_json,
     recursive_parse_expr,
+    spelled_tokens,
+    token_outcome,
     two_level_parse_expr,
 )
 from lefschetz.exprlang import (
@@ -43,6 +48,8 @@ from lefschetz.varieties import (
     Quadric,
     Toric,
     _KINDS,
+    _from_labels,
+    _json_labels,
     _labels,
     dimension_of,
     exceptional_collection_of,
@@ -655,4 +662,113 @@ def test_json_labels_match_frame_builder(seed):
     assert outcomes == [(InputError, *o[1:]) if o[0] is ValueError else o for o in want]
     kinds = [o[0] for o in outcomes]
     assert kinds.count("tree") > 150
+    assert kinds.count(InvalidParameterError) > 30 and kinds.count(InputError) > 100
+
+
+@pytest.mark.parametrize(
+    "value", [b"P(3)", bytearray(b"P(3)"), None, ["P"]], ids=["bytes", "bytearray", "None", "list"]
+)
+def test_parse_expr_refuses_anything_but_text(value):
+    # one TypeError naming the type, not whatever the tokenizer trips on
+    with pytest.raises(TypeError) as info:
+        parse_expr(value)
+    assert str(info.value) == "expression text must be a str, not %r" % type(value).__name__
+
+
+def _parser_corpus(seed):
+    """The texts of ``test_stack_parser_matches_recursive_parser`` for ``seed``."""
+    rng = random.Random(2026 + seed)
+    valid = [_random_text(rng, 4) for _ in range(100)]
+    wide = [_random_catalog_text(rng, 4) for _ in range(200)]
+    texts = valid + wide
+    return texts + [m for text in texts for m in _mutations(rng, text) + _insertions(rng, text)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tokenizer_matches_the_character_loop(seed):
+    # the same kinds, texts and byte offsets, or the same message and offset
+    texts = _parser_corpus(seed)
+    outcomes = [token_outcome(spelled_tokens, text) for text in texts]
+    assert outcomes == [token_outcome(char_loop_tokenize, text) for text in texts]
+    messages = {o[1].partition(": ")[2] for o in outcomes if o[0] == "error"}
+    assert _TOO_LONG in messages and "unexpected character %r" % "\u0663" in messages
+
+# One code point of each class of (isalpha, isalnum, isspace, isdecimal,
+# isdigit, isnumeric, isascii, in exprlang._PUNCT), the smallest of its
+# class, found once by a scan of every code point, and two more that the
+# tokenizers read apart from the rest of their class.
+CODE_POINTS = [
+    "\x00",  # ASCII and none of the rest, as '@' is
+    "\t",  # an ASCII space
+    "(",  # punctuation
+    "0",  # an ASCII digit
+    "A",  # an ASCII letter
+    "\x80",  # none at all, as a symbol, a surrogate or an unassigned point is
+    "\x85",  # a space outside ASCII
+    "\u00aa",  # a letter outside ASCII
+    "\u00b2",  # a digit but no decimal, superscript two
+    "\u00bc",  # numeric only, a vulgar fraction
+    "\u0660",  # a decimal outside ASCII, Arabic-Indic zero
+    "\u3405",  # a numeric letter, a CJK ideograph
+    "_",  # ASCII like the first, but it starts a name
+    "\ud800",  # a lone surrogate, which has no UTF-8 form
+]
+
+
+@pytest.mark.parametrize("context", CODE_POINT_CONTEXTS)
+def test_tokenizer_on_each_class_of_code_point(context):
+    for ch in CODE_POINTS:
+        text = context % ch
+        assert token_outcome(spelled_tokens, text) == token_outcome(char_loop_tokenize, text), text
+
+
+# the bad values that ``_json_mutations`` sets a field to
+BAD_VALUES = [None, -1, 0, 7, True, "x", [], [1, "a"], {}, {"kind": "point"}]
+
+
+def _build_outcome(build, labels):
+    try:
+        e = build(labels)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+    return "tree", _labels(e), e.dim
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_builder_matches_the_constructor_builder(seed):
+    # one positional store per label against ``cls(*args)`` per label: the
+    # same labels and dimension, or the same error class, message and path
+    rng = random.Random(1848 + seed)
+    lists = []
+    for text in _parser_corpus(seed):
+        try:
+            parse_expr(text)
+        except ParseError:
+            continue
+        except SemanticError:
+            pass
+        lists.append(_parse(_tokenize(text)))
+    # one label list in four again, with one field of one label set to each
+    # bad value
+    mutated = []
+    for labels in lists[::4]:
+        k = rng.randrange(len(labels))
+        if len(labels[k]) > 1:
+            i = rng.randrange(1, len(labels[k]))
+            name, typ, _ = labels[k][i]
+            for value in BAD_VALUES:
+                label = labels[k][:i] + ((name, typ, value),) + labels[k][i + 1:]
+                mutated.append(labels[:k] + [label] + labels[k + 1:])
+    lists += mutated
+    outcomes = [_build_outcome(_from_labels, labels) for labels in lists]
+    assert outcomes == [_build_outcome(constructor_from_labels, labels) for labels in lists]
+    kinds = [o[0] for o in outcomes]
+    assert kinds.count("tree") > 300 and kinds.count(InvalidParameterError) > 300
+    assert kinds.count(TypeError) > 10
+    # JSON documents and their mutations, each through a fresh generator
+    docs = [expr_to_json(_from_labels(labels)) for labels, o in zip(lists, outcomes) if o[0] == "tree"]
+    docs = docs[:200] + [m for data in docs[:200] for m in _json_mutations(rng, data)]
+    outcomes = [_build_outcome(_from_labels, _json_labels(data)) for data in docs]
+    assert outcomes == [_build_outcome(constructor_from_labels, _json_labels(data)) for data in docs]
+    kinds = [o[0] for o in outcomes]
     assert kinds.count(InvalidParameterError) > 30 and kinds.count(InputError) > 100

@@ -8,10 +8,14 @@ exit status 2.
 """
 
 import copy
+import io
 import json
 import pickle
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lefschetz import (
     Collection,
@@ -24,11 +28,14 @@ from lefschetz import (
     SemanticError,
     TateMotive,
     expr_from_json,
+    motive_of,
     parse_expr,
+    render_expr,
 )
 from lefschetz.cli import main
 from lefschetz.measures import HodgeDelignePoly, K0Class
 from lefschetz.tate import INT_TOO_LONG, MAX_INT_DIGITS, integer
+from lefschetz.varieties import _KINDS, VarietyExpr
 
 POLYS = (TateMotive, PoincarePoly, K0Class, HodgeDelignePoly)
 
@@ -292,3 +299,84 @@ def test_collection_loader_exits_2(capsys, tmp_path, content):
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Drawn text for the front end and the CLI: catalog texts with small
+# parameters, written from each class's ``syntax`` with every child in
+# parentheses; each with one character inserted, deleted or replaced, from
+# an alphabet of punctuation, ASCII and other letters, digits and spaces;
+# and any text at all.
+_SMALL = {
+    int: lambda name: st.integers(0, 4).map(str),
+    tuple: lambda name: st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
+        lambda counts: ",".join(map(str, counts))
+    ),
+    bool: lambda name: st.sampled_from(["true", "false", name + "=true", name + " = false"]),
+}
+
+
+def _catalog_text(cls, children):
+    """The text of a ``cls`` node, each child's text drawn from ``children``."""
+    fields = [
+        children.map("(%s)".__mod__) if typ is VarietyExpr else _SMALL[typ](name)
+        for name, typ in cls._fields
+    ]
+    return st.tuples(*fields).map(cls.syntax[1].__mod__)
+
+
+_catalog_texts = st.recursive(
+    st.one_of([_catalog_text(cls, None) for cls in _KINDS.values() if not cls._children]),
+    lambda inner: st.one_of([_catalog_text(cls, inner) for cls in _KINDS.values() if cls._children]),
+    max_leaves=4,
+)
+_EDIT_CHARACTERS = st.sampled_from(
+    list("()[],;=+*_ Px09") + ["\u00e9", "\u03a9", "\u0663", "\u00b2", "\u00bd", "\u3000", "\u00a0"]
+)
+
+
+@st.composite
+def _edited(draw, texts):
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    ch = draw(_EDIT_CHARACTERS)
+    return draw(st.sampled_from([text[:i] + ch + text[i:], text[:i] + text[i + 1:], text[:i] + ch + text[i + 1:]]))
+
+
+_texts = _catalog_texts | _edited(_catalog_texts) | st.text()
+
+
+@given(_texts)
+def test_parse_expr_gives_a_tree_or_an_input_error(text):
+    # a tree that its canonical text gives again, or a ParseError inside the
+    # UTF-8 text, or a SemanticError at a node path
+    try:
+        e = parse_expr(text)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text.encode("utf-8", "surrogatepass"))
+    except SemanticError as exc:
+        assert exc.path.startswith("$")
+    else:
+        assert parse_expr(render_expr(e)) == e
+
+
+# every verb that takes nothing but the expression
+_VERBS = ["motive", "poincare", "hodge", "k0", "check-fec", "orbit-demo"]
+
+
+@given(_texts, st.sampled_from(_VERBS), st.booleans())
+def test_cli_exits_0_1_or_2_with_at_most_one_error_line(text, verb, as_json):
+    # '-' reads stdin, and '--' keeps any other text that starts with '-' an
+    # expression rather than an option
+    assume(text != "-")
+    if verb == "orbit-demo":
+        # its time is quadratic in the rank, and one edit can make a
+        # Grassmannian of rank a thousand
+        try:
+            assume(motive_of(parse_expr(text)).tate.rank <= 100)
+        except ValueError:  # an InputError or a DomainError
+            pass
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([verb, *["--json"] * as_json, "--", text])
+    assert code in (0, 1, 2), (verb, text, err.getvalue())
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
