@@ -21,9 +21,9 @@ triangle the tests pin down.
 
 ``k0_class``, ``chi_gs``, ``chi_hd`` and ``K0Class.__neg__`` map the terms
 of a valid polynomial key by key, in order, so the result is canonical by
-construction: they build it with the trusted ``SparsePoly._wrap``, with no
-item check, zero filter or sort, and ``k0_class`` and ``chi_gs`` keep the
-very dict of their argument.  ``chi_gs`` still refuses a virtual class.
+construction: they build it with ``tate.Record._trusted``, with no item
+check, zero filter or sort, and ``k0_class`` and ``chi_gs`` keep the very
+dict of their argument.  ``chi_gs`` still refuses a virtual class.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class K0Class(SparsePoly):
         return all(c >= 0 for c in self._terms.values())
 
     def __neg__(self) -> "K0Class":
-        return self._wrap({e: -c for e, c in self._terms.items()})
+        return self._trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "K0Class") -> "K0Class":
         return self + (-other)
@@ -127,7 +127,7 @@ def k0_class(e: VarietyExpr | GeneralizedMotive | TateMotive) -> K0Class:
         e = e.tate
     if not isinstance(e, TateMotive):
         raise TypeError("expected a variety expression or a motive")
-    return K0Class._wrap(e._terms)
+    return K0Class._trusted(e._terms)
 
 
 def chi_gs(c: K0Class) -> TateMotive:
@@ -141,12 +141,12 @@ def chi_gs(c: K0Class) -> TateMotive:
         raise VirtualClassError(
             "virtual class: negative coefficient at exponents %r" % (sorted(bad),)
         )
-    return TateMotive._wrap(c._terms)
+    return TateMotive._trusted(c._terms)
 
 
 def chi_hd(c: K0Class) -> HodgeDelignePoly:
     """The Hodge-Deligne measure: Lv -> u*v, a ring map on all classes."""
-    return HodgeDelignePoly._wrap({(e, e): coeff for e, coeff in c._terms.items()})
+    return HodgeDelignePoly._trusted({(e, e): coeff for e, coeff in c._terms.items()})
 
 
 def hodge_tate(p: HodgeDelignePoly) -> bool:

@@ -71,7 +71,6 @@ from .tate import (
     hom_dim,
     integer,
     is_int,
-    set_field,
     twist,
 )
 
@@ -152,8 +151,11 @@ class OrbitMorphism(Record):
     as ``to_json`` writes them (floats and bools are refused).  Construction
     validates shapes and the delta pattern.  ``matrix`` and ``component``
     give Fraction views.  A morphism is an immutable record: ``==`` and
-    ``hash`` follow ``(source, target, den, rows)``, and copies and pickles
-    rebuild it through ``_from_rows`` without validating it again.
+    ``hash`` follow ``(source, target, den, rows)``.  ``_trusted(source,
+    target, den, rows)``, ``tate.Record``'s trusted constructor, takes
+    canonical rows of the right shape and delta pattern as they are:
+    ``compose``, ``identity_morphism`` and ``block_unit_iso`` build through
+    it, and copies and pickles rebuild through it without validating again.
     """
 
     __slots__ = ("source", "target", "den", "rows")
@@ -167,8 +169,6 @@ class OrbitMorphism(Record):
         Fraction = _fraction_class()
         if not isinstance(source, TateMotive) or not isinstance(target, TateMotive):
             raise TypeError("source and target must be TateMotive")
-        set_field(self, "source", source)
-        set_field(self, "target", target)
         src = source.exponent_multiset()
         tgt = target.exponent_multiset()
         nonzero_entries = []
@@ -213,20 +213,7 @@ class OrbitMorphism(Record):
         matrix = [[0] * len(src) for _ in tgt]
         for i, j, x in nonzero_entries:
             matrix[i][j] = x.numerator * (den // x.denominator)
-        set_field(self, "den", den)
-        set_field(self, "rows", tuple(map(tuple, matrix)))
-
-    @classmethod
-    def _from_rows(
-        cls, source: TateMotive, target: TateMotive, den: int, rows: Rows
-    ) -> "OrbitMorphism":
-        """Wrap canonical rows that already have the right shape and delta pattern."""
-        f = cls.__new__(cls)
-        set_field(f, "source", source)
-        set_field(f, "target", target)
-        set_field(f, "den", den)
-        set_field(f, "rows", rows)
-        return f
+        self._store(source, target, den, tuple(map(tuple, matrix)))
 
     @property
     def matrix(self) -> Matrix:
@@ -265,9 +252,6 @@ class OrbitMorphism(Record):
     def is_twist_preserving(self) -> bool:
         """True when only the grade-0 component is present."""
         return set(self.support) <= {0}
-
-    def __reduce__(self):
-        return type(self)._from_rows, self._values()
 
     def __repr__(self) -> str:
         return "OrbitMorphism(%s -> %s, grades %r)" % (
@@ -316,7 +300,7 @@ def chow_morphism(source: TateMotive, target: TateMotive, matrix) -> OrbitMorphi
 
 
 def identity_morphism(x: TateMotive) -> OrbitMorphism:
-    return OrbitMorphism._from_rows(x, x, 1, _identity_rows(x.rank))
+    return OrbitMorphism._trusted(x, x, 1, _identity_rows(x.rank))
 
 
 def orbit_hom_support(x: TateMotive, y: TateMotive) -> dict[int, int]:
@@ -360,7 +344,7 @@ def compose(g: OrbitMorphism, f: OrbitMorphism) -> OrbitMorphism:
     if common > 1:
         den //= common
         rows = [tuple(x // common for x in row) for row in rows]
-    return OrbitMorphism._from_rows(f.source, g.target, den, tuple(rows))
+    return OrbitMorphism._trusted(f.source, g.target, den, tuple(rows))
 
 
 def canonical_unit_iso(l: int) -> tuple[OrbitMorphism, OrbitMorphism]:
@@ -388,8 +372,8 @@ def block_unit_iso(m: TateMotive) -> tuple[OrbitMorphism, OrbitMorphism]:
     units = TateMotive({0: m.rank})
     ident = _identity_rows(m.rank)
     return (
-        OrbitMorphism._from_rows(m, units, 1, ident),
-        OrbitMorphism._from_rows(units, m, 1, ident),
+        OrbitMorphism._trusted(m, units, 1, ident),
+        OrbitMorphism._trusted(units, m, 1, ident),
     )
 
 

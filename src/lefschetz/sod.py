@@ -18,20 +18,20 @@ pickles that follow their fields.
 
 ``SODPiece(...)``, ``Collection(...)`` and their ``from_json`` check every
 field and raise ``tate.InputError`` for what they refuse, since a
-collection file reaches them as it was written.  ``SODPiece._trusted`` and
-``Collection._trusted`` are the trusted constructors: they store the
-fields as given, with no check or copy, so the caller vouches for what the
-checks would have refused.  A piece's label is
-a non-empty string and its rank 1 when it is exceptional, None or a
-non-negative int when it is opaque; a collection's pieces are a non-empty
-tuple of ``SODPiece``.  Only the catalog's own collections, whose labels
+collection file reaches them as it was written.  ``SODPiece._trusted``
+and ``Collection._trusted``, ``tate.Record``'s one trusted constructor,
+store the fields as given, with no check or copy, so the caller vouches
+for what the checks would have refused.  A piece's label is a non-empty
+string and its rank 1 when it is exceptional, None or a non-negative int
+when it is opaque; a collection's pieces are a non-empty tuple of
+``SODPiece``.  Only the catalog's own collections, whose labels
 and lengths are right by construction, are built this way; what comes from
 outside and what ``solve_nc_ranks`` builds goes through the checks.
 """
 
 from __future__ import annotations
 
-from .tate import DomainError, InputError, PoincarePoly, Record, TateMotive, is_int, set_field
+from .tate import DomainError, InputError, PoincarePoly, Record, TateMotive, is_int
 
 EXCEPTIONAL = "exceptional"
 OPAQUE = "opaque"
@@ -74,23 +74,7 @@ class SODPiece(Record):
             nc_rank = 1
         elif nc_rank is not None and not _is_count(nc_rank):
             raise InputError("nc_rank must be a non-negative integer or None")
-        set_field(self, "label", label)
-        set_field(self, "kind", kind)
-        set_field(self, "nc_rank", nc_rank)
-
-    @classmethod
-    def _trusted(cls, label: str, kind: str, nc_rank: int | None) -> "SODPiece":
-        """A piece holding the three fields as given, with no check.
-
-        The trusted constructor.  The caller vouches for what ``__init__``
-        checks: a non-empty string label, and rank 1 for an exceptional
-        piece or None or a non-negative int for an opaque one.
-        """
-        self = object.__new__(cls)
-        _set_label(self, label)
-        _set_kind(self, kind)
-        _set_nc_rank(self, nc_rank)
-        return self
+        self._store(label, kind, nc_rank)
 
     def to_json(self) -> dict:
         out: dict = {"label": self.label, "kind": self.kind}
@@ -125,18 +109,7 @@ class Collection(Record):
         for p in pieces:
             if not isinstance(p, SODPiece):
                 raise TypeError("collection pieces must be SODPiece")
-        set_field(self, "pieces", pieces)
-
-    @classmethod
-    def _trusted(cls, pieces: tuple) -> "Collection":
-        """A collection holding the tuple ``pieces`` itself, with no check or copy.
-
-        The trusted constructor.  The caller vouches for what ``__init__``
-        checks: ``pieces`` is a non-empty tuple of ``SODPiece``.
-        """
-        self = object.__new__(cls)
-        _set_pieces(self, pieces)
-        return self
+        self._store(pieces)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -158,14 +131,6 @@ class Collection(Record):
         return cls(tuple(SODPiece.from_json(p) for p in data["pieces"]))
 
 
-# Each slot's own setter, for the trusted constructors: it stores in one
-# call, where ``set_field`` first looks the name up on the class.
-_set_label = SODPiece.label.__set__
-_set_kind = SODPiece.kind.__set__
-_set_nc_rank = SODPiece.nc_rank.__set__
-_set_pieces = Collection.pieces.__set__
-
-
 class NCMotive(Record):
     """A direct sum of copies of the unit noncommutative motive."""
 
@@ -174,7 +139,7 @@ class NCMotive(Record):
     def __init__(self, unit_rank: int):
         if not _is_count(unit_rank):
             raise ValueError("unit_rank must be a non-negative integer")
-        set_field(self, "unit_rank", unit_rank)
+        self._store(unit_rank)
 
     def __add__(self, other: "NCMotive") -> "NCMotive":
         return NCMotive(self.unit_rank + other.unit_rank)
@@ -244,10 +209,7 @@ class FecVerdict(Record):
         bound: int | None = None,
         odd_degrees: tuple[int, ...] = (),
     ):
-        set_field(self, "status", status)
-        set_field(self, "min_length", min_length)
-        set_field(self, "bound", bound)
-        set_field(self, "odd_degrees", odd_degrees)
+        self._store(status, min_length, bound, odd_degrees)
 
     @property
     def ok(self) -> bool:

@@ -7,11 +7,14 @@ from exponent to multiplicity.  The unit object (the motive of a point) is
 a motive is called *effective* when every exponent is >= 0; everything in the
 variety catalog is effective.
 
-The immutable values here, in ``sod`` and in ``varieties`` derive from one
-base, ``Record``: it refuses assignment and deletion once ``__init__`` has
-run, and for a class that lists its fields in ``__slots__`` it gives
-``repr``, ``==``, ``hash``, copies and pickles that follow those fields, as
-a frozen dataclass's do.
+The immutable values here, in ``sod``, ``orbit`` and in ``varieties``
+derive from one base, ``Record``: it refuses assignment and deletion, and
+is the one home of field stores.  A class lists its fields in
+``__slots__``; ``Record`` collects each slot's own setter once per class,
+every checking ``__init__`` ends with ``_store(*values)``, and
+``_trusted(*values)`` is the one constructor that takes values with no
+check.  It gives ``repr``, ``==``, ``hash``, copies and pickles that follow
+those fields, as a frozen dataclass's do.
 
 Tate motives, Poincare polynomials, and the two polynomial rings of
 ``measures`` (classes in Z[Lv^+-1] and Hodge-Deligne polynomials in
@@ -120,33 +123,57 @@ def decoded(build, *args, **kwargs):
 TermsLike = Mapping[int, int] | Iterable[tuple[int, int]]
 
 
-# ``object.__setattr__``, which stores past ``Record``'s guard; a module
-# global is looked up faster than the attribute of ``object``
-set_field = object.__setattr__
-
-
 class Record:
     """An immutable value: assigning or deleting an attribute raises AttributeError.
 
-    A record class lists its fields, in order, in its own ``__slots__``, and
-    its ``__init__`` takes them in that order and stores each with
-    ``set_field``.  ``repr`` is ``Cls(field=value, ...)``, ``==``
-    holds between two values of one class whose fields are equal, ``hash``
-    is the hash of the tuple of fields, and copies and pickles rebuild the
-    value through ``__init__``.  Those are the results of a frozen
-    dataclass, without importing ``dataclasses``; a class whose state is not
-    its own ``__slots__`` overrides the four.
+    A record class lists its own fields, in order, in ``__slots__``, after
+    those of its bases.  ``__init_subclass__`` collects them once per class,
+    along the MRO from ``Record`` down, as ``_slot_names``, and each slot's
+    own setter as ``_slot_setters``; those setters are the only way a field
+    is stored.  A checking ``__init__`` checks its arguments and ends with
+    ``_store(*values)``, one value per field in order.  ``_trusted(*values)``
+    is the one trusted constructor: it stores the values as given, with no
+    check or copy, so its caller vouches for what ``__init__`` would have
+    checked.  ``repr`` is ``Cls(field=value, ...)``, ``==`` holds between
+    two values of one class whose fields are equal, and ``hash`` is the hash
+    of the tuple of fields: the results of a frozen dataclass, without
+    importing ``dataclasses``.  Copies and pickles rebuild a value through
+    ``_trusted``, with no check: a pickle can already run any code it names,
+    so trusting its fields opens no door that was shut.  Expression nodes
+    keep their fields in ``__dict__`` instead and override the store and
+    those four.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._slot_names = tuple([n for k in reversed(cls.__mro__) for n in vars(k).get("__slots__", ())])
+        cls._slot_setters = tuple([getattr(cls, name).__set__ for name in cls._slot_names])
 
     def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
     __delattr__ = __setattr__
 
+    # Both stores index the values rather than zip them with the setters:
+    # that allocates fewer objects per call, and records are built several
+    # times per catalog operation.
+
+    def _store(self, *values) -> None:
+        """Store ``values``, one per field in order, past the guard above."""
+        for i, store in enumerate(self._slot_setters):
+            store(self, values[i])
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A value holding ``values``, one per field in order, with no check or copy."""
+        self = object.__new__(cls)
+        for i, store in enumerate(cls._slot_setters):
+            store(self, values[i])
+        return self
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._slot_names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -157,12 +184,12 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ["%s=%r" % (name, getattr(self, name)) for name in self.__slots__]
+        fields = ["%s=%r" % (name, getattr(self, name)) for name in self._slot_names]
         return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
 
     def __reduce__(self):
         # the default would restore the slots through the guard above
-        return type(self), self._values()
+        return type(self)._trusted, self._values()
 
 
 class SparsePoly(Record):
@@ -171,11 +198,13 @@ class SparsePoly(Record):
     The terms are stored once, as a dict in canonical order with zero
     entries absent.  The constructor checks every item, merges equal keys
     and normalizes; sums and products normalize what they merged.
-    ``_wrap`` is the trusted constructor: it stores the dict it is given as
-    it is, so only code whose dict holds valid keys and nonzero coefficients
-    in canonical order by construction may call it, such as a conversion
-    that maps the terms of a valid polynomial in order.  The stored dict is
-    never mutated, so two values may share it.  A subclass states its rules
+    ``_trusted(terms)`` stores the dict it is given as it is, with no
+    check, filter, sort or copy, so only code whose dict holds valid keys
+    and nonzero coefficients in canonical order by construction may call
+    it, such as a conversion that maps the terms of a valid polynomial in
+    order.  The stored dict is never mutated, so two values may share it.
+    ``==`` and copies are ``Record``'s; ``hash`` and ``repr`` read the
+    terms, since a dict has no hash.  A subclass states its rules
     as class attributes:
 
     * ``_check(key, coeff)`` validates one input item before equal keys are
@@ -211,30 +240,13 @@ class SparsePoly(Record):
         for key, c in items:
             key = check(key, c)
             acc[key] = acc.get(key, 0) + c
-        set_field(self, "_terms", self._normalized(acc))
-
-    @classmethod
-    def _wrap(cls, terms: dict):
-        """An instance holding ``terms`` itself: no check, filter, sort or copy.
-
-        The trusted constructor.  ``terms`` must have valid keys, nonzero
-        coefficients and canonical order, and nobody may mutate it later;
-        it may be the dict of another value.  Only a caller whose dict is
-        canonical by construction calls it.
-        """
-        self = object.__new__(cls)
-        set_field(self, "_terms", terms)
-        return self
+        self._store(self._normalized(acc))
 
     def _normalized(self, acc: dict) -> dict:
         """Merged items as stored terms: zero entries dropped, in canonical order."""
         items = [kv for kv in acc.items() if kv[1]]
         items.sort(key=self._order)
         return dict(items)
-
-    def __reduce__(self):
-        # Record's version would read a subclass's own, empty, __slots__
-        return type(self), (self._terms,)
 
     @property
     def terms(self) -> dict:
@@ -250,7 +262,7 @@ class SparsePoly(Record):
         acc = self._terms.copy()
         for k, c in other._terms.items():
             acc[k] = acc.get(k, 0) + c
-        return self._wrap(self._normalized(acc))
+        return self._trusted(self._normalized(acc))
 
     def __mul__(self, other):
         if other.__class__ is not self.__class__:
@@ -262,12 +274,7 @@ class SparsePoly(Record):
             for l, d in right:
                 key = add_keys(k, l)
                 acc[key] = acc.get(key, 0) + c * d
-        return self._wrap(self._normalized(acc))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._terms == other._terms
+        return self._trusted(self._normalized(acc))
 
     def __hash__(self) -> int:
         return hash(tuple(self._terms.items()))
@@ -339,7 +346,7 @@ class TateMotive(SparsePoly):
             # multiplicities are non-negative, so no merged entry is zero
             if mult:
                 acc[exp] = acc.get(exp, 0) + mult
-        set_field(self, "_terms", self._normalized(acc))
+        self._store(self._normalized(acc))
 
     @staticmethod
     def _normalized(acc: dict) -> dict:
@@ -416,7 +423,7 @@ def poincare(x: TateMotive) -> "PoincarePoly":
             "poincare polynomial needs an effective motive, got %s" % x.text()
         )
     # doubling keeps the ascending order of valid, nonzero items
-    return PoincarePoly._wrap({2 * l: c for l, c in x._terms.items()})
+    return PoincarePoly._trusted({2 * l: c for l, c in x._terms.items()})
 
 
 class PoincarePoly(SparsePoly):

@@ -69,16 +69,16 @@ Catalog formulas:
 
 The formulas of ``Projective``, ``Quadric`` and ``Grassmannian`` give
 ascending exponents with positive multiplicities by construction, so they
-build their Tate motives with the trusted ``TateMotive._wrap``.  ``Toric``
-and ``Fano3fold`` keep the checking constructor, since a Betti number or
-``b`` may be 0, and so does ``ModuliM0``, whose constructor copies the
-class-level table, so no motive shares it.
+build their Tate motives with the trusted ``TateMotive._trusted``.
+``Toric`` and ``Fano3fold`` keep the checking constructor, since a Betti
+number or ``b`` may be 0, and so does ``ModuliM0``, whose constructor
+copies the class-level table, so no motive shares it.
 
-The collections of the catalog are built with the trusted constructors
-``SODPiece._trusted`` and ``Collection._trusted``: their labels are
-non-empty strings, their ranks right and each summand's piece tuple
-non-empty by construction, so neither the pieces nor their joins go
-through the checks of ``sod``.
+The collections of the catalog are built with ``SODPiece._trusted`` and
+``Collection._trusted``, the trusted constructor that every record has
+from ``tate.Record``: their labels are non-empty strings, their ranks
+right and each summand's piece tuple non-empty by construction, so
+neither the pieces nor their joins go through the checks of ``sod``.
 
 Opaque summands are never converted into Betti numbers; operations that need
 complete cohomological data reject motives that still carry them.  A
@@ -94,10 +94,13 @@ summand.
 
 Nodes, ``OpaquePart`` and ``GeneralizedMotive`` derive from ``tate.Record``,
 which refuses assignment and deletion.  The two motive classes are plain
-records: ``repr``, ``==``, ``hash``, copies and pickles follow their
-``__slots__``.  Nodes keep their fields, ``dim`` and the memos in
-``__dict__`` and define those four through ``_fold`` and ``_expand``
-instead.
+records: their ``__init__`` ends with ``Record._store``, sums, products
+and twists, whose fields are valid by construction, build through
+``Record._trusted``, and ``repr``, ``==``, ``hash``, copies and pickles
+follow their ``__slots__``.  Nodes
+keep their fields, ``dim`` and the memos in ``__dict__``: their own
+``_store`` and the two memo writers store straight into it, and they
+define those four through ``_fold`` and ``_expand`` instead.
 """
 
 from __future__ import annotations
@@ -115,7 +118,6 @@ from .tate import (
     is_int,
     lefschetz,
     poincare,
-    set_field,
     tensor,
 )
 from . import sod
@@ -149,15 +151,13 @@ class OpaquePart(Record):
     __slots__ = ("name", "odd", "twist")
 
     def __init__(self, name: str, odd: bool, twist: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "odd", odd)
-        set_field(self, "twist", twist)
+        self._store(name, odd, twist)
 
     def twisted(self, r: int) -> "OpaquePart":
         """The part times L^r: for r = 0 the part itself, which is immutable."""
         # the sum comes first, so a twist that is no number raises for r = 0 too
         twist = self.twist + r
-        return OpaquePart(self.name, self.odd, twist) if r else self
+        return OpaquePart._trusted(self.name, self.odd, twist) if r else self
 
     def text(self) -> str:
         if self.twist == 0:
@@ -176,15 +176,14 @@ class GeneralizedMotive(Record):
     __slots__ = ("tate", "opaque")
 
     def __init__(self, tate: TateMotive, opaque: tuple[OpaquePart, ...] = ()):
-        set_field(self, "tate", tate)
-        set_field(self, "opaque", tuple(opaque))
+        self._store(tate, tuple(opaque))
 
     @property
     def is_tate(self) -> bool:
         return not self.opaque
 
     def __add__(self, other: "GeneralizedMotive") -> "GeneralizedMotive":
-        return GeneralizedMotive(
+        return GeneralizedMotive._trusted(
             direct_sum(self.tate, other.tate), self.opaque + other.opaque
         )
 
@@ -197,7 +196,7 @@ class GeneralizedMotive(Record):
             parts = _twisted_parts(other.opaque, self.tate)
         else:
             parts = _twisted_parts(self.opaque, other.tate)
-        return GeneralizedMotive(tensor(self.tate, other.tate), parts)
+        return GeneralizedMotive._trusted(tensor(self.tate, other.tate), parts)
 
     def text(self) -> str:
         parts = [] if self.tate.is_zero else [self.tate.text()]
@@ -289,12 +288,13 @@ class VarietyExpr(Record):
     node from them: ``__init__`` takes them positionally or by name and
     checks that each child is an expression, then ends in the one
     positional store, ``_store``, which ``_from_labels`` calls on each new
-    node too.  The store refuses a class without a ``kind`` with TypeError,
-    stores a tuple field as a tuple, runs the class's ``_check`` and then
-    stores ``dim``, the class's ``_dimension`` of its children's ``dim``,
-    writing straight into the node's ``__dict__``; ``tate.Record`` refuses
-    assignment.  ``==``, ``hash`` and ``repr`` follow the fields, not
-    ``dim``.
+    node too; it stands in for ``tate.Record``'s, since a node keeps its
+    fields in ``__dict__``, not in slots.  The store refuses a class without
+    a ``kind`` with TypeError, stores a tuple field as a tuple, runs the
+    class's ``_check`` and then stores ``dim``, the class's ``_dimension``
+    of its children's ``dim``, writing straight into the node's
+    ``__dict__``; ``tate.Record`` refuses assignment.  ``==``, ``hash`` and
+    ``repr`` follow the fields, not ``dim``.
 
     A node class also carries its JSON ``kind``, its text ``syntax`` and its
     catalog entry: the methods ``_dimension`` and ``_motive``, which take
@@ -321,6 +321,7 @@ class VarietyExpr(Record):
     _children: tuple = ()
 
     def __init_subclass__(cls):
+        super().__init_subclass__()
         cls._children = tuple(name for name, typ in cls._fields if typ is VarietyExpr)
 
     def __init__(self, *args, **kwargs):
@@ -332,9 +333,9 @@ class VarietyExpr(Record):
         for (name, typ), value in zip(self._fields, args):
             if typ is VarietyExpr and not isinstance(value, VarietyExpr):
                 raise InvalidParameterError("expected a variety expression, got %r" % (value,))
-        self._store(args)
+        self._store(*args)
 
-    def _store(self, values) -> "VarietyExpr":
+    def _store(self, *values) -> "VarietyExpr":
         """Fill this node from ``values``, one per field in order, and return it.
 
         The one positional store, which ``__init__`` ends with and
@@ -503,7 +504,7 @@ def _from_labels(labels) -> VarietyExpr:
             i += 1
             values.append(built.pop(at) if typ is VarietyExpr else label[i][2])
         try:
-            built.append(object.__new__(cls)._store(values))
+            built.append(object.__new__(cls)._store(*values))
         except InvalidParameterError as exc:
             if hasattr(labels, "throw"):
                 # a generator names the path of the node whose label it yielded
@@ -548,7 +549,7 @@ class Projective(VarietyExpr):
         return self.n
 
     def _motive(self) -> GeneralizedMotive:
-        return GeneralizedMotive(TateMotive._wrap({i: 1 for i in range(self.n + 1)}))
+        return GeneralizedMotive(TateMotive._trusted({i: 1 for i in range(self.n + 1)}))
 
     def _pieces(self) -> tuple:
         return _line_bundles(-self.n)
@@ -570,7 +571,7 @@ class Quadric(VarietyExpr):
         terms = {i: 1 for i in range(self.d + 1)}
         if self.d % 2 == 0:
             terms[self.d // 2] += 1
-        return GeneralizedMotive(TateMotive._wrap(terms))
+        return GeneralizedMotive(TateMotive._trusted(terms))
 
     def _pieces(self) -> tuple:
         if self.d % 2 == 1:
@@ -606,7 +607,7 @@ class Grassmannian(VarietyExpr):
 
     def _motive(self) -> GeneralizedMotive:
         # every coefficient counts at least one partition, so none is zero
-        return GeneralizedMotive(TateMotive._wrap(_gaussian_binomial(self.n, self.k)))
+        return GeneralizedMotive(TateMotive._trusted(_gaussian_binomial(self.n, self.k)))
 
 
 class Toric(VarietyExpr):
@@ -797,7 +798,7 @@ def motive_of(e: VarietyExpr) -> GeneralizedMotive:
     """Evaluate an expression to its generalized motive."""
     if not isinstance(e, VarietyExpr) or "_motive_memo" not in e.__dict__:
         # ``_fold`` rejects a non-node, and a call that raises keeps nothing
-        set_field(e, "_motive_memo", _fold(e, lambda node, *parts: node._motive(*parts)))
+        e.__dict__["_motive_memo"] = _fold(e, lambda node, *parts: node._motive(*parts))
     return e.__dict__["_motive_memo"]
 
 
@@ -842,7 +843,7 @@ def exceptional_collection_of(
         raise ValueError("quadric_variant must be %s" % " or ".join(map(repr, _VARIANTS)))
     if not isinstance(e, VarietyExpr) or "_collections_memo" not in e.__dict__:
         # one walk answers both variants; ``_fold`` rejects a non-node
-        set_field(e, "_collections_memo", _fold_collections(e))
+        e.__dict__["_collections_memo"] = _fold_collections(e)
     return e.__dict__["_collections_memo"][_VARIANTS.index(quadric_variant)]
 
 

@@ -180,7 +180,7 @@ def canonical_morphism(source, target, den, rows):
     if den < 0:
         common = -common
     rows = tuple(tuple(x // common for x in row) for row in rows)
-    return OrbitMorphism._from_rows(source, target, den // common, rows)
+    return OrbitMorphism._trusted(source, target, den // common, rows)
 
 
 def conjugated_unit_iso(m, rng):
@@ -294,8 +294,8 @@ def unimodular_conjugated_unit_iso(m, rng, size, steps):
         a[i] = [x + t * y for x, y in zip(a[i], a[j])]
         for row in a_inv:
             row[j] -= t * row[i]
-    f2 = OrbitMorphism._from_rows(m, f.target, 1, tuple(map(tuple, _int_matmul(a, f.rows))))
-    g2 = OrbitMorphism._from_rows(g.source, m, 1, tuple(map(tuple, _int_matmul(g.rows, a_inv))))
+    f2 = OrbitMorphism._trusted(m, f.target, 1, tuple(map(tuple, _int_matmul(a, f.rows))))
+    g2 = OrbitMorphism._trusted(g.source, m, 1, tuple(map(tuple, _int_matmul(g.rows, a_inv))))
     return f2, g2
 
 

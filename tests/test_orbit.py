@@ -260,7 +260,7 @@ class TestOrbitMorphism:
             twins = (
                 OrbitMorphism(x, y, {r: [[str(e) for e in row] for row in mat]
                                      for r, mat in f.components.items()}),
-                OrbitMorphism._from_rows(x, y, f.den, f.rows),
+                OrbitMorphism._trusted(x, y, f.den, f.rows),
                 compose(identity_morphism(y), f),
             )
             for twin in twins:
@@ -593,8 +593,8 @@ class TestIsInverse:
     def _unit_pair(den_g, f_rows, g_rows):
         m = TateMotive({0: 1, 1: 1})
         units = TateMotive({0: 2})
-        f = OrbitMorphism._from_rows(m, units, 1, f_rows)
-        g = OrbitMorphism._from_rows(units, m, den_g, g_rows)
+        f = OrbitMorphism._trusted(m, units, 1, f_rows)
+        g = OrbitMorphism._trusted(units, m, den_g, g_rows)
         return f, g
 
     def test_fields_need_the_sign_bit(self):

@@ -285,7 +285,7 @@ class TestEffective:
             seen += [m, chi_gs(k0_class(m)), twist(m, 2), twist(m, -1)]
         for _ in range(100):
             c = K0Class({rng.randint(-4, 4): rng.randint(1, 3) for _ in range(rng.randint(0, 3))})
-            seen += [chi_gs(c), chi_gs(c * c), TateMotive._wrap(c.terms)]
+            seen += [chi_gs(c), chi_gs(c * c), TateMotive._trusted(c.terms)]
         results = [m.is_effective for m in seen]
         assert results == [all(l >= 0 for l in m.terms) for m in seen]
         assert True in results and False in results
