@@ -16,14 +16,10 @@ from .tate import (
     NonEffectiveError,
     PoincarePoly,
     TateMotive,
-    UNIT,
-    ZERO,
     direct_sum,
-    hom_dim,
     lefschetz,
     poincare,
     tensor,
-    twist,
 )
 from .orbit import (
     CompositionError,
@@ -34,24 +30,17 @@ from .orbit import (
     SupportViolationError,
     block_unit_iso,
     canonical_unit_iso,
-    chow_morphism,
     compose,
     decompose_via_orbit,
     identity_morphism,
-    orbit_hom_support,
-    term_enumeration,
 )
 from .sod import (
     Collection,
     FecVerdict,
     InconsistentRanksError,
-    NCMotive,
     SODPiece,
     UnderdeterminedError,
-    additive_invariant_rank,
-    exceptional,
     fec_obstruction,
-    opaque,
     solve_nc_ranks,
 )
 from .varieties import (
@@ -74,15 +63,12 @@ from .varieties import (
     VarietyExpr,
     dimension_of,
     exceptional_collection_of,
-    expr_from_json,
-    expr_to_json,
     fec_verdict,
     motive_of,
 )
 from .measures import (
     HodgeDelignePoly,
     K0Class,
-    LV,
     VirtualClassError,
     chi_gs,
     chi_hd,

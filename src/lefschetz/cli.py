@@ -11,9 +11,12 @@ two forms.  ``main`` maps an exception to an exit status by its type alone:
 * 1 for a ``DomainError``: the computation ran but the domain verdict is
   negative (an obstruction fired, ranks cannot be reconciled, opaque
   summands block the request);
-* 2 for an ``InputError`` (syntax, out-of-range parameters, malformed
-  collection JSON, a closed stdin), an ``OSError`` (a file that cannot be
-  read) or a ``UnicodeError`` (stdin or a file that is not UTF-8);
+* 2 for a usage error that argparse finds (no verb or an unknown one, a
+  missing argument, a bad ``--dim``, an expression that starts with ``-``
+  and so reads as an option), an ``InputError`` (syntax, out-of-range
+  parameters, malformed collection JSON, a closed stdin), an ``OSError`` (a
+  file that cannot be read) or a ``UnicodeError`` (stdin or a file that is
+  not UTF-8);
 * ``EXIT_BROKEN_PIPE`` (141, 128 + SIGPIPE, as a shell reports a process
   killed by the signal), with nothing on stderr, when the reader of stdout
   closes it early;
@@ -141,8 +144,16 @@ def run(verb, args) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one ``error:`` line, without the usage text."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers are made with the class of their parent
+    parser = _Parser(
         prog="lefschetz",
         description="Exact computations with Tate motives of catalog varieties.",
     )

@@ -1,11 +1,11 @@
 """Motivic measures on the Tate part of the Grothendieck ring of varieties.
 
 ``K0Class`` is an integer Laurent polynomial in the class Lv of the affine
-line; coefficients may be negative (virtual classes).  It and
-``HodgeDelignePoly`` are subclasses of ``tate.SparsePoly``, the sparse
-polynomial core shared with Tate motives and Poincare polynomials, and state
-only their own validation, term order and monomial symbols.  Two measures act
-on it:
+line, ``K0Class({1: 1})``; coefficients may be negative (virtual classes).
+It and ``HodgeDelignePoly`` are subclasses of ``tate.SparsePoly``, the
+sparse polynomial core shared with Tate motives and Poincare polynomials,
+and state only their own validation, term order and monomial symbols.  Two
+measures act on it:
 
 * ``chi_gs`` sends Lv to the Lefschetz motive L.  On classes with
   non-negative coefficients this is the tautological identification with
@@ -58,9 +58,6 @@ class K0Class(SparsePoly):
 
     def __sub__(self, other: "K0Class") -> "K0Class":
         return self + (-other)
-
-
-LV = K0Class({1: 1})
 
 
 class HodgeDelignePoly(SparsePoly):

@@ -4,8 +4,8 @@ Objects are Tate motives.  A morphism x -> y is a finitely supported family
 of rational matrices indexed by an integer grade r, where the grade-r matrix
 is an honest (twist-preserving) morphism from x into the r-fold twist of y.
 Rows are indexed by the summands of the target, columns by the summands of
-the source, both enumerated in ascending exponent order with ties broken by
-copy index.
+the source, both in the order ``TateMotive.exponent_multiset`` lists their
+exponents: ascending, each repeated by its multiplicity.
 
 Because Hom(L^p, L^q) vanishes unless p == q, the grade-r matrix can have a
 nonzero entry at (i, j) only when ``target_exponent_i - r == source_exponent_j``.
@@ -68,10 +68,8 @@ from .tate import (
     Record,
     TateMotive,
     decoded,
-    hom_dim,
     integer,
     is_int,
-    twist,
 )
 
 Matrix = tuple[tuple["Fraction", ...], ...]
@@ -109,11 +107,6 @@ class SupportViolationError(LiftError):
 
 class NotAnIsomorphismError(LiftError):
     """The given pair of morphisms is not a mutually inverse pair."""
-
-
-def term_enumeration(m: TateMotive) -> tuple[tuple[int, int], ...]:
-    """Summand basis of a motive: (exponent, copy index), ascending exponent."""
-    return tuple((l, i) for l, c in m.terms.items() for i in range(c))
 
 
 def _fraction_from_text(text: str):
@@ -248,11 +241,6 @@ class OrbitMorphism(Record):
         """Grade r -> the grade-r matrix, nonzero grades only, ascending."""
         return {r: self.component(r) for r in self.support}
 
-    @property
-    def is_twist_preserving(self) -> bool:
-        """True when only the grade-0 component is present."""
-        return set(self.support) <= {0}
-
     def __repr__(self) -> str:
         return "OrbitMorphism(%s -> %s, grades %r)" % (
             self.source.text(),
@@ -294,28 +282,8 @@ class OrbitMorphism(Record):
         return decoded(cls, source, target, components)
 
 
-def chow_morphism(source: TateMotive, target: TateMotive, matrix) -> OrbitMorphism:
-    """A twist-preserving morphism: a single matrix concentrated at grade 0."""
-    return OrbitMorphism(source, target, {0: matrix})
-
-
 def identity_morphism(x: TateMotive) -> OrbitMorphism:
     return OrbitMorphism._trusted(x, x, 1, _identity_rows(x.rank))
-
-
-def orbit_hom_support(x: TateMotive, y: TateMotive) -> dict[int, int]:
-    """Grade -> dimension of Hom(x, y twisted r times), nonzero grades only.
-
-    Hom in the orbit category is the direct sum over r of the twisted honest
-    Hom spaces, so the support is the difference set of the exponent sets.
-    """
-    grades = {b - a for a in x.terms for b in y.terms}
-    out = {}
-    for r in sorted(grades):
-        d = hom_dim(x, twist(y, r))
-        if d:
-            out[r] = d
-    return out
 
 
 def compose(g: OrbitMorphism, f: OrbitMorphism) -> OrbitMorphism:

@@ -2,9 +2,10 @@
 
 A Collection is an ordered list of pieces, each either exceptional (its
 noncommutative motive is one copy of the unit, rank 1 by definition) or an
-opaque named piece whose rank may be unknown.  Under any additive invariant
-the value of a rank-n piece is n copies of the invariant of the base point,
-so ranks are pinned down by counting: the ranks of all pieces must sum to the
+opaque named piece whose rank may be unknown: ``SODPiece(label)`` and
+``SODPiece(label, OPAQUE, nc_rank)``.  Under any additive invariant the
+value of a rank-n piece is n copies of the invariant of the base point, so
+ranks are pinned down by counting: the ranks of all pieces must sum to the
 rank of the total motive.  ``solve_nc_ranks`` does exactly that bookkeeping
 and refuses to guess when more than one rank is unknown.
 
@@ -12,9 +13,9 @@ The full-exceptional-collection obstruction checks live here too: odd Betti
 numbers rule a full exceptional collection out entirely, and the largest even
 Betti number is a lower bound for the length of any such collection.
 
-Pieces, collections, noncommutative motives and verdicts are records
-(``tate.Record``): immutable, with ``repr``, ``==``, ``hash``, copies and
-pickles that follow their fields.
+Pieces, collections and verdicts are records (``tate.Record``):
+immutable, with ``repr``, ``==``, ``hash``, copies and pickles that follow
+their fields.
 
 ``SODPiece(...)``, ``Collection(...)`` and their ``from_json`` check every
 field and raise ``tate.InputError`` for what they refuse, since a
@@ -89,14 +90,6 @@ class SODPiece(Record):
         return cls(data["label"], data["kind"], data.get("nc_rank"))
 
 
-def exceptional(label: str) -> SODPiece:
-    return SODPiece(label, EXCEPTIONAL)
-
-
-def opaque(label: str, nc_rank: int | None = None) -> SODPiece:
-    return SODPiece(label, OPAQUE, nc_rank)
-
-
 class Collection(Record):
     """A non-empty ordered tuple of pieces."""
 
@@ -131,26 +124,6 @@ class Collection(Record):
         return cls(tuple(SODPiece.from_json(p) for p in data["pieces"]))
 
 
-class NCMotive(Record):
-    """A direct sum of copies of the unit noncommutative motive."""
-
-    __slots__ = ("unit_rank",)
-
-    def __init__(self, unit_rank: int):
-        if not _is_count(unit_rank):
-            raise ValueError("unit_rank must be a non-negative integer")
-        self._store(unit_rank)
-
-    def __add__(self, other: "NCMotive") -> "NCMotive":
-        return NCMotive(self.unit_rank + other.unit_rank)
-
-    @classmethod
-    def of_piece(cls, piece: SODPiece) -> "NCMotive":
-        if piece.nc_rank is None:
-            raise ValueError("piece %r has unknown rank" % piece.label)
-        return cls(piece.nc_rank)
-
-
 def solve_nc_ranks(collection: Collection, total: TateMotive) -> Collection:
     """Fill in the single unknown rank so the pieces add up to rank(total).
 
@@ -182,19 +155,6 @@ def solve_nc_ranks(collection: Collection, total: TateMotive) -> Collection:
     solved = list(collection.pieces)
     solved[i] = SODPiece(solved[i].label, solved[i].kind, residue)
     return Collection(tuple(solved))
-
-
-def additive_invariant_rank(piece: SODPiece, unit_value_rank: int) -> int:
-    """Value of any additive invariant on a piece, in multiples of the base value.
-
-    A rank-n piece contributes n copies of the invariant of the base point,
-    so the answer is ``n * unit_value_rank``.
-    """
-    if not is_int(unit_value_rank) or unit_value_rank < 1:
-        raise ValueError("unit_value_rank must be a positive integer")
-    if piece.nc_rank is None:
-        raise ValueError("piece %r has unknown rank; solve it first" % piece.label)
-    return piece.nc_rank * unit_value_rank
 
 
 class FecVerdict(Record):

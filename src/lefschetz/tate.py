@@ -3,9 +3,10 @@
 A Tate motive here is a formal direct sum ``L^{l_1} + ... + L^{l_m}`` of
 integer powers of the Lefschetz motive L, stored as a finitely supported map
 from exponent to multiplicity.  The unit object (the motive of a point) is
-``L^0``.  Negative exponents are allowed, since Tate twists produce them, but
-a motive is called *effective* when every exponent is >= 0; everything in the
-variety catalog is effective.
+``L^0``, ``TateMotive({0: 1})``, and zero is ``TateMotive()``.  Negative
+exponents are allowed, since a Tate twist, the product with
+``lefschetz(-r)``, produces them, but a motive is called *effective* when
+every exponent is >= 0; everything in the variety catalog is effective.
 
 The immutable values here, in ``sod``, ``orbit`` and in ``varieties``
 derive from one base, ``Record``: it refuses assignment and deletion, and
@@ -380,10 +381,6 @@ class TateMotive(SparsePoly):
         return tuple(l for l, c in self._terms.items() for _ in range(c))
 
 
-UNIT = TateMotive({0: 1})
-ZERO = TateMotive()
-
-
 def lefschetz(exponent: int = 1) -> TateMotive:
     """The motive L^exponent."""
     return TateMotive({exponent: 1})
@@ -396,20 +393,6 @@ def direct_sum(a: TateMotive, b: TateMotive) -> TateMotive:
 def tensor(a: TateMotive, b: TateMotive) -> TateMotive:
     """L^p tensor L^q = L^{p+q}, extended biadditively."""
     return a * b
-
-
-def twist(a: TateMotive, r: int) -> TateMotive:
-    """Tate twist: tensoring with the inverse Lefschetz power, L^l -> L^{l-r}."""
-    return TateMotive({l - r: c for l, c in a.terms.items()})
-
-
-def hom_dim(x: TateMotive, y: TateMotive) -> int:
-    """Dimension over Q of Hom(x, y).
-
-    Hom(L^p, L^q) is Q when p == q and 0 otherwise, so the dimension is the
-    sum over shared exponents of the product of multiplicities.
-    """
-    return sum(c * y.multiplicity(l) for l, c in x.terms.items())
 
 
 def poincare(x: TateMotive) -> "PoincarePoly":

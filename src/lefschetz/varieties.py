@@ -7,12 +7,12 @@ returns the known full exceptional collection or the Clifford-algebra
 decomposition for quadrics, where defined.
 
 Each node class lists its fields in ``_fields`` and holds its own catalog
-entry: its JSON ``kind``, its text ``syntax`` (the head and canonical
-template that ``exprlang`` parses and renders), its parameter checks in
-``_check`` and the methods ``_dimension``, ``_motive``, ``_pieces`` and
-``_kuznetsov``.  A method never visits a child: ``_dimension`` and
-``_motive`` take the results of the node's children.  ``_dimension`` runs
-once per node, when the node is
+entry: its ``kind``, which marks it as an entry and keys ``_KINDS``, its
+text ``syntax`` (the head and canonical template that ``exprlang`` parses
+and renders), its parameter checks in ``_check`` and the methods
+``_dimension``, ``_motive``, ``_pieces`` and ``_kuznetsov``.  A method
+never visits a child: ``_dimension`` and ``_motive`` take the results of
+the node's children.  ``_dimension`` runs once per node, when the node is
 built: the constructor applies it to the children's ``dim`` and stores the
 result as the node's own ``dim`` (a synthesized attribute), so a tree of
 any depth gets its dimensions in one pass, bottom up, and ``dimension_of``
@@ -20,20 +20,17 @@ reads the root's.  The catalog is closed: a class without a ``kind``, the
 base class included, refuses to build, so every node that exists is a
 catalog entry and its ``dim`` an integer.  One function, ``_fold``, walks a
 tree, children first and on an explicit stack, and ``motive_of``,
-``expr_to_json``, ``==`` and ``hash`` go through it.  Text is written top
-down instead, by ``_expand`` on one explicit stack and joined once, so
+``exceptional_collection_of``, ``==`` and ``hash`` go through it.  Text is
+written top down instead, by ``_expand`` on one explicit stack and joined once, so
 ``repr`` and ``exprlang.render_expr`` copy each piece of text once.  No
 depth of tree exhausts the Python stack.
 ``exceptional_collection_of`` folds a tree to the summands of its top-level
 disjoint union and asks each summand for its split ``_pieces`` and their
-``_kuznetsov`` form.  The JSON form is
-generic over the fields: a field holding an expression nests, a tuple field
-is a JSON list.  One function, ``_from_labels``, builds every tree that
-does not come from the constructors directly, on an explicit stack, from
-the flat post-order labels that ``_labels`` lists: a pickle holds them,
-the text parser emits them, and ``expr_from_json`` translates the JSON
-into them as it reads it.  Every node, from a constructor or a label, is
-filled by one positional store, ``VarietyExpr._store``.
+``_kuznetsov`` form.  One function, ``_from_labels``, builds every tree
+that does not come from the constructors directly, on an explicit stack,
+from the flat post-order labels that ``_labels`` lists: a pickle holds
+them, and the text parser emits them.  Every node, from a constructor or a
+label, is filled by one positional store, ``VarietyExpr._store``.
 
 ``motive_of`` and ``exceptional_collection_of`` each answer once per tree:
 the first result is kept on the node the call was given, in an attribute
@@ -126,9 +123,9 @@ from . import sod
 class InvalidParameterError(InputError):
     """A catalog constructor was given out-of-range or ill-typed parameters.
 
-    Raised through ``_from_labels``, so from ``expr_from_json``,
-    ``exprlang.parse_expr`` and unpickling, it carries ``path``, the node
-    path of the node whose constructor refused (the root is ``$``).
+    Raised through ``_from_labels``, so from ``exprlang.parse_expr`` and
+    unpickling, it carries ``path``, the node path of the node whose
+    constructor refused (the root is ``$``).
     """
 
 
@@ -296,8 +293,8 @@ class VarietyExpr(Record):
     ``__dict__``; ``tate.Record`` refuses assignment.  ``==``, ``hash`` and
     ``repr`` follow the fields, not ``dim``.
 
-    A node class also carries its JSON ``kind``, its text ``syntax`` and its
-    catalog entry: the methods ``_dimension`` and ``_motive``, which take
+    A node class also carries its ``kind``, the key of ``_KINDS``, its text
+    ``syntax`` and its catalog entry: the methods ``_dimension`` and ``_motive``, which take
     the results of the node's children in field order, and ``_pieces()``,
     the tuple of split pieces, where the catalog knows a collection.
     ``_kuznetsov(pieces)`` gives the Kuznetsov form of those pieces; the
@@ -397,12 +394,6 @@ class VarietyExpr(Record):
             out += (", " if i else "", name + "=", (value, 0) if typ is VarietyExpr else repr(value))
         return out + [")"]
 
-    def _json(self, *children: dict) -> dict:
-        out = {"kind": self.kind}
-        for name, typ, value in self._items(children):
-            out[name] = list(value) if typ is tuple else value
-        return out
-
     def _summands(self, *children: list) -> list:
         """The summands of this node as a disjoint union, left to right."""
         return [self]
@@ -485,8 +476,7 @@ def _from_labels(labels) -> VarietyExpr:
     """The tree whose ``_labels`` are ``labels``, built on an explicit stack.
 
     The one builder: ``exprlang.parse_expr`` hands it the labels of the
-    whole text, ``expr_from_json`` a generator that yields each label as
-    soon as its node's fields are read, and a pickle the labels it holds.
+    whole text, and a pickle the labels it holds.
     Each label's node is filled by ``VarietyExpr._store``, each field's type
     taken from the class's ``_fields``: a child comes off the stack, so it
     is a node by construction.  An InvalidParameterError from ``_check``
@@ -506,9 +496,6 @@ def _from_labels(labels) -> VarietyExpr:
         try:
             built.append(object.__new__(cls)._store(*values))
         except InvalidParameterError as exc:
-            if hasattr(labels, "throw"):
-                # a generator names the path of the node whose label it yielded
-                labels.throw(exc)
             # each later label takes its children off the stack and goes on
             # it; ``above`` counts the nodes above this node's subtree, and
             # the first label that takes more than those takes the subtree
@@ -867,62 +854,3 @@ def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:
     except CollectionUnavailableError:
         bound = None
     return sod.fec_obstruction(betti, bound)
-
-
-def expr_to_json(e: VarietyExpr) -> dict:
-    """Structural JSON mirror of the AST: the kind, then each field in order."""
-    return _fold(e, lambda node, *children: node._json(*children))
-
-
-def expr_from_json(data: dict) -> VarietyExpr:
-    """Build an expression from its JSON form, through ``_from_labels``.
-
-    Fields are read in order and a child is built before the next field is
-    read, so the first problem met is the one reported.  An
-    InvalidParameterError from a constructor gets ``path``, the node path
-    of that node.
-    """
-    return _from_labels(_json_labels(data))
-
-
-def _json_labels(data):
-    """Yield the ``_labels`` of the tree whose JSON form is ``data``.
-
-    ``frames`` holds ``(class, JSON, items so far)`` for each node whose
-    fields are being read, root first.  A node's label is yielded as soon as
-    its last field is read, so a consumer builds a child before the next
-    field is read.  An InvalidParameterError thrown in at the yield gets the
-    path of the node whose label was yielded: the name of the last item of
-    each node below it on ``frames``, its ancestors.
-    """
-    frames = []
-    while True:
-        # open the node ``data``
-        if not isinstance(data, dict) or "kind" not in data:
-            raise InputError("expression JSON needs a 'kind' field")
-        kind = data["kind"]
-        if not isinstance(kind, str) or kind not in _KINDS:
-            raise InputError("unknown expression kind %r" % (kind,))
-        frames.append((_KINDS[kind], data, []))
-        # read fields up to the next child, yielding each node whose last field is read
-        while True:
-            cls, node, items = frames[-1]
-            if len(items) < len(cls._fields):
-                name, typ = cls._fields[len(items)]
-                if name not in node:
-                    raise InputError("%s expression JSON needs a field %r" % (cls.kind, name))
-                data = node[name]
-                if typ is tuple and not isinstance(data, list):
-                    raise InputError("%s expression JSON needs %r as a list" % (cls.kind, name))
-                items.append((name, typ, None if typ is VarietyExpr else data))
-                if typ is VarietyExpr:
-                    break
-                continue
-            try:
-                yield (cls, *items)
-            except InvalidParameterError as exc:
-                exc.path = ".".join(["$"] + [frame[2][-1][0] for frame in frames[:-1]])
-                raise
-            frames.pop()
-            if not frames:
-                return

@@ -23,7 +23,6 @@ from lefschetz.orbit import (
     block_unit_iso,
     compose,
     identity_morphism,
-    term_enumeration,
 )
 from lefschetz.sod import EXCEPTIONAL, FEC_OK, OPAQUE, _is_count
 from lefschetz.tate import INT_TOO_LONG, MAX_INT_DIGITS, TateMotive, direct_sum, lefschetz, tensor
@@ -156,15 +155,12 @@ def rand_motive(rng, min_exp=0, max_exp=5, max_distinct=3, max_mult=2):
 
 def rand_morphism(rng, source, target):
     """Random morphism: every delta-allowed slot gets a random entry."""
-    src = term_enumeration(source)
-    tgt = term_enumeration(target)
-    grades = {te - se for se, _ in src for te, _ in tgt}
+    src = source.exponent_multiset()
+    tgt = target.exponent_multiset()
+    grades = {te - se for se in src for te in tgt}
     comps = {}
     for r in grades:
-        comps[r] = [
-            [rand_entry(rng) if te - r == se else 0 for se, _ in src]
-            for te, _ in tgt
-        ]
+        comps[r] = [[rand_entry(rng) if te - r == se else 0 for se in src] for te in tgt]
     return OrbitMorphism(source, target, comps)
 
 
@@ -493,9 +489,9 @@ def checked_rebuild(poly):
     """``poly`` rebuilt through its class's checking constructor.
 
     The constructor checks every item, merges equal keys, drops zero
-    entries and sorts, as every polynomial did before conversions and
-    catalog formulas took the trusted ``_wrap`` path; a trusted result must
-    equal its rebuild item for item, in order.
+    entries and sorts; a result that a conversion or a catalog formula
+    built with the trusted ``Record._trusted`` must equal its rebuild item
+    for item, in order.
     """
     return type(poly)(poly.terms)
 
@@ -614,7 +610,7 @@ def _frame(data, name: str) -> list:
 
 
 def frame_expr_from_json(data: dict) -> VarietyExpr:
-    """``expr_from_json`` as it was: the tree, built on an explicit stack of frames.
+    """The tree of the JSON form ``data``, built on an explicit stack of frames.
 
     Fields are read in order and a child is built before the next field is
     read, so the first problem met is the one reported.  An
@@ -832,7 +828,7 @@ def fold_repr(e):
     return _fold(e, _fold_repr_step)
 
 
-# The six frozen dataclasses that ``tate.Record`` replaced, as they were in
+# The five frozen dataclasses that ``tate.Record`` replaced, as they were in
 # ``sod`` and ``varieties``: the oracle for the records' ``repr``, ``==``,
 # ``hash``, copies, pickles and validation errors.
 
@@ -906,26 +902,6 @@ class Collection:
         if not isinstance(data, dict) or not isinstance(data.get("pieces"), list):
             raise ValueError("collection JSON needs a 'pieces' list")
         return cls(tuple(SODPiece.from_json(p) for p in data["pieces"]))
-
-
-@dataclass(frozen=True)
-class NCMotive:
-    """A direct sum of copies of the unit noncommutative motive."""
-
-    unit_rank: int
-
-    def __post_init__(self):
-        if not _is_count(self.unit_rank):
-            raise ValueError("unit_rank must be a non-negative integer")
-
-    def __add__(self, other: "NCMotive") -> "NCMotive":
-        return NCMotive(self.unit_rank + other.unit_rank)
-
-    @classmethod
-    def of_piece(cls, piece: SODPiece) -> "NCMotive":
-        if piece.nc_rank is None:
-            raise ValueError("piece %r has unknown rank" % piece.label)
-        return cls(piece.nc_rank)
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,18 @@ class TestSodSolve:
         assert code == 2
         assert "--collection" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["motive", "-P(3)"], [], ["frobnicate", "P(1)"], ["sod-solve", "Q(3)"],
+         ["orbit-demo", "P(1)", "--dim", "x"]],
+        ids=["expression-like-an-option", "no-verb", "unknown-verb", "missing-flag", "bad-dim"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        # argparse would print its usage text too
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "sod-solve", "Q(3)", "--collection", "/no/file")
         assert code == 2 and err

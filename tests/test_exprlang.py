@@ -1,7 +1,6 @@
 """Parsing, error reporting, and the renderer round trip."""
 
 import copy
-import json
 import pickle
 import random
 import sys
@@ -17,7 +16,6 @@ from helpers import (
     fold_render_expr,
     fold_repr,
     fresh_dimension,
-    frame_expr_from_json,
     recursive_parse_expr,
     spelled_tokens,
     token_outcome,
@@ -32,7 +30,7 @@ from lefschetz.exprlang import (
     parse_expr,
     render_expr,
 )
-from lefschetz.tate import InputError, TateMotive
+from lefschetz.tate import TateMotive
 from lefschetz.varieties import (
     Blowup,
     CollectionUnavailableError,
@@ -49,12 +47,9 @@ from lefschetz.varieties import (
     Toric,
     _KINDS,
     _from_labels,
-    _json_labels,
     _labels,
     dimension_of,
     exceptional_collection_of,
-    expr_from_json,
-    expr_to_json,
     motive_of,
 )
 
@@ -377,7 +372,7 @@ class TestDeepInputs:
         e = parse_expr(text)
         canon = render_expr(e)
         assert render_expr(parse_expr(canon)) == canon
-        assert render_expr(expr_from_json(expr_to_json(e))) == canon
+        assert render_expr(pickle.loads(pickle.dumps(e))) == canon
         assert dimension_of(e) == 0
         rank = 1 if "*" in text else text.count("point")
         assert motive_of(e).tate == TateMotive({0: rank})
@@ -455,15 +450,13 @@ class TestDeepInputs:
 
     def test_nested_blowups_10000(self):
         # each blowup of the plane at a point is the base of the next
-        data = {"kind": "projective", "n": 2}
+        e = Projective(2)
         for _ in range(10000):
-            data = {"kind": "blowup", "base": data, "center": {"kind": "point"}, "codim": 2}
-        e = expr_from_json(data)
+            e = Blowup(e, Point(), 2)
         assert parse_expr("blowup(" * 10000 + "P(2)" + "; point; 2)" * 10000) == e
         twin = pickle.loads(pickle.dumps(e))
         assert twin is not e and twin == e and hash(twin) == hash(e)
-        assert expr_from_json(expr_to_json(e)) == e
-        assert expr_to_json(e)["base"]["center"] == {"kind": "point"}
+        assert e.base.center == Point()
         assert dimension_of(e) == dimension_of(twin) == fresh_dimension(e) == 2
         assert motive_of(e).tate == TateMotive({0: 1, 1: 10001, 2: 1})
 
@@ -498,7 +491,7 @@ def _mutations(rng, text):
 
 def _outcome(parse, text):
     try:
-        return "tree", expr_to_json(parse(text))
+        return "tree", _labels(parse(text))
     except ParseError as exc:
         return "error", str(exc), exc.offset
 
@@ -616,55 +609,6 @@ def test_stack_parser_matches_recursive_parser(seed):
     assert any(path.count(".") >= 2 for path in paths)
 
 
-def _json_mutations(rng, data):
-    """``data`` with one field of one node dropped, and with one set to a bad value."""
-    out = []
-    for mutate in ("drop", "set"):
-        copied = json.loads(json.dumps(data))
-        nodes, todo = [], [copied]
-        while todo:
-            node = todo.pop()
-            nodes.append(node)
-            todo += [value for value in node.values() if isinstance(value, dict)]
-        node = rng.choice(nodes)
-        key = rng.choice(sorted(node))
-        if mutate == "drop":
-            del node[key]
-        else:
-            node[key] = rng.choice([None, -1, 0, 7, True, "x", [], [1, "a"], {}, {"kind": "point"}])
-        out.append(copied)
-    return out
-
-
-def _json_outcome(build, data):
-    try:
-        return "tree", _labels(build(data))
-    except ValueError as exc:
-        return type(exc), str(exc), getattr(exc, "path", None)
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_json_labels_match_frame_builder(seed):
-    # the builder on a stack of JSON frames is the oracle for paths, messages and order
-    rng = random.Random(1961 + seed)
-    trees = []
-    while len(trees) < 150:
-        try:
-            trees.append(parse_expr(_random_catalog_text(rng, 4)))
-        except SemanticError:
-            pass
-    docs = [expr_to_json(e) for e in trees]
-    docs += [m for data in docs for m in _json_mutations(rng, data)]
-    outcomes = [_json_outcome(expr_from_json, data) for data in docs]
-    # where the oracle raises a plain ValueError, the builder raises exactly
-    # its InputError, with the same message and path
-    want = [_json_outcome(frame_expr_from_json, data) for data in docs]
-    assert outcomes == [(InputError, *o[1:]) if o[0] is ValueError else o for o in want]
-    kinds = [o[0] for o in outcomes]
-    assert kinds.count("tree") > 150
-    assert kinds.count(InvalidParameterError) > 30 and kinds.count(InputError) > 100
-
-
 @pytest.mark.parametrize(
     "value", [b"P(3)", bytearray(b"P(3)"), None, ["P"]], ids=["bytes", "bytearray", "None", "list"]
 )
@@ -722,7 +666,8 @@ def test_tokenizer_on_each_class_of_code_point(context):
         assert token_outcome(spelled_tokens, text) == token_outcome(char_loop_tokenize, text), text
 
 
-# the bad values that ``_json_mutations`` sets a field to
+# values to set one field of a label to: of every type a field can hold,
+# some in range for some fields and out of range or of the wrong type for others
 BAD_VALUES = [None, -1, 0, 7, True, "x", [], [1, "a"], {}, {"kind": "point"}]
 
 
@@ -765,10 +710,3 @@ def test_builder_matches_the_constructor_builder(seed):
     kinds = [o[0] for o in outcomes]
     assert kinds.count("tree") > 300 and kinds.count(InvalidParameterError) > 300
     assert kinds.count(TypeError) > 10
-    # JSON documents and their mutations, each through a fresh generator
-    docs = [expr_to_json(_from_labels(labels)) for labels, o in zip(lists, outcomes) if o[0] == "tree"]
-    docs = docs[:200] + [m for data in docs[:200] for m in _json_mutations(rng, data)]
-    outcomes = [_build_outcome(_from_labels, _json_labels(data)) for data in docs]
-    assert outcomes == [_build_outcome(constructor_from_labels, _json_labels(data)) for data in docs]
-    kinds = [o[0] for o in outcomes]
-    assert kinds.count(InvalidParameterError) > 30 and kinds.count(InputError) > 100

@@ -17,7 +17,7 @@ from helpers import rand_morphism, rand_motive
 from lefschetz.measures import HodgeDelignePoly, K0Class
 from lefschetz.orbit import OrbitMorphism
 from lefschetz.sod import FEC_FAILS_LENGTH, FEC_FAILS_ODD, FEC_OK, OPAQUE
-from lefschetz.sod import Collection, FecVerdict, NCMotive, SODPiece
+from lefschetz.sod import Collection, FecVerdict, SODPiece
 from lefschetz.tate import PoincarePoly, Record, SparsePoly, TateMotive
 from lefschetz.varieties import GeneralizedMotive, OpaquePart
 
@@ -65,7 +65,6 @@ SAMPLES = {
     ),
     SODPiece: _piece,
     Collection: lambda rng: Collection([_piece(rng) for _ in range(rng.randint(1, 4))]),
-    NCMotive: lambda rng: NCMotive(rng.randint(0, 9)),
     FecVerdict: _verdict,
     OrbitMorphism: lambda rng: rand_morphism(rng, rand_motive(rng), rand_motive(rng)),
     OpaquePart: _part,

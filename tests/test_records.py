@@ -1,7 +1,7 @@
 """The immutable records of ``sod`` and ``varieties`` against the dataclasses
 they replaced.
 
-``helpers`` keeps the six frozen dataclasses as they were.  Each seeded call
+``helpers`` keeps the five frozen dataclasses as they were.  Each seeded call
 below is made once with the library's classes and once with the oracle's,
 and the two must agree on the value or on the error raised, and then on
 ``repr``, ``==``, ``hash``, copies, pickles and refused assignment.
@@ -19,7 +19,7 @@ from lefschetz import sod, varieties
 from lefschetz.tate import InputError, PoincarePoly, Record, SparsePoly, TateMotive
 from lefschetz.varieties import Projective, VarietyExpr
 
-NAMES = ("SODPiece", "Collection", "NCMotive", "FecVerdict", "OpaquePart", "GeneralizedMotive")
+NAMES = ("SODPiece", "Collection", "FecVerdict", "OpaquePart", "GeneralizedMotive")
 NEW = {name: getattr(sod, name, None) or getattr(varieties, name) for name in NAMES}
 OLD = {name: getattr(helpers, name) for name in NAMES}
 # A collection file reaches these two as it was written, so where the
@@ -120,8 +120,6 @@ def rand_record(rng):
         return rand_piece(rng)
     if name == "Collection":
         return rand_call(rng, name, (("pieces", False, rand_pieces),))
-    if name == "NCMotive":
-        return rand_call(rng, name, (("unit_rank", False, choice(0, 1, 3, -1, True, 2.0, None)),))
     if name == "FecVerdict":
         return rand_call(rng, name, (
             ("status", False, choice(sod.FEC_OK, sod.FEC_FAILS_ODD, sod.FEC_FAILS_LENGTH)),

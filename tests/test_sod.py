@@ -6,15 +6,12 @@ from lefschetz.sod import (
     FEC_FAILS_LENGTH,
     FEC_FAILS_ODD,
     FEC_OK,
+    OPAQUE,
     Collection,
     InconsistentRanksError,
-    NCMotive,
     SODPiece,
     UnderdeterminedError,
-    additive_invariant_rank,
-    exceptional,
     fec_obstruction,
-    opaque,
     solve_nc_ranks,
 )
 from lefschetz.tate import PoincarePoly, TateMotive
@@ -22,20 +19,20 @@ from lefschetz.tate import PoincarePoly, TateMotive
 
 class TestPieces:
     def test_exceptional_rank_forced(self):
-        p = exceptional("O")
+        p = SODPiece("O")
         assert p.nc_rank == 1
         assert SODPiece("O", "exceptional", 1).nc_rank == 1
         with pytest.raises(ValueError):
             SODPiece("O", "exceptional", 2)
 
     def test_opaque_rank_optional(self):
-        assert opaque("Cl0").nc_rank is None
-        assert opaque("Cl0", 2).nc_rank == 2
+        assert SODPiece("Cl0", OPAQUE).nc_rank is None
+        assert SODPiece("Cl0", OPAQUE, 2).nc_rank == 2
         with pytest.raises(ValueError):
-            opaque("Cl0", -1)
+            SODPiece("Cl0", OPAQUE, -1)
         # bool is an int subclass, but JSON true is not a rank
         with pytest.raises(ValueError):
-            opaque("Cl0", True)
+            SODPiece("Cl0", OPAQUE, True)
         with pytest.raises(ValueError):
             SODPiece.from_json({"label": "Cl0", "kind": "opaque", "nc_rank": True})
 
@@ -46,7 +43,7 @@ class TestPieces:
             SODPiece("", "exceptional")
 
     def test_json_round_trip(self):
-        for p in [exceptional("O(-1)"), opaque("Cl0"), opaque("Cl0", 2)]:
+        for p in [SODPiece("O(-1)"), SODPiece("Cl0", OPAQUE), SODPiece("Cl0", OPAQUE, 2)]:
             assert SODPiece.from_json(p.to_json()) == p
         with pytest.raises(ValueError):
             SODPiece.from_json({"label": "O"})
@@ -58,13 +55,13 @@ class TestCollection:
             Collection(())
 
     def test_accessors(self):
-        c = Collection((exceptional("A"), opaque("B")))
+        c = Collection((SODPiece("A"), SODPiece("B", OPAQUE)))
         assert len(c) == 2
         assert c.labels == ("A", "B")
         assert [p.label for p in c] == ["A", "B"]
 
     def test_json_round_trip(self):
-        c = Collection((exceptional("O(-1)"), exceptional("O"), opaque("Cl0")))
+        c = Collection((SODPiece("O(-1)"), SODPiece("O"), SODPiece("Cl0", OPAQUE)))
         assert Collection.from_json(c.to_json()) == c
         assert c.to_json() == {
             "pieces": [
@@ -133,83 +130,49 @@ class TestStillRefused:
 
     def test_collection_of_non_pieces(self):
         with pytest.raises(TypeError):
-            Collection((exceptional("O"), "O(1)"))
+            Collection((SODPiece("O"), "O(1)"))
         with pytest.raises(TypeError):
             Collection(5)
 
 
 class TestSolve:
     def test_all_known_consistent(self):
-        c = Collection((exceptional("A"), exceptional("B")))
+        c = Collection((SODPiece("A"), SODPiece("B")))
         assert solve_nc_ranks(c, TateMotive({0: 1, 1: 1})) == c
 
     def test_all_known_inconsistent(self):
-        c = Collection((exceptional("A"), exceptional("B")))
+        c = Collection((SODPiece("A"), SODPiece("B")))
         with pytest.raises(InconsistentRanksError):
             solve_nc_ranks(c, TateMotive({0: 3}))
 
     def test_single_unknown_gets_residue(self):
-        c = Collection((opaque("Cl0"), exceptional("O(-1)"), exceptional("O")))
+        c = Collection((SODPiece("Cl0", OPAQUE), SODPiece("O(-1)"), SODPiece("O")))
         solved = solve_nc_ranks(c, TateMotive({0: 1, 1: 2, 2: 1}))
         assert [p.nc_rank for p in solved.pieces] == [2, 1, 1]
         # input collection is untouched
         assert c.pieces[0].nc_rank is None
 
     def test_zero_residue_allowed(self):
-        c = Collection((opaque("Cl0"), exceptional("O")))
+        c = Collection((SODPiece("Cl0", OPAQUE), SODPiece("O")))
         solved = solve_nc_ranks(c, TateMotive({0: 1}))
         assert solved.pieces[0].nc_rank == 0
 
     def test_negative_residue_rejected(self):
-        c = Collection((opaque("Cl0"), exceptional("A"), exceptional("B")))
+        c = Collection((SODPiece("Cl0", OPAQUE), SODPiece("A"), SODPiece("B")))
         with pytest.raises(InconsistentRanksError):
             solve_nc_ranks(c, TateMotive({0: 1}))
 
     def test_multiple_unknowns_reported(self):
-        c = Collection((opaque("X"), opaque("Y")))
+        c = Collection((SODPiece("X", OPAQUE), SODPiece("Y", OPAQUE)))
         with pytest.raises(UnderdeterminedError, match="X, Y"):
             solve_nc_ranks(c, TateMotive({0: 5}))
 
     def test_extra_exceptional_piece_shifts_residue_by_one(self):
         total = TateMotive({0: 2, 1: 2, 2: 1})
-        base = Collection((opaque("Cl0"), exceptional("O(-1)"), exceptional("O")))
-        extended = Collection(base.pieces + (exceptional("O(1)"),))
+        base = Collection((SODPiece("Cl0", OPAQUE), SODPiece("O(-1)"), SODPiece("O")))
+        extended = Collection(base.pieces + (SODPiece("O(1)"),))
         assert solve_nc_ranks(base, total).pieces[0].nc_rank == 3
         assert solve_nc_ranks(extended, total).pieces[0].nc_rank == 2
-
-
-class TestAdditiveInvariantRank:
-    def test_scales_by_unit_value(self):
-        assert additive_invariant_rank(exceptional("O"), 1) == 1
-        assert additive_invariant_rank(exceptional("O"), 3) == 3
-        assert additive_invariant_rank(opaque("Cl0", 2), 4) == 8
-
-    def test_unknown_rank_rejected(self):
-        with pytest.raises(ValueError, match="unknown rank"):
-            additive_invariant_rank(opaque("Cl0"), 1)
-
-    def test_unit_value_validated(self):
-        with pytest.raises(ValueError):
-            additive_invariant_rank(exceptional("O"), 0)
-        with pytest.raises(ValueError, match="positive integer"):
-            additive_invariant_rank(exceptional("O"), True)
-
-
-class TestNCMotive:
-    def test_addition(self):
-        assert NCMotive(2) + NCMotive(3) == NCMotive(5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NCMotive(-1)
-        with pytest.raises(ValueError, match="non-negative integer"):
-            NCMotive(True)
-
-    def test_of_piece(self):
-        assert NCMotive.of_piece(exceptional("O")) == NCMotive(1)
-        assert NCMotive.of_piece(opaque("Cl0", 2)) == NCMotive(2)
-        with pytest.raises(ValueError):
-            NCMotive.of_piece(opaque("Cl0"))
 
 
 class TestFecObstruction:

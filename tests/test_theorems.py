@@ -22,7 +22,7 @@ from hypothesis import example, given, reject, settings, target
 from hypothesis import strategies as st
 
 from lefschetz.exprlang import parse_expr
-from lefschetz.sod import OPAQUE, Collection, UnderdeterminedError, opaque, solve_nc_ranks
+from lefschetz.sod import OPAQUE, Collection, SODPiece, UnderdeterminedError, solve_nc_ranks
 from lefschetz.varieties import (
     CollectionUnavailableError,
     DisjointUnion,
@@ -123,7 +123,8 @@ def test_tate_plus_sod_implies_sums_of_units(e):
     pieces = split.pieces
     for start in range(len(pieces)):
         for stop in range(start + 1, len(pieces) + 1):
-            solved = solve_nc_ranks(Collection(pieces[:start] + (opaque("A"),) + pieces[stop:]), total)
+            unknown = (SODPiece("A", OPAQUE),)
+            solved = solve_nc_ranks(Collection(pieces[:start] + unknown + pieces[stop:]), total)
             assert solved.pieces[start].nc_rank == stop - start
             assert solved.pieces[:start] + solved.pieces[start + 1:] == pieces[:start] + pieces[stop:]
     # the Kuznetsov collection has one piece of unknown rank per quadric summand

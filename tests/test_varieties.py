@@ -3,7 +3,6 @@
 import base64
 import copy
 import gc
-import json
 import math
 import pickle
 import random
@@ -50,8 +49,6 @@ from lefschetz.varieties import (
     _labels,
     dimension_of,
     exceptional_collection_of,
-    expr_from_json,
-    expr_to_json,
     fec_verdict,
     motive_of,
 )
@@ -206,7 +203,7 @@ class TestDimension:
         ],
     )
     def test_the_node_outside_the_catalog_is_named(self, build):
-        # as motive_of and expr_to_json name it, not the root above it
+        # as motive_of names it, not the root above it
         with pytest.raises(TypeError) as info:
             build()
         assert str(info.value) == "unknown expression node 'VarietyExpr'"
@@ -224,20 +221,18 @@ class TestDimension:
                     build(labels)
                 assert str(info.value) == "unknown expression node %r" % name
         # every entry point names the type of a root that is no node
-        for call in (dimension_of, motive_of, expr_to_json, render_expr, split):
+        for call in (dimension_of, motive_of, render_expr, split):
             for value in (42, "P(1)", None):
                 with pytest.raises(TypeError) as info:
                     call(value)
                 assert str(info.value) == "unknown expression node %r" % type(value).__name__
 
-    @pytest.mark.parametrize("rebuild", ["expr_from_json", "pickle.loads"])
-    def test_nested_blowups_build_in_linear_time(self, monkeypatch, rebuild):
+    def test_nested_blowups_build_in_linear_time(self, monkeypatch):
         # folding the base again for each blowup made about n^2/2 calls
         n = 2000
-        data = {"kind": "projective", "n": 2}
+        e = Projective(2)
         for _ in range(n):
-            data = {"kind": "blowup", "base": data, "center": {"kind": "point"}, "codim": 2}
-        e = expr_from_json(data)
+            e = Blowup(e, Point(), 2)
         calls = []
         formula = Blowup._dimension
 
@@ -246,10 +241,7 @@ class TestDimension:
             return formula(node, *dims)
 
         monkeypatch.setattr(Blowup, "_dimension", counted)
-        if rebuild == "expr_from_json":
-            twin = expr_from_json(data)
-        else:
-            twin = pickle.loads(pickle.dumps(e))
+        twin = pickle.loads(pickle.dumps(e))
         assert twin == e and dimension_of(twin) == 2
         assert n <= len(calls) <= 2 * n
 
@@ -514,124 +506,6 @@ class TestFecVerdict:
             assert fec_verdict(Fano3fold(b, False)).status == FEC_FAILS_ODD
 
 
-class TestExprJson:
-    def test_round_trip(self):
-        samples = [
-            Point(),
-            Projective(2),
-            Quadric(4),
-            Grassmannian(2, 5),
-            Toric((1, 4, 4)),
-            Product(Projective(1), Point()),
-            DisjointUnion(Point(), Point()),
-            Blowup(Projective(2), Point(), 2),
-            ProjBundle(Quadric(2), 3),
-            ModuliM0(4),
-            Fano3fold(2, False),
-        ]
-        for e in samples:
-            assert expr_from_json(expr_to_json(e)) == e
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            expr_from_json({"n": 2})
-        with pytest.raises(ValueError):
-            expr_from_json({"kind": "elliptic"})
-        point = {"kind": "point"}
-        cases = [
-            ({"kind": "projective"}, "projective expression JSON needs a field 'n'"),
-            (
-                {"kind": "product", "left": point},
-                "product expression JSON needs a field 'right'",
-            ),
-            (
-                {"kind": "blowup", "base": point, "center": point},
-                "blowup expression JSON needs a field 'codim'",
-            ),
-            (
-                {"kind": "toric", "cone_counts": 5},
-                "toric expression JSON needs 'cone_counts' as a list",
-            ),
-            ({"kind": ["point"]}, "unknown expression kind ['point']"),
-            ({"kind": "projective", "n": True}, "projective space needs n >= 0"),
-            (
-                {"kind": "grassmannian", "k": True, "n": 3},
-                "Grassmannian needs 0 < k < n",
-            ),
-            (
-                {"kind": "toric", "cone_counts": [True, 2, 1]},
-                "cone counts must be positive integers",
-            ),
-        ]
-        for data, message in cases:
-            with pytest.raises(ValueError) as info:
-                expr_from_json(data)
-            assert str(info.value) == message
-
-    def test_exact_text(self):
-        # key order and list-valued fields are part of the format
-        expected = [
-            (Point(), '{"kind": "point"}'),
-            (Projective(2), '{"kind": "projective", "n": 2}'),
-            (Quadric(4), '{"kind": "quadric", "d": 4}'),
-            (Grassmannian(2, 5), '{"kind": "grassmannian", "k": 2, "n": 5}'),
-            (Toric((1, 4, 4)), '{"kind": "toric", "cone_counts": [1, 4, 4]}'),
-            (
-                Product(Projective(1), Point()),
-                '{"kind": "product", "left": {"kind": "projective", "n": 1}, '
-                '"right": {"kind": "point"}}',
-            ),
-            (
-                DisjointUnion(Point(), Quadric(1)),
-                '{"kind": "disjoint_union", "left": {"kind": "point"}, '
-                '"right": {"kind": "quadric", "d": 1}}',
-            ),
-            (
-                Blowup(Projective(2), Point(), 2),
-                '{"kind": "blowup", "base": {"kind": "projective", "n": 2}, '
-                '"center": {"kind": "point"}, "codim": 2}',
-            ),
-            (
-                ProjBundle(Quadric(2), 3),
-                '{"kind": "proj_bundle", "base": {"kind": "quadric", "d": 2}, '
-                '"fiber_rank": 3}',
-            ),
-            (ModuliM0(4), '{"kind": "moduli_m0", "n": 4}'),
-            (
-                Fano3fold(2, False),
-                '{"kind": "fano3fold", "b": 2, "odd_trivial": false}',
-            ),
-        ]
-        for e, text in expected:
-            assert json.dumps(expr_to_json(e)) == text
-
-    def test_first_problem_met_is_reported(self):
-        # a child is built before the next field is read, so a bad left
-        # child wins over a missing right one
-        point = {"kind": "point"}
-        data = {"kind": "product", "left": {"kind": "projective", "n": -1}}
-        with pytest.raises(InvalidParameterError) as info:
-            expr_from_json(data)
-        assert str(info.value) == "projective space needs n >= 0"
-        assert info.value.path == "$.left"
-        # a valid left child, then a field missing deep in the right subtree
-        data = {
-            "kind": "disjoint_union",
-            "left": {"kind": "blowup", "base": {"kind": "projective", "n": 2}, "center": point, "codim": 2},
-            "right": {"kind": "product", "left": point, "right": {"kind": "blowup", "base": point, "center": point}},
-        }
-        with pytest.raises(ValueError) as info:
-            expr_from_json(data)
-        assert str(info.value) == "blowup expression JSON needs a field 'codim'"
-        assert not isinstance(info.value, InvalidParameterError)
-        # the same tree with the field, out of range, names its node
-        data["right"]["right"]["codim"] = 1
-        with pytest.raises(InvalidParameterError) as info:
-            expr_from_json(data)
-        assert str(info.value) == "blowup center must have codimension >= 2"
-        assert info.value.path == "$.right.right"
-
-
 # ``pickle.dumps`` of ``PICKLED_TEXT``'s tree, saved when the pickle format
 # was first pinned: a pickle names ``varieties._from_labels`` and the node
 # classes, and holds the flat post-order labels.
@@ -703,7 +577,7 @@ class TestNodes:
             ),
             Product(Toric((1, 4, 4)), Fano3fold(2, True)),
         )
-        trees = [parse_expr(text), built, expr_from_json(expr_to_json(built))]
+        trees = [parse_expr(text), built, pickle.loads(pickle.dumps(built))]
         for tree in trees:
             assert tree == built
             assert hash(tree) == hash(built)
