@@ -25,6 +25,21 @@ hashing, ``repr``, text and JSON.  Each subclass states only its own rules:
 which items are valid, how terms are ordered, how a monomial is written, and
 how a key is spelled in JSON.
 
+``TateMotive`` multiplies by Kronecker substitution (Kronecker 1882;
+Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009) where both factors
+are dense: each factor's multiplicities become the w-byte digits of one
+int, from its smallest exponent up, the two ints are multiplied once, in C,
+and the product's digits are read back as the multiplicities of the
+product.  Multiplicities are non-negative, and each coefficient of the
+product is a sum of at most min(len a, len b) products of two of them, so
+with 8w more than the bits of that bound every digit is exactly one
+coefficient: no digit carries into the next, and there is no sign to
+borrow.  A factor with one term or none, or a pair whose supports are so
+sparse that the spans of their exponents add up to more than the number of
+pairs of terms, takes the pairwise product of ``SparsePoly`` instead, so a
+gap such as {0, 10^15} never becomes a huge int.  Twisting by L^r is
+``twisted(r)``, a shift of the exponents.
+
 All arithmetic is exact: multiplicities are Python ints, and the morphism
 calculus built on top of this module works on integer rows over one
 denominator, with ``fractions.Fraction`` only where a morphism is built
@@ -41,6 +56,7 @@ from __future__ import annotations
 import copyreg
 import operator
 from collections.abc import Iterable, Mapping
+from itertools import compress, repeat
 
 
 class InputError(ValueError):
@@ -142,7 +158,10 @@ class Record:
     ``_trusted``, with no check: a pickle can already run any code it names,
     so trusting its fields opens no door that was shut.  Expression nodes
     keep their fields in ``__dict__`` instead and override the store and
-    those four.
+    those four; a class whose values have a ``__dict__`` gets a ``_trusted``
+    that raises TypeError naming the class, since it has no setters to
+    store through.  ``_trusted`` does not count its values: a count per
+    build would cost every record build, and those are the hot path.
     """
 
     __slots__ = ()
@@ -150,6 +169,10 @@ class Record:
     def __init_subclass__(cls):
         cls._slot_names = tuple([n for k in reversed(cls.__mro__) for n in vars(k).get("__slots__", ())])
         cls._slot_setters = tuple([getattr(cls, name).__set__ for name in cls._slot_names])
+        if cls.__dictoffset__:
+            # fields kept in ``__dict__`` have no setter for ``_trusted``
+            # to store through, so it would build an empty value
+            cls._trusted = classmethod(_refuse_trusted)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -191,6 +214,14 @@ class Record:
     def __reduce__(self):
         # the default would restore the slots through the guard above
         return type(self)._trusted, self._values()
+
+
+def _refuse_trusted(cls, *values):
+    """``_trusted`` of a record class that keeps its fields in ``__dict__``."""
+    raise TypeError(
+        "%s keeps its fields in __dict__ and has no trusted constructor; build it through %s()"
+        % (cls.__name__, cls.__name__)
+    )
 
 
 class SparsePoly(Record):
@@ -327,10 +358,51 @@ class TateMotive(SparsePoly):
     Every motive of the catalog and every orbit lift builds Tate motives, so
     the constructor checks its items inline rather than through a ``_check``
     call per item.
+
+    A product of two factors with at least two terms each, whose spans
+    (largest exponent minus smallest, plus 1) add up to at most the number
+    of pairs of terms, is one packed integer product (see the module
+    docstring).  With one-byte digits, the product's bytes are its
+    multiplicities as they stand; wider digits are read from slices of
+    those bytes.  Every other pair, a monomial or a sparse support, takes
+    the pairwise product of ``SparsePoly``.
     """
 
     __slots__ = ()
     _symbol = "L"
+
+    def __mul__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._terms, other._terms
+        n, m = len(a), len(b)
+        # a monomial never meets the density rule below, and zero has no span
+        if n < 2 or m < 2:
+            return SparsePoly.__mul__(self, other)
+        # exponents ascend, so the first and the last are the extremes
+        a_lo, b_lo = next(iter(a)), next(iter(b))
+        a_span, b_span = next(reversed(a)) - a_lo + 1, next(reversed(b)) - b_lo + 1
+        if a_span + b_span > n * m:
+            return SparsePoly.__mul__(self, other)
+        # no coefficient of the product exceeds this bound, so w-byte digits
+        # with 8w > bits hold each one
+        w = (min(n, m) * max(a.values()) * max(b.values())).bit_length() // 8 + 1
+        size = a_span + b_span - 1
+        data = (_packed(a, a_lo, a_span, w) * _packed(b, b_lo, b_span, w)).to_bytes(size * w, "little")
+        if w > 1:
+            cuts = map(slice, range(0, size * w, w), range(w, (size + 1) * w, w))
+            data = list(map(int.from_bytes, map(data.__getitem__, cuts), repeat("little")))
+        lo = a_lo + b_lo
+        # a zero digit is an exponent that no pair reaches
+        return self._trusted(dict(compress(zip(range(lo, lo + size), data), data)))
+
+    def twisted(self, r: int) -> "TateMotive":
+        """The motive times L^r: every exponent moved up by r."""
+        if not is_int(r):
+            raise TypeError("a twist must be an integer")
+        terms = self._terms
+        # a shift keeps the exponents ascending
+        return self._trusted(dict(zip(map(r.__add__, terms), terms.values())))
 
     def __init__(self, terms: TermsLike = ()):
         # a dict first: the Mapping check alone costs a Python-level call
@@ -379,6 +451,15 @@ class TateMotive(SparsePoly):
     def exponent_multiset(self) -> tuple[int, ...]:
         """All exponents with repetition, sorted ascending."""
         return tuple(l for l, c in self._terms.items() for _ in range(c))
+
+
+def _packed(terms: dict, lo: int, span: int, w: int) -> int:
+    """The int whose w-byte digits, lowest first, are the multiplicities of lo .. lo + span - 1."""
+    digits = terms.values() if len(terms) == span else map(terms.get, range(lo, lo + span), repeat(0))
+    if w > 1:
+        digits = b"".join(map(int.to_bytes, digits, repeat(w), repeat("little")))
+    # for w = 1 each multiplicity is a byte already
+    return int.from_bytes(digits, "little")
 
 
 def lefschetz(exponent: int = 1) -> TateMotive:

@@ -64,6 +64,13 @@ Catalog formulas:
   1 + b L + b L^2 + L^3 plus three opaque odd-weight summands unless they are
   asserted trivial
 
+A blowup and a bundle are sums of twists: ``Blowup`` adds
+``center.twisted(i)`` and ``ProjBundle`` adds ``base.twisted(i)`` for
+i = 1, 2, ..., with no product.  ``GeneralizedMotive.twisted`` shifts the
+exponents of the Tate part and twists each opaque part object once, so the
+values, and the order of the opaque parts, are those of the product with
+``L^i``.
+
 The formulas of ``Projective``, ``Quadric`` and ``Grassmannian`` give
 ascending exponents with positive multiplicities by construction, so they
 build their Tate motives with the trusted ``TateMotive._trusted``.
@@ -195,6 +202,11 @@ class GeneralizedMotive(Record):
             parts = _twisted_parts(self.opaque, other.tate)
         return GeneralizedMotive._trusted(tensor(self.tate, other.tate), parts)
 
+    def twisted(self, r: int) -> "GeneralizedMotive":
+        """The motive times L^r: its Tate part shifted, and each part object twisted once."""
+        parts = _twisted_parts(self.opaque, lefschetz(r)) if self.opaque else ()
+        return GeneralizedMotive._trusted(self.tate.twisted(r), parts)
+
     def text(self) -> str:
         parts = [] if self.tate.is_zero else [self.tate.text()]
         parts += [p.text() for p in self.opaque]
@@ -291,7 +303,10 @@ class VarietyExpr(Record):
     class's ``_check`` and then stores ``dim``, the class's ``_dimension``
     of its children's ``dim``, writing straight into the node's
     ``__dict__``; ``tate.Record`` refuses assignment.  ``==``, ``hash`` and
-    ``repr`` follow the fields, not ``dim``.
+    ``repr`` follow the fields, not ``dim``.  A node builds through
+    ``__init__`` or ``_from_labels`` only: the ``_trusted`` that every
+    record has raises TypeError naming the node's class, since a node's
+    fields have no slot setters to store through.
 
     A node class also carries its ``kind``, the key of ``_KINDS``, its text
     ``syntax`` and its catalog entry: the methods ``_dimension`` and ``_motive``, which take
@@ -681,7 +696,7 @@ class Blowup(VarietyExpr):
     def _motive(self, base, center) -> GeneralizedMotive:
         out = base
         for i in range(1, self.codim):
-            out = out + center * GeneralizedMotive(lefschetz(i))
+            out = out + center.twisted(i)
         return out
 
 
@@ -702,7 +717,7 @@ class ProjBundle(VarietyExpr):
     def _motive(self, base) -> GeneralizedMotive:
         out = base
         for i in range(1, self.fiber_rank):
-            out = out + base * GeneralizedMotive(lefschetz(i))
+            out = out + base.twisted(i)
         return out
 
 

@@ -429,6 +429,20 @@ def fresh_collection(e, variant):
     return sod.Collection(tuple(pieces))
 
 
+def pairwise_tensor(a, b):
+    """``a * b`` for two ``TateMotive``, as the library once built every one.
+
+    Each pair of terms adds its product to the sum of the two exponents, in
+    a Python loop over all pairs; the library now packs dense factors into
+    one integer product each.
+    """
+    acc = {}
+    for k, c in a.terms.items():
+        for l, d in b.terms.items():
+            acc[k + l] = acc.get(k + l, 0) + c * d
+    return TateMotive(acc)
+
+
 def expanding_mul(a, b):
     """``a * b`` for two ``varieties.GeneralizedMotive``, as the library once built it.
 
@@ -449,7 +463,7 @@ def expanding_mul(a, b):
         for p in b.opaque
         for l in a.tate.exponent_multiset()
     ]
-    return varieties.GeneralizedMotive(tensor(a.tate, b.tate), tuple(parts))
+    return varieties.GeneralizedMotive(pairwise_tensor(a.tate, b.tate), tuple(parts))
 
 
 def expanding_motive(e):
@@ -457,7 +471,9 @@ def expanding_motive(e):
 
     That is each product node, each ``center * L^i`` of a blowup and each
     ``base * L^i`` of a bundle, with the catalog's formulas written out
-    again here; every other node gives its own ``_motive``.
+    again here; every other node gives its own ``_motive``.  The library
+    builds blowups and bundles as sums of twists, ``center.twisted(i)`` and
+    ``base.twisted(i)``, with no product.
     """
 
     def step(node, *children):

@@ -19,7 +19,7 @@ from lefschetz.orbit import OrbitMorphism
 from lefschetz.sod import FEC_FAILS_LENGTH, FEC_FAILS_ODD, FEC_OK, OPAQUE
 from lefschetz.sod import Collection, FecVerdict, SODPiece
 from lefschetz.tate import PoincarePoly, Record, SparsePoly, TateMotive
-from lefschetz.varieties import GeneralizedMotive, OpaquePart
+from lefschetz.varieties import GeneralizedMotive, OpaquePart, Projective, VarietyExpr
 
 
 def _terms(rng, key, low):
@@ -84,6 +84,18 @@ def test_every_slotted_record_has_a_sample():
     # a class whose instances have no ``__dict__`` keeps its fields in slots
     slotted = {cls for cls in _subclasses(Record) if cls.__dictoffset__ == 0}
     assert slotted == set(SAMPLES)
+
+
+def test_a_record_with_a_dict_has_no_trusted_path():
+    # expression nodes keep their fields in ``__dict__``, where no slot
+    # setter stores them, so ``_trusted`` refuses rather than build a node
+    # with no fields
+    unslotted = [cls for cls in _subclasses(Record) if cls.__dictoffset__]
+    assert VarietyExpr in unslotted and Projective in unslotted
+    for cls in unslotted:
+        with pytest.raises(TypeError, match="^%s keeps its fields in __dict__" % cls.__name__):
+            cls._trusted(3)
+    assert repr(Projective(3)) == "Projective(n=3)"
 
 
 def _values(cls, seed):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import pairwise_tensor
 from lefschetz.tate import (
     NonEffectiveError,
     PoincarePoly,
+    SparsePoly,
     TateMotive,
     direct_sum,
     lefschetz,
@@ -164,6 +166,134 @@ class TestTwist:
         assert lefschetz() == TateMotive({1: 1})
         assert lefschetz(0) == TateMotive({0: 1})
         assert lefschetz(-2) == TateMotive({-2: 1})
+
+    def test_twisted_is_the_product_with_a_power(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            a = TateMotive({rng.randint(-6, 9): rng.randint(1, 300) for _ in range(rng.randint(0, 6))})
+            r = rng.randint(-8, 8)
+            got, want = a.twisted(r), pairwise_tensor(a, lefschetz(r))
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert got == want and hash(got) == hash(want)
+
+    @pytest.mark.parametrize("r", [1.0, True, "1", None], ids=repr)
+    def test_twist_must_be_an_integer(self, r):
+        with pytest.raises(TypeError):
+            TateMotive({0: 1, 2: 1}).twisted(r)
+        with pytest.raises(TypeError):
+            TateMotive().twisted(r)
+
+
+def _packs(a, b):
+    """Whether ``a * b`` takes the packed path: two terms or more each, spans within the pairs."""
+    ta, tb = a.terms, b.terms
+    if len(ta) < 2 or len(tb) < 2:
+        return False
+    spans = max(ta) - min(ta) + 1 + max(tb) - min(tb) + 1
+    return spans <= len(ta) * len(tb)
+
+
+def _dense(rng, low, high, lo=0):
+    """A motive on lo .. lo + span - 1 with multiplicities in [low, high], some gaps."""
+    span = rng.randint(2, 12)
+    kept = [i for i in range(span) if i in (0, span - 1) or rng.random() < 0.8]
+    return TateMotive({lo + i: rng.randint(low, high) for i in kept})
+
+
+class TestPackedProduct:
+    """``TateMotive.__mul__`` against ``pairwise_tensor``, the pairwise product it replaced.
+
+    Each factor pair is multiplied both ways round; ``SparsePoly.__mul__``
+    is counted, so a pair goes to the pairwise loop exactly when the
+    density rule says so.  ``_check`` returns how many pairs packed.
+    """
+
+    @staticmethod
+    def _check(pairs, monkeypatch):
+        pairwise = []
+        loop = SparsePoly.__mul__
+
+        def counted(a, b):
+            pairwise.append((a, b))
+            return loop(a, b)
+
+        monkeypatch.setattr(SparsePoly, "__mul__", counted)
+        packed = 0
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                del pairwise[:]
+                got, want = x * y, pairwise_tensor(x, y)
+                assert type(got) is TateMotive
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert all(type(c) is int for c in got.terms.values())
+                assert got == want and hash(got) == hash(want)
+                assert pairwise == ([] if _packs(x, y) else [(x, y)])
+            packed += _packs(a, b)
+        return packed
+
+    def test_zero_and_monomials_times_dense(self, monkeypatch):
+        rng = random.Random(2401)
+        dense = [motive_of(parse_expr(t)).tate for t in ("P(4)", "Q(6)", "Gr(3,7)", "toric[1,6,9,4]")]
+        dense += [_dense(rng, 1, 2 ** 70, rng.randint(-5, 5)) for _ in range(20)]
+        small = [TateMotive(), lefschetz(0), lefschetz(-3), TateMotive({7: 2 ** 80}), TateMotive({-2: 300})]
+        assert self._check([(s, d) for s in small for d in dense], monkeypatch) == 0
+
+    def test_catalog_motives_times_each_other(self, monkeypatch):
+        texts = ("point", "P(1)", "P(5)", "P(40)", "Q(3)", "Q(8)", "Gr(2,4)", "Gr(3,7)",
+                 "Gr(5,10)", "Gr(10,20)", "toric[1,4,4]", "toric[1,6,9,4]", "M0(5)", "fano(3; true)")
+        motives = [motive_of(parse_expr(t)).tate for t in texts]
+        pairs = [(a, b) for i, a in enumerate(motives) for b in motives[i:]]
+        assert self._check(pairs, monkeypatch) > len(pairs) // 2
+
+    def test_negative_exponents(self, monkeypatch):
+        rng = random.Random(2402)
+        pairs = [
+            (_dense(rng, 1, 5, rng.randint(-40, 0)), _dense(rng, 1, 5, rng.randint(-40, 40)))
+            for _ in range(200)
+        ]
+        gr, q = motive_of(parse_expr("Gr(3,6)")).tate, motive_of(parse_expr("Q(4)")).tate
+        pairs.append((gr.twisted(-9), q.twisted(-2)))
+        assert self._check(pairs, monkeypatch) > 150
+
+    @pytest.mark.parametrize(
+        "top", [2 ** 8, 2 ** 16, 2 ** 32, 2 ** 64, 2 ** 200], ids=lambda t: "2^%d" % (t.bit_length() - 1)
+    )
+    def test_large_multiplicities(self, top, monkeypatch):
+        rng = random.Random(top)
+        pairs = [
+            (_dense(rng, top // 2, 2 * top), _dense(rng, 1, 2 * top, rng.randint(-3, 3)))
+            for _ in range(60)
+        ]
+        pairs += [(_dense(rng, 1, top), _dense(rng, 1, 3)) for _ in range(60)]
+        # a factor of two terms far apart can miss the density rule
+        assert self._check(pairs, monkeypatch) > 100
+
+    def test_digit_widths_at_their_edges(self, monkeypatch):
+        # the middle coefficient of (c + cL + cL^2)(cL^-1 + c + cL) is 3 c^2,
+        # the bound itself, so each width is filled to its last bit
+        pairs = []
+        for k in range(1, 140):
+            for c in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+                pairs.append((TateMotive({0: c, 1: c, 2: c}), TateMotive({-1: c, 0: c, 1: c})))
+        assert self._check(pairs, monkeypatch) == len(pairs)
+
+    def test_sparse_supports(self, monkeypatch):
+        rng = random.Random(2403)
+        pairs = []
+        for _ in range(200):
+            width = rng.choice((3, 10, 100, 10 ** 6, 10 ** 15))
+            terms = lambda: {rng.randint(-width, width): rng.randint(1, 9) for _ in range(rng.randint(2, 5))}
+            pairs.append((TateMotive(terms()), TateMotive(terms())))
+        pairs.append((TateMotive({0: 1, 10 ** 15: 1}), motive_of(parse_expr("Gr(4,8)")).tate))
+        packed = self._check(pairs, monkeypatch)
+        assert 0 < packed < len(pairs) // 2
+
+    def test_a_gap_of_10_to_the_15_is_no_huge_int(self):
+        # packed, the first factor alone would be about 10^15 bytes
+        a, b = TateMotive({0: 1, 10 ** 15: 1}), TateMotive({0: 1, 1: 1})
+        want = TateMotive({0: 1, 1: 1, 10 ** 15: 1, 10 ** 15 + 1: 1})
+        assert a * b == want and b * a == want
+        assert len((a * b).terms) == 4
 
 
 class TestPoincare:

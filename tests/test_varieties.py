@@ -24,7 +24,7 @@ from helpers import (
 from lefschetz.exprlang import parse_expr, render_expr
 from lefschetz.measures import chi_gs, chi_hd, k0_class
 from lefschetz.sod import FEC_FAILS_ODD, FEC_OK, Collection, SODPiece
-from lefschetz.tate import TateMotive, poincare
+from lefschetz.tate import TateMotive, lefschetz, poincare
 from lefschetz.varieties import (
     Blowup,
     CollectionUnavailableError,
@@ -1039,6 +1039,20 @@ class TestSharedParts:
             if want[0] == "value":
                 assert parts_shown(a * b) == parts_shown(want[1])
             assert outcome(lambda _: b * a, None) == outcome(lambda _: expanding_mul(b, a), None)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_twisted_motive_is_the_product_with_a_power(self, seed):
+        rng = random.Random(2410 + seed)
+        for _ in range(40):
+            got = outcome(motive_of, opaque_tree(rng))
+            if got[0] != "value":
+                continue
+            m, r = got[1], rng.randint(-4, 4)
+            twisted, want = m.twisted(r), expanding_mul(m, GeneralizedMotive(lefschetz(r)))
+            assert twisted == want and parts_shown(twisted) == parts_shown(want)
+            assert list(twisted.tate.terms.items()) == list(want.tate.terms.items())
+            # one twisted object per part object, shared where ``m`` shares
+            assert len(set(map(id, twisted.opaque))) == len(set(map(id, m.opaque)))
 
     def test_twisted_zero_is_the_part(self):
         p = OpaquePart("M^1(J)", True, 1)
