@@ -22,8 +22,8 @@ is one integer matrix product that skips the zero entries of the left
 factor, the product of the two denominators and one gcd pass: exact
 arithmetic that stays in the integers, in the spirit of Bareiss (Math.
 Comp. 22, 1968), with no ``Fraction`` arithmetic and no float.  The graded
-constructor and the views ``component``, ``components``, ``matrix`` and
-``to_json`` speak ``Fraction``.
+constructor and the views ``component``, ``components`` and ``matrix``
+speak ``Fraction``.
 
 ``decompose_via_orbit`` inverts the collapse: given that a motive m becomes
 isomorphic to a direct sum of rank(m) unit objects after the twist is
@@ -62,15 +62,7 @@ from math import gcd, lcm
 from operator import lshift, mul
 from collections.abc import Iterable, Mapping
 
-from .tate import (
-    DomainError,
-    InputError,
-    Record,
-    TateMotive,
-    decoded,
-    integer,
-    is_int,
-)
+from .tate import DomainError, InputError, Record, TateMotive, is_int
 
 Matrix = tuple[tuple["Fraction", ...], ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -109,23 +101,6 @@ class NotAnIsomorphismError(LiftError):
     """The given pair of morphisms is not a mutually inverse pair."""
 
 
-def _fraction_from_text(text: str):
-    """The matrix entry ``text`` spells as ``to_json`` writes one.
-
-    That is an integer as ``tate.integer`` reads one, or two of them around
-    a ``/`` with a denominator of at least 1; anything else raises
-    InputError naming the entry.
-    """
-    num, slash, den = text.partition("/")
-    try:
-        num, den = integer(num), integer(den) if slash else 1
-    except InputError:
-        den = 0
-    if den < 1:
-        raise InputError("invalid matrix entry %r" % (text,))
-    return _fraction_class()(num, den)
-
-
 def _identity_rows(n: int) -> Rows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -140,8 +115,8 @@ class OrbitMorphism(Record):
     canonical and ``==`` compares it directly.  The constructor takes the
     graded form instead: ``components`` maps an integer grade r (an int,
     not a bool, as ``tate.is_int`` says) to a rank(target) x rank(source)
-    matrix whose entries may be ints, Fractions or strings like ``"1/2"``
-    as ``to_json`` writes them (floats and bools are refused).  Construction
+    matrix whose entries are ints or Fractions (floats, bools and strings
+    are refused with TypeError).  Construction
     validates shapes and the delta pattern.  ``matrix`` and ``component``
     give Fraction views.  A morphism is an immutable record: ``==`` and
     ``hash`` follow ``(source, target, den, rows)``.  ``_trusted(source,
@@ -179,12 +154,9 @@ class OrbitMorphism(Record):
             for i, row in enumerate(mat):
                 for j, entry in enumerate(row):
                     if type(entry) is not int and type(entry) is not Fraction:
-                        if isinstance(entry, (float, bool)):
-                            raise TypeError("matrix entries must be exact, got %r" % (entry,))
-                        if isinstance(entry, str):
-                            entry = _fraction_from_text(entry)
-                        else:
-                            entry = Fraction(entry)
+                        if isinstance(entry, (float, bool, str)):
+                            raise TypeError("matrix entries must be exact numbers, got %r" % (entry,))
+                        entry = Fraction(entry)
                     if not entry:
                         continue
                     nonzero = True
@@ -247,39 +219,6 @@ class OrbitMorphism(Record):
             self.target.text(),
             list(self.support),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "components": {
-                str(r): [[str(x) for x in row] for row in mat]
-                for r, mat in self.components.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OrbitMorphism":
-        if not (isinstance(data, dict) and data.keys() >= {"source", "target"}
-                and isinstance(data.get("components"), dict)):
-            raise InputError("morphism JSON needs 'source', 'target' and a 'components' object")
-        source, target = TateMotive.from_json(data["source"]), TateMotive.from_json(data["target"])
-        # items, not a dict: grade keys that spell one number, like "1" and
-        # "01", meet the constructor's duplicate check
-        components = []
-        for key, rows in data["components"].items():
-            components.append((integer(key, "grade key"), rows))
-            # rows of entries as ``to_json`` writes them, or ints, checked
-            # before the constructor reads them, so the message names the grade
-            if not isinstance(rows, list):
-                raise InputError("grade %s needs a list of rows, got %r" % (key, rows))
-            for row in rows:
-                if not isinstance(row, list):
-                    raise InputError("grade %s needs each row as a list, got %r" % (key, row))
-                for entry in row:
-                    if type(entry) is not int and type(entry) is not str:
-                        raise InputError("grade %s needs integer or string entries, got %r" % (key, entry))
-        return decoded(cls, source, target, components)
 
 
 def identity_morphism(x: TateMotive) -> OrbitMorphism:

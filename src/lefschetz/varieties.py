@@ -64,12 +64,13 @@ Catalog formulas:
   1 + b L + b L^2 + L^3 plus three opaque odd-weight summands unless they are
   asserted trivial
 
-A blowup and a bundle are sums of twists: ``Blowup`` adds
-``center.twisted(i)`` and ``ProjBundle`` adds ``base.twisted(i)`` for
-i = 1, 2, ..., with no product.  ``GeneralizedMotive.twisted`` shifts the
-exponents of the Tate part and twists each opaque part object once, so the
-values, and the order of the opaque parts, are those of the product with
-``L^i``.
+A blowup and a bundle are sums of twists, built once by ``_twist_sum``:
+``Blowup`` adds ``center L^i`` for i = 1 .. codim - 1 to its base, and
+``ProjBundle`` is ``base L^i`` for i = 0 .. r - 1.  The Tate part is one
+product with ``L^lo + ... + L^(hi-1)``, which packs, and each opaque part
+object is twisted once per exponent; the values, and the order of the
+opaque parts, are those of adding the products with ``L^i`` one at a time,
+so the cost is linear in the size of the sum.
 
 The formulas of ``Projective``, ``Quadric`` and ``Grassmannian`` give
 ascending exponents with positive multiplicities by construction, so they
@@ -109,7 +110,7 @@ define those four through ``_fold`` and ``_expand`` instead.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 
 from .sod import EXCEPTIONAL, OPAQUE, Collection, SODPiece
@@ -240,6 +241,28 @@ def _twisted_parts(parts: tuple, tate: TateMotive) -> tuple:
         else:
             out += out[span]
     return tuple(out)
+
+
+def _twist_sum(m: GeneralizedMotive, lo: int, hi: int) -> GeneralizedMotive:
+    """m L^lo + m L^(lo+1) + ... + m L^(hi-1), for lo < hi, built once.
+
+    The Tate part is one product with L^lo + ... + L^(hi-1), which packs
+    when m's Tate part is dense.  The opaque parts come exponent-major, as
+    adding the twists one at a time lists them: all of m's parts twisted
+    by lo, then by lo + 1, and so on.  ``_twisted_parts`` gives them
+    part-major, a run of hi - lo twists per part, so every (hi - lo)-th
+    entry from offset t is the parts twisted by lo + t.
+    """
+    k = hi - lo
+    if k == 1:
+        # a shift of the exponents, cheaper than any product; values are
+        # immutable, so m L^0 is m itself
+        return m.twisted(lo) if lo else m
+    run = TateMotive._trusted(dict.fromkeys(range(lo, hi), 1))
+    parts = _twisted_parts(m.opaque, run)
+    if parts:
+        parts = tuple(chain.from_iterable([parts[t::k] for t in range(k)]))
+    return GeneralizedMotive._trusted(m.tate * run, parts)
 
 
 def _gaussian_binomial(n: int, k: int) -> dict[int, int]:
@@ -694,10 +717,7 @@ class Blowup(VarietyExpr):
         return base
 
     def _motive(self, base, center) -> GeneralizedMotive:
-        out = base
-        for i in range(1, self.codim):
-            out = out + center.twisted(i)
-        return out
+        return base + _twist_sum(center, 1, self.codim)
 
 
 class ProjBundle(VarietyExpr):
@@ -715,10 +735,7 @@ class ProjBundle(VarietyExpr):
         return base + self.fiber_rank - 1
 
     def _motive(self, base) -> GeneralizedMotive:
-        out = base
-        for i in range(1, self.fiber_rank):
-            out = out + base.twisted(i)
-        return out
+        return _twist_sum(base, 0, self.fiber_rank)
 
 
 class ModuliM0(VarietyExpr):

@@ -471,9 +471,10 @@ def expanding_motive(e):
 
     That is each product node, each ``center * L^i`` of a blowup and each
     ``base * L^i`` of a bundle, with the catalog's formulas written out
-    again here; every other node gives its own ``_motive``.  The library
-    builds blowups and bundles as sums of twists, ``center.twisted(i)`` and
-    ``base.twisted(i)``, with no product.
+    again here, added one twist at a time; every other node gives its own
+    ``_motive``.  The library builds each blowup and bundle once, as
+    ``varieties._twist_sum``: one product of the Tate part with
+    ``L^lo + ... + L^(hi-1)`` and one list of twisted parts.
     """
 
     def step(node, *children):

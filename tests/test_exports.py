@@ -12,7 +12,11 @@ reached when it is
   ``tests/test_acceptance.py``;
 * read as ``lx.<name>`` in ``perfbench/*.py``.
 
-The check reads the source with ``ast`` alone and imports nothing.
+The same holds for input formats: every ``from_json`` that a class of
+``src/lefschetz`` defines is reached from a CLI verb, through calls of
+other functions of the package and of other decoders.
+
+The checks read the source with ``ast`` alone and import nothing.
 """
 
 import ast
@@ -116,3 +120,82 @@ def test_the_rule_sees_each_kind_of_reach():
     assert "tensor" in _imported_names(PACKAGE / "varieties.py")
     assert "canonical_unit_iso" in _imported_names(ROOT / "tests" / "test_acceptance.py")
     assert "decompose_via_orbit" in _perfbench_reads()
+
+
+def _package_trees():
+    return {path.stem: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _verbs(cli):
+    """The functions that ``build_parser`` hands to ``add`` as the verbs."""
+    return {
+        node.args[-1].id
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "add"
+        and node.args and isinstance(node.args[-1], ast.Name)
+    }
+
+
+def _decoder_owner(classes, name):
+    """The class whose ``from_json`` a call ``name.from_json`` runs: ``name``, or its first base with one."""
+    todo = [name]
+    while todo:
+        node = classes.get(todo.pop(0))
+        if node is None:
+            continue
+        if any(isinstance(stmt, ast.FunctionDef) and stmt.name == "from_json" for stmt in node.body):
+            return node.name
+        todo.extend(base.id for base in node.bases if isinstance(base, ast.Name))
+    return None
+
+
+def unreached_decoders():
+    """The classes of the package whose ``from_json`` no CLI verb reaches, sorted.
+
+    From each verb, the walk follows a call of a module-level function of
+    the package by name and a call ``C.from_json``, or ``cls.from_json``
+    inside class C, into the ``from_json`` that C has or inherits.
+    """
+    trees = _package_trees()
+    functions = {
+        node.name: node for tree in trees.values() for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    classes = {node.name: node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    decoders = {
+        owner.name: stmt
+        for owner in classes.values()
+        for stmt in owner.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "from_json"
+    }
+    seen = set()
+    todo = [(functions[name], None) for name in _verbs(trees["cli"])]
+    while todo:
+        fn, owner = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            call = node.func
+            if isinstance(call, ast.Name) and call.id in functions:
+                todo.append((functions[call.id], None))
+            elif isinstance(call, ast.Attribute) and call.attr == "from_json" and isinstance(call.value, ast.Name):
+                name = owner if call.value.id == "cls" else call.value.id
+                found = _decoder_owner(classes, name)
+                if found is not None:
+                    todo.append((decoders[found], found))
+    return sorted(name for name, fn in decoders.items() if fn not in seen)
+
+
+def test_every_decoder_is_reached_from_a_verb():
+    assert unreached_decoders() == []
+
+
+def test_the_decoder_rule_sees_verbs_and_inherited_decoders():
+    assert "cmd_sod_solve" in _verbs(_package_trees()["cli"])
+    # a subclass's ``from_json`` is its base's, as TateMotive's was SparsePoly's
+    tree = ast.parse("class A:\n    def from_json(cls): pass\nclass B(A): pass\nclass C: pass\n")
+    classes = {node.name: node for node in tree.body}
+    assert (_decoder_owner(classes, "A"), _decoder_owner(classes, "B")) == ("A", "A")
+    assert _decoder_owner(classes, "C") is None

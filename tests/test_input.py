@@ -1,10 +1,12 @@
 """The input boundary: every reader of outside input raises ``InputError``.
 
-The JSON decoders of the library, the collection loader of ``sod-solve``
-and ``tate.integer``, the one reader of integer text, refuse malformed
-input with ``InputError`` and nothing else: no TypeError, AttributeError
-or KeyError leaks out of them, so the CLI can map exactly this class to
-exit status 2.
+The verbs read three inputs from outside: the expression text, the
+collection file of ``sod-solve`` and ``--dim``.  The collection decoders
+(``SODPiece.from_json`` and ``Collection.from_json``), the loader of
+``sod-solve`` and ``tate.integer``, the one reader of integer text, refuse
+malformed input with ``InputError`` and nothing else: no TypeError,
+AttributeError or KeyError leaks out of them, so the CLI can map exactly
+this class to exit status 2.
 """
 
 import copy
@@ -21,65 +23,16 @@ from lefschetz import (
     Collection,
     InputError,
     InvalidParameterError,
-    OrbitMorphism,
     ParseError,
-    PoincarePoly,
     SODPiece,
     SemanticError,
-    TateMotive,
     motive_of,
     parse_expr,
     render_expr,
 )
 from lefschetz.cli import main
-from lefschetz.measures import HodgeDelignePoly, K0Class
-from lefschetz.tate import INT_TOO_LONG, MAX_INT_DIGITS, integer
+from lefschetz.tate import INT_TOO_LONG, integer
 from lefschetz.varieties import _KINDS, Point, Product, Quadric, VarietyExpr, _from_labels
-
-POLYS = (TateMotive, PoincarePoly, K0Class, HodgeDelignePoly)
-
-
-def _key(cls, text):
-    """``text`` as an exponent key, or as both halves of a bidegree key."""
-    return "%s,%s" % (text, text) if cls is HodgeDelignePoly else text
-
-
-def _poly_cases():
-    for cls in POLYS:
-        name = cls.__name__
-        for data in ([], 5, None, "terms", {}, {"nope": {}}, {"terms": []}, {"terms": 5}):
-            yield "%s-%r" % (name, data), cls.from_json, data
-        for value in ("x", None, 1.5, True, [], {}):
-            yield "%s-value-%r" % (name, value), cls.from_json, {"terms": {_key(cls, "0"): value}}
-        for key in ("x", "1_0", "٣", " 2 ", "+2", "", "-", "9" * (MAX_INT_DIGITS + 1)):
-            yield "%s-key-%r" % (name, key), cls.from_json, {"terms": {_key(cls, key): 1}}
-        yield "%s-int-key" % name, cls.from_json, {"terms": {3: 1}}
-    yield "HodgeDelignePoly-key-no-comma", HodgeDelignePoly.from_json, {"terms": {"1": 1}}
-    yield "HodgeDelignePoly-key-two-commas", HodgeDelignePoly.from_json, {"terms": {"1,2,3": 1}}
-    for cls in (TateMotive, PoincarePoly):
-        yield "%s-negative" % cls.__name__, cls.from_json, {"terms": {"0": -1}}
-    yield "PoincarePoly-negative-degree", PoincarePoly.from_json, {"terms": {"-1": 1}}
-
-
-def _morphism(components, source=None):
-    unit = {"terms": {"0": 1}}
-    return {"source": unit if source is None else source, "target": unit, "components": components}
-
-
-def _morphism_cases():
-    for data in (5, [], None, {}, {"source": {"terms": {"0": 1}}}, _morphism(None) | {"target": None}):
-        yield "morphism-%r" % (data,), data
-    for components in ([], 5, None, "x", [[1]]):
-        yield "components-%r" % (components,), _morphism(components)
-    rows = (5, [5], [[None]], [[[]]], [[{}]], [[1.5]], [[True]], [["1/0"]], [["1/-2"]], [["x"]],
-            [[1, 2]], [], "ab")
-    for grade_rows in rows:
-        yield "rows-%r" % (grade_rows,), _morphism({"0": grade_rows})
-    yield "delta-pattern", _morphism({"1": [[1]]})
-    yield "duplicate-grade", _morphism({"0": [[1]], "00": [[2]]})
-    yield "grade-key", _morphism({"x": [[1]]})
-    yield "grade-key-101-digits", _morphism({"9" * (MAX_INT_DIGITS + 1): [[1]]})
-    yield "bad-source", _morphism({}, source={"terms": {"0": -1}})
 
 
 def _piece_cases():
@@ -101,8 +54,6 @@ def _collection_cases():
 
 
 DECODER_CASES = [
-    *[pytest.param(decode, data, id=name) for name, decode, data in _poly_cases()],
-    *[pytest.param(OrbitMorphism.from_json, data, id=name) for name, data in _morphism_cases()],
     *[pytest.param(SODPiece.from_json, data, id=name) for name, data in _piece_cases()],
     *[pytest.param(Collection.from_json, data, id=name) for name, data in _collection_cases()],
 ]
@@ -116,53 +67,9 @@ def test_every_decoder_refuses_with_input_error(decode, data):
     assert str(info.value) and "\n" not in str(info.value)
 
 
-# malformed rows of a grade, each refused with a message that names the grade
-GRADE_CASES = [
-    ({"0": 5}, "grade 0 needs a list of rows, got 5"),
-    ({"0": "ab"}, "grade 0 needs a list of rows, got 'ab'"),
-    ({"0": {}}, "grade 0 needs a list of rows, got {}"),
-    ({"0": [5]}, "grade 0 needs each row as a list, got 5"),
-    ({"0": [[0], "ab"]}, "grade 0 needs each row as a list, got 'ab'"),
-    ({"0": [[None]]}, "grade 0 needs integer or string entries, got None"),
-    ({"0": [[[]]]}, "grade 0 needs integer or string entries, got []"),
-    ({"0": [[1.5]]}, "grade 0 needs integer or string entries, got 1.5"),
-    ({"0": [[True]]}, "grade 0 needs integer or string entries, got True"),
-    ({"00": [[0, None]]}, "grade 00 needs integer or string entries, got None"),
-    # the grade named is the one at fault, not the first
-    ({"2": [["1/2"]], "-1": [[None]]}, "grade -1 needs integer or string entries, got None"),
-    ({"2": [[1]], "3": [5]}, "grade 3 needs each row as a list, got 5"),
-]
-
-
-@pytest.mark.parametrize(
-    "components, message", [pytest.param(*case, id=repr(case[0])) for case in GRADE_CASES]
-)
-def test_morphism_rows_name_their_grade(components, message):
-    data = {"source": {"terms": {"0": 1}}, "target": {"terms": {"2": 1}}, "components": components}
-    with pytest.raises(InputError) as info:
-        OrbitMorphism.from_json(data)
-    assert str(info.value) == message
-
-
 def test_decoded_round_trips_still_build():
-    m = TateMotive({0: 1, 2: 3})
-    f = OrbitMorphism(m, m, {0: [[1, 0, 0, 0], [0, "1/2", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]})
-    assert OrbitMorphism.from_json(f.to_json()) == f
-    for cls in POLYS:
-        p = cls({(1, 2) if cls is HodgeDelignePoly else 1: 2})
-        assert cls.from_json(p.to_json()) == p
     c = Collection((SODPiece("O"), SODPiece("C", "opaque", 2)))
     assert Collection.from_json(c.to_json()) == c
-
-
-def test_keys_that_spell_one_number_merge():
-    # the constructor merges equal exponents, and refuses a grade twice
-    assert TateMotive.from_json({"terms": {"7": 1, "07": 2}}) == TateMotive({7: 3})
-    with pytest.raises(InputError, match="duplicate grade 1"):
-        OrbitMorphism.from_json(
-            {"source": {"terms": {"0": 1}}, "target": {"terms": {"1": 1}},
-             "components": {"1": [[1]], "01": [[1]]}}
-        )
 
 
 # the labels of ``point * Q(0)``, as a pickle holds them
@@ -189,7 +96,7 @@ class TestInteger:
          ("-" + "9" * 100, -int("9" * 100))],
     )
     def test_accepted(self, text, value):
-        assert integer(text) == value == integer(text, "exponent key")
+        assert integer(text) == value
 
     @pytest.mark.parametrize(
         "text",
@@ -197,9 +104,6 @@ class TestInteger:
         ids=repr,
     )
     def test_refused(self, text):
-        with pytest.raises(InputError) as info:
-            integer(text, "grade key")
-        assert str(info.value) == "invalid grade key %r" % (text,)
         with pytest.raises(InputError) as info:
             integer(text)
         assert str(info.value) == "invalid integer %r" % (text,)
@@ -210,8 +114,6 @@ class TestInteger:
         with pytest.raises(InputError) as info:
             integer(text)
         assert str(info.value) == INT_TOO_LONG
-        with pytest.raises(InputError, match="invalid exponent key"):
-            integer(text, "exponent key")
 
     def test_input_error_attributes(self):
         exc = InputError("bad", offset=4, path="$.left")

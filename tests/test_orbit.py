@@ -3,7 +3,6 @@
 import copy
 import pickle
 import random
-import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -76,43 +75,24 @@ class TestConstruction:
 
     def test_entries_normalized_to_fractions(self):
         m = TateMotive({0: 1})
-        f = OrbitMorphism(m, m, {0: [["1/2"]]})
+        f = OrbitMorphism(m, m, {0: [[Fraction(1, 2)]]})
         assert f.components[0][0][0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("entry", ["1/2", "0", "-3", " 1/2 ", "1e3"], ids=repr)
+    def test_string_entries_rejected(self, entry):
+        m = TateMotive({0: 1})
+        with pytest.raises(TypeError, match="must be exact"):
+            OrbitMorphism(m, m, {0: [[entry]]})
+
+    def test_grade_given_twice_rejected(self):
+        one, l1 = TateMotive({0: 1}), lefschetz(1)
+        with pytest.raises(ValueError, match="duplicate grade 1"):
+            OrbitMorphism(one, l1, [(1, [[1]]), (1, [[2]])])
 
     def test_component_accessor_returns_zero_matrix(self):
         m = TateMotive({0: 1, 1: 1})
         f = identity_morphism(m)
         assert f.component(5) == ((Fraction(0),) * 2,) * 2
-
-    def test_json_round_trip(self):
-        x = TateMotive({0: 1, 1: 1})
-        f = OrbitMorphism(x, x, {0: [["1/3", 0], [0, 0]], -1: [[0, "2"], [0, 0]]})
-        assert OrbitMorphism.from_json(f.to_json()) == f
-        with pytest.raises(ValueError):
-            OrbitMorphism.from_json({"source": x.to_json()})
-
-    @pytest.mark.parametrize("key", ["\u0661", "1_0", " 1 ", "+1", "1.0"], ids=repr)
-    def test_json_grade_keys_only_as_to_json_writes_them(self, key):
-        x = TateMotive({0: 1, 1: 1})
-        data = {"source": x.to_json(), "target": x.to_json(), "components": {key: [[0, 1], [0, 0]]}}
-        with pytest.raises(ValueError, match="invalid grade key %s" % re.escape(repr(key))):
-            OrbitMorphism.from_json(data)
-
-    @pytest.mark.parametrize(
-        "entry",
-        ["1e3", " 1.5 ", "1.5", "\u0661/\u0662", "1_0", "+1", "1/-2", "1/+2", "1/0", "1/2/3",
-         "/2", "1/", "", "9" * 101, "1/" + "9" * 101],
-        ids=repr,
-    )
-    def test_string_entries_only_as_to_json_writes_them(self, entry):
-        m = TateMotive({0: 1})
-        with pytest.raises(ValueError, match="invalid matrix entry %s" % re.escape(repr(entry))):
-            OrbitMorphism(m, m, {0: [[entry]]})
-
-    def test_string_entries_accepted(self):
-        m = TateMotive({0: 1})
-        for entry, value in [("-1/2", Fraction(-1, 2)), ("2/4", Fraction(1, 2)), ("-3", -3), ("0", 0)]:
-            assert OrbitMorphism(m, m, {0: [[entry]]}) == OrbitMorphism(m, m, {0: [[value]]})
 
 
 def _assert_canonical(f):
@@ -156,9 +136,8 @@ def _lift_variants(m, f, g, rng):
 class TestOrbitMorphism:
     def test_equal_entries_give_equal_morphisms(self):
         m = TateMotive({0: 1})
-        half = OrbitMorphism(m, m, {0: [["2/4"]]})
+        half = OrbitMorphism(m, m, {0: [[Fraction(2, 4)]]})
         assert half == OrbitMorphism(m, m, {0: [[Fraction(1, 2)]]})
-        assert half == OrbitMorphism(m, m, {0: [["1/2"]]})
         assert (half.den, half.rows) == (2, ((1,),))
         # the same rows over another denominator are another morphism
         assert half != identity_morphism(m)
@@ -183,7 +162,7 @@ class TestOrbitMorphism:
             g = rand_morphism(rng, y, z)
             for h in (f, g, compose(g, f), identity_morphism(x), *block_unit_iso(x)):
                 _assert_canonical(h)
-        zero = OrbitMorphism(TateMotive({0: 2}), TateMotive({0: 2}), {0: [["0/3", 0], [0, 0]]})
+        zero = OrbitMorphism(TateMotive({0: 2}), TateMotive({0: 2}), {0: [[Fraction(0, 3), 0], [0, 0]]})
         assert (zero.den, zero.rows) == (1, ((0, 0), (0, 0)))
 
     @pytest.mark.parametrize(
@@ -217,7 +196,7 @@ class TestOrbitMorphism:
         for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert twin == f
             assert (twin.den, twin.rows) == (f.den, f.rows)
-            assert twin.to_json() == f.to_json()
+            assert twin.components == f.components
 
     def test_unpickling_does_not_validate_again(self, monkeypatch):
         f = rand_morphism(random.Random(37), TateMotive({0: 2, 1: 1}), TateMotive({0: 3}))
@@ -244,15 +223,15 @@ class TestOrbitMorphism:
 
     def test_equal_morphisms_hash_equal(self):
         m = TateMotive({0: 1})
-        assert hash(OrbitMorphism(m, m, {0: [["2/4"]]})) == hash(OrbitMorphism(m, m, {0: [["1/2"]]}))
+        half = OrbitMorphism(m, m, {0: [[Fraction(1, 2)]]})
+        assert hash(OrbitMorphism(m, m, {0: [[Fraction(2, 4)]]})) == hash(half)
         rng = random.Random(41)
         for _ in range(50):
             x, y = rand_motive(rng), rand_motive(rng)
             f = rand_morphism(rng, x, y)
             # the same morphism from its graded form and from its stored rows
             twins = (
-                OrbitMorphism(x, y, {r: [[str(e) for e in row] for row in mat]
-                                     for r, mat in f.components.items()}),
+                OrbitMorphism(x, y, f.components),
                 OrbitMorphism._trusted(x, y, f.den, f.rows),
                 compose(identity_morphism(y), f),
             )
@@ -264,8 +243,8 @@ class TestOrbitMorphism:
 class TestCompose:
     def test_graded_convolution_literal(self):
         one = TateMotive({0: 1})
-        f = OrbitMorphism(one, lefschetz(1), {1: [["1/2"]]})
-        g = OrbitMorphism(lefschetz(1), lefschetz(3), {2: [["1/3"]]})
+        f = OrbitMorphism(one, lefschetz(1), {1: [[Fraction(1, 2)]]})
+        g = OrbitMorphism(lefschetz(1), lefschetz(3), {2: [[Fraction(1, 3)]]})
         gf = compose(g, f)
         assert gf.components == {3: ((Fraction(1, 6),),)}
 
