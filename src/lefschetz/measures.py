@@ -28,7 +28,7 @@ dict of their argument.  ``chi_gs`` still refuses a virtual class.
 
 from __future__ import annotations
 
-from .tate import DomainError, NonEffectiveError, SparsePoly, TateMotive, is_int
+from .tate import DomainError, InputError, NonEffectiveError, SparsePoly, TateMotive, integer, is_int
 from .varieties import GeneralizedMotive, OpaqueMotiveError, VarietyExpr, motive_of
 
 
@@ -97,6 +97,15 @@ class HodgeDelignePoly(SparsePoly):
     @staticmethod
     def _key_to_json(pq) -> str:
         return "%d,%d" % pq
+
+    @staticmethod
+    def _key_from_json(key: str) -> tuple[int, int]:
+        p, comma, q = key.partition(",") if isinstance(key, str) else ("", "", "")
+        try:
+            # without a comma, p is the whole key and q is empty
+            return integer(p), integer(q)
+        except InputError:
+            raise InputError("invalid bidegree key %r" % (key,)) from None
 
 
 def k0_class(e: VarietyExpr | GeneralizedMotive | TateMotive) -> K0Class:

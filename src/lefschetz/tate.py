@@ -21,10 +21,9 @@ Tate motives, Poincare polynomials, and the two polynomial rings of
 ``measures`` (classes in Z[Lv^+-1] and Hodge-Deligne polynomials in
 Z[u^+-1, v^+-1]) are all sparse integer polynomials.  They share one
 immutable core, ``SparsePoly``: normalization, sum, product, equality and
-hashing, ``repr``, text and JSON output.  Each subclass states only its own
-rules: which items are valid, how terms are ordered, how a monomial is
-written, and how a key is spelled in JSON.  No polynomial is read back from
-JSON: the only JSON a verb reads is a collection file (``sod``).
+hashing, ``repr``, text and JSON.  Each subclass states only its own rules:
+which items are valid, how terms are ordered, how a monomial is written, and
+how a key is spelled in JSON.
 
 ``TateMotive`` multiplies by Kronecker substitution (Kronecker 1882;
 Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009) where both factors
@@ -64,13 +63,13 @@ class InputError(ValueError):
     """The input is malformed, so no computation ran.
 
     Every reader of outside input raises it or a subclass: the expression
-    parser, the collection decoders of ``sod`` and ``integer``.  ``offset``
-    is a byte offset into the text and ``path`` a node path like
-    ``$.left.right``, each None where it does not apply.  The CLI maps
-    exactly these, with unreadable input, to exit status 2.  Copies and
-    pickles rebuild an error from its ``args`` and attributes without
-    calling ``__init__`` again, since a subclass's ``__init__`` takes other
-    arguments than the message it formats.
+    parser, the JSON decoders and ``integer``.  ``offset`` is a byte offset
+    into the text and ``path`` a node path like ``$.left.right``, each None
+    where it does not apply.  The CLI maps exactly these, with unreadable
+    input, to exit status 2.  Copies and pickles rebuild an error from its
+    ``args`` and attributes without calling ``__init__`` again, since a
+    subclass's ``__init__`` takes other arguments than the message it
+    formats.
     """
 
     def __init__(self, message: str, offset: int | None = None, path: str | None = None):
@@ -99,30 +98,43 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# Longest integer literal, in digits, in an expression, a number of a
-# collection file or ``--dim``.  Far above any catalog parameter that can be
+# Longest integer literal, in digits, in an expression, a JSON key or
+# number, or ``--dim``.  Far above any catalog parameter that can be
 # evaluated, and far below the interpreter's int-to-string limit.
 MAX_INT_DIGITS = 100
 INT_TOO_LONG = "integer literal too long (more than %d digits)" % MAX_INT_DIGITS
 
 
-def integer(text) -> int:
-    """The integer that ``text`` spells: ASCII ``-?[0-9]+``, at most ``MAX_INT_DIGITS`` digits.
+def integer(text, what: str | None = None) -> int:
+    """The integer that ``text`` spells as ``to_json`` writes one.
 
+    That is ASCII ``-?[0-9]+`` with at most ``MAX_INT_DIGITS`` digits:
     ``int`` alone would also take other scripts' digits, underscores and
     surrounding whitespace.  Anything else raises InputError, ``invalid
-    integer <text>``, and a digit run that is only too long gets
-    ``INT_TOO_LONG``, since a JSON number, which the decoder has already
-    matched, can be wrong in no other way.  The collection loader of
-    ``sod-solve`` reads JSON numbers with it, and the CLI ``--dim``:
-    argparse names a refused value after this function.
+    <what> <text>``; without ``what``, a digit run that is only too long
+    gets ``INT_TOO_LONG``, since a JSON number, which the decoder has
+    already matched, can be wrong in no other way.  The CLI reads ``--dim``
+    with it too: argparse names a refused value after this function.
     """
     digits = text[1:] if isinstance(text, str) and text[:1] == "-" else text
     if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
-        raise InputError("invalid integer %r" % (text,))
+        raise InputError("invalid %s %r" % (what or "integer", text))
     if len(digits) > MAX_INT_DIGITS:
-        raise InputError(INT_TOO_LONG)
+        raise InputError("invalid %s %r" % (what, text) if what else INT_TOO_LONG)
     return int(text)
+
+
+def decoded(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on outside input, such as JSON.
+
+    ``build`` refuses a malformed value with TypeError or ValueError, as a
+    JSON decoder or the checks of a constructor do; here the input is at
+    fault, so that is an InputError with the same message.
+    """
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 TermsLike = Mapping[int, int] | Iterable[tuple[int, int]]
@@ -236,7 +248,7 @@ class SparsePoly(Record):
     * ``_add_keys`` multiplies two monomials;
     * ``_monomial(key)`` writes a monomial for ``text()`` ("" for the unit),
       by default as a power of ``_symbol``;
-    * ``_key_to_json`` spells a key in JSON.
+    * ``_key_to_json`` and ``_key_from_json`` spell a key in JSON.
 
     Values of different subclasses never compare equal and cannot be added
     or multiplied together.
@@ -248,6 +260,10 @@ class SparsePoly(Record):
     _add_keys = staticmethod(operator.add)
     _symbol = ""
     _key_to_json = staticmethod(str)
+
+    @staticmethod
+    def _key_from_json(key: str):
+        return integer(key, "exponent key")
 
     def __init__(self, terms: TermsLike = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -323,6 +339,14 @@ class SparsePoly(Record):
     def to_json(self) -> dict:
         to_key = self._key_to_json
         return {"terms": {to_key(k): c for k, c in self._terms.items()}}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), dict):
+            raise InputError("expected an object with a 'terms' mapping")
+        # items, not a dict: keys that spell one number, like "7" and "07",
+        # merge as the constructor merges equal keys
+        return decoded(cls, [(cls._key_from_json(k), c) for k, c in data["terms"].items()])
 
 
 class TateMotive(SparsePoly):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -68,7 +69,6 @@ class TestK0Class:
         assert K0Class({0: 1, 1: 2, 2: 1}).text() == "1 + 2*Lv + Lv^2"
         assert (K0Class({0: 1}) - K0Class({1: 1})).text() == "1 + -Lv"
         assert K0Class({0: -1, 2: -3}).text() == "-1 + -3*Lv^2"
-        assert K0Class({-1: 2, 3: -1}).to_json() == {"terms": {"-1": 2, "3": -1}}
 
     def test_repr_and_hash(self):
         c = K0Class({3: -1, -1: 2})
@@ -81,6 +81,10 @@ class TestK0Class:
         for i, a in enumerate(values):
             for b in values[i + 1 :]:
                 assert a != b and b != a
+
+    def test_json_round_trip(self):
+        c = K0Class({-1: 2, 3: -1})
+        assert K0Class.from_json(c.to_json()) == c
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -165,7 +169,6 @@ class TestHodgeDelignePoly:
         assert HodgeDelignePoly({(2, 0): -1}).text() == "-u^2"
         q = HodgeDelignePoly({(0, 2): 1, (1, 1): -2, (2, 0): 1})
         assert q.text() == "u^2 + -2*u*v + v^2"
-        assert HodgeDelignePoly({(1, -2): 1, (0, 0): 1}).to_json() == {"terms": {"0,0": 1, "1,-2": 1}}
 
     def test_repr_and_hash(self):
         p = HodgeDelignePoly({(0, 2): 1, (1, 1): -2, (2, 0): 1})
@@ -179,6 +182,25 @@ class TestHodgeDelignePoly:
             p.terms = {}
         p.terms[(0, 0)] = 1
         assert p == HodgeDelignePoly({(1, 1): 1})
+
+    def test_json_round_trip(self):
+        p = HodgeDelignePoly({(1, 2): -3, (0, 0): 1})
+        assert HodgeDelignePoly.from_json(p.to_json()) == p
+        assert HodgeDelignePoly.from_json({"terms": {"1,-2": 1}}) == HodgeDelignePoly({(1, -2): 1})
+
+    @pytest.mark.parametrize(
+        "key",
+        ["\u0661,\u0662", "1", "1,2,3", " 1,2", "1, 2", "1_0,2", ",", "1,", "9" * 101 + ",0", 1],
+        ids=repr,
+    )
+    def test_json_keys_only_as_to_json_writes_them(self, key):
+        with pytest.raises(ValueError, match="invalid bidegree key %s" % re.escape(repr(key))):
+            HodgeDelignePoly.from_json({"terms": {key: 1}})
+
+    @pytest.mark.parametrize("key", ["\u0663", "1_0", " 2 "], ids=repr)
+    def test_k0_json_keys_only_as_to_json_writes_them(self, key):
+        with pytest.raises(ValueError, match="invalid exponent key"):
+            K0Class.from_json({"terms": {key: 1}})
 
     @pytest.mark.parametrize(
         "terms", [{(True, 0): 1}, {(0, False): 1}, {(1, 1): True}], ids=repr

@@ -1,6 +1,7 @@
 """Ring arithmetic of Tate motives and their Poincare polynomials."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -96,7 +97,28 @@ class TestConstruction:
         assert TateMotive({0: 1, 1: 1}).text() == "1 + L"
         assert TateMotive({2: 3}).text() == "3*L^2"
         assert TateMotive({-1: 1, 0: 2}).text() == "L^-1 + 2"
-        assert TateMotive({-2: 1, 0: 2, 3: 1}).to_json() == {"terms": {"-2": 1, "0": 2, "3": 1}}
+
+    def test_json_round_trip(self):
+        m = TateMotive({-2: 1, 0: 2, 3: 1})
+        assert TateMotive.from_json(m.to_json()) == m
+        assert m.to_json() == {"terms": {"-2": 1, "0": 2, "3": 1}}
+        with pytest.raises(ValueError):
+            TateMotive.from_json({"nope": {}})
+
+    @pytest.mark.parametrize(
+        "key",
+        ["\u0663", "1_0", " 2 ", "+2", "2.0", "", "-", "--1", "9" * 101, 3],
+        ids=repr,
+    )
+    def test_json_keys_only_as_to_json_writes_them(self, key):
+        # int() alone takes other scripts' digits, underscores and spaces
+        with pytest.raises(ValueError, match="invalid exponent key %s" % re.escape(repr(key))):
+            TateMotive.from_json({"terms": {key: 1}})
+
+    def test_json_keys_accepted(self):
+        big = "9" * 100
+        data = {"terms": {"-3": 1, "0": 2, "07": 1, big: 1}}
+        assert TateMotive.from_json(data) == TateMotive({-3: 1, 0: 2, 7: 1, int(big): 1})
 
 
 class TestRingAxioms:
