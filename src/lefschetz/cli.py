@@ -38,7 +38,7 @@ from .exprlang import parse_expr, render_expr
 from .measures import hodge_numbers, k0_class
 from .orbit import block_unit_iso, decompose_via_orbit
 from .sod import Collection, solve_nc_ranks
-from .tate import DomainError, InputError, decoded, integer, poincare
+from .tate import DomainError, InputError, integer, poincare
 from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
 
 EXIT_BROKEN_PIPE = 141
@@ -106,10 +106,13 @@ def cmd_sod_solve(e, args):
 
     with open(args.collection, "r", encoding="utf-8") as fh:
         try:
-            data = decoded(json.load, fh, parse_int=integer)
+            data = json.load(fh, parse_int=integer)
         except RecursionError:
             # the decoder recurses once per nesting level
             raise InputError("collection JSON is nested too deeply") from None
+        except ValueError as exc:
+            # malformed JSON, or text that is not UTF-8: the file is at fault
+            raise InputError(str(exc)) from exc
     collection = Collection.from_json(data)
     total = _pure_tate(e)
     solved = solve_nc_ranks(collection, total)

@@ -28,7 +28,7 @@ dict of their argument.  ``chi_gs`` still refuses a virtual class.
 
 from __future__ import annotations
 
-from .tate import DomainError, InputError, NonEffectiveError, SparsePoly, TateMotive, integer, is_int
+from .tate import DomainError, NonEffectiveError, SparsePoly, TateMotive, is_int
 from .varieties import GeneralizedMotive, OpaqueMotiveError, VarietyExpr, motive_of
 
 
@@ -63,7 +63,8 @@ class K0Class(SparsePoly):
 class HodgeDelignePoly(SparsePoly):
     """Integer Laurent polynomial in u and v, keyed by the (p, q) bidegree.
 
-    Terms are ordered by total degree p + q, then by q.
+    Terms are ordered by total degree p + q, then by q.  No verb writes one:
+    ``hodge`` prints its own table of Hodge numbers.
     """
 
     __slots__ = ()
@@ -93,19 +94,6 @@ class HodgeDelignePoly(SparsePoly):
         if q:
             factors.append("v" if q == 1 else "v^%d" % q)
         return "*".join(factors)
-
-    @staticmethod
-    def _key_to_json(pq) -> str:
-        return "%d,%d" % pq
-
-    @staticmethod
-    def _key_from_json(key: str) -> tuple[int, int]:
-        p, comma, q = key.partition(",") if isinstance(key, str) else ("", "", "")
-        try:
-            # without a comma, p is the whole key and q is empty
-            return integer(p), integer(q)
-        except InputError:
-            raise InputError("invalid bidegree key %r" % (key,)) from None
 
 
 def k0_class(e: VarietyExpr | GeneralizedMotive | TateMotive) -> K0Class:

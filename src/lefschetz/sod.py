@@ -107,9 +107,6 @@ class Collection(Record):
     def __len__(self) -> int:
         return len(self.pieces)
 
-    def __iter__(self):
-        return iter(self.pieces)
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.pieces)

@@ -22,8 +22,8 @@ Tate motives, Poincare polynomials, and the two polynomial rings of
 Z[u^+-1, v^+-1]) are all sparse integer polynomials.  They share one
 immutable core, ``SparsePoly``: normalization, sum, product, equality and
 hashing, ``repr``, text and JSON.  Each subclass states only its own rules:
-which items are valid, how terms are ordered, how a monomial is written, and
-how a key is spelled in JSON.
+which items are valid, how terms are ordered, and how a monomial is
+written.
 
 ``TateMotive`` multiplies by Kronecker substitution (Kronecker 1882;
 Schoenhage 1982; Harvey, J. Symbolic Comput. 44, 2009) where both factors
@@ -105,36 +105,23 @@ MAX_INT_DIGITS = 100
 INT_TOO_LONG = "integer literal too long (more than %d digits)" % MAX_INT_DIGITS
 
 
-def integer(text, what: str | None = None) -> int:
+def integer(text) -> int:
     """The integer that ``text`` spells as ``to_json`` writes one.
 
     That is ASCII ``-?[0-9]+`` with at most ``MAX_INT_DIGITS`` digits:
     ``int`` alone would also take other scripts' digits, underscores and
     surrounding whitespace.  Anything else raises InputError, ``invalid
-    <what> <text>``; without ``what``, a digit run that is only too long
-    gets ``INT_TOO_LONG``, since a JSON number, which the decoder has
-    already matched, can be wrong in no other way.  The CLI reads ``--dim``
-    with it too: argparse names a refused value after this function.
+    integer <text>``, but a digit run that is only too long gets
+    ``INT_TOO_LONG``, since a JSON number, which the decoder has already
+    matched, can be wrong in no other way.  The CLI reads ``--dim`` with it
+    too: argparse names a refused value after this function.
     """
     digits = text[1:] if isinstance(text, str) and text[:1] == "-" else text
     if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
-        raise InputError("invalid %s %r" % (what or "integer", text))
+        raise InputError("invalid integer %r" % (text,))
     if len(digits) > MAX_INT_DIGITS:
-        raise InputError("invalid %s %r" % (what, text) if what else INT_TOO_LONG)
+        raise InputError(INT_TOO_LONG)
     return int(text)
-
-
-def decoded(build, *args, **kwargs):
-    """``build(*args, **kwargs)`` on outside input, such as JSON.
-
-    ``build`` refuses a malformed value with TypeError or ValueError, as a
-    JSON decoder or the checks of a constructor do; here the input is at
-    fault, so that is an InputError with the same message.
-    """
-    try:
-        return build(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
 
 
 TermsLike = Mapping[int, int] | Iterable[tuple[int, int]]
@@ -247,8 +234,7 @@ class SparsePoly(Record):
       it drops zero entries and sorts by ``_order``;
     * ``_add_keys`` multiplies two monomials;
     * ``_monomial(key)`` writes a monomial for ``text()`` ("" for the unit),
-      by default as a power of ``_symbol``;
-    * ``_key_to_json`` and ``_key_from_json`` spell a key in JSON.
+      by default as a power of ``_symbol``.
 
     Values of different subclasses never compare equal and cannot be added
     or multiplied together.
@@ -259,11 +245,6 @@ class SparsePoly(Record):
     _order = None
     _add_keys = staticmethod(operator.add)
     _symbol = ""
-    _key_to_json = staticmethod(str)
-
-    @staticmethod
-    def _key_from_json(key: str):
-        return integer(key, "exponent key")
 
     def __init__(self, terms: TermsLike = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -337,16 +318,8 @@ class SparsePoly(Record):
         return " + ".join(parts)
 
     def to_json(self) -> dict:
-        to_key = self._key_to_json
-        return {"terms": {to_key(k): c for k, c in self._terms.items()}}
-
-    @classmethod
-    def from_json(cls, data: dict):
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), dict):
-            raise InputError("expected an object with a 'terms' mapping")
-        # items, not a dict: keys that spell one number, like "7" and "07",
-        # merge as the constructor merges equal keys
-        return decoded(cls, [(cls._key_from_json(k), c) for k, c in data["terms"].items()])
+        """The terms under ``"terms"``, each key written by ``str``, as the verbs print them."""
+        return {"terms": {str(k): c for k, c in self._terms.items()}}
 
 
 class TateMotive(SparsePoly):

@@ -869,17 +869,14 @@ def exceptional_collection_of(
 def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:
     """Run the full-exceptional-collection obstruction check on an expression.
 
-    An odd opaque summand fails immediately; otherwise the Betti data of the
+    An opaque summand fails at once, since each has odd weight (only
+    ``Fano3fold`` makes them, all odd); otherwise the Betti data of the
     Tate part is checked, against the catalog collection length when one
     exists and unconditionally when none does.
     """
     gm = motive_of(e)
-    if any(p.odd for p in gm.opaque):
-        return sod.FecVerdict(sod.FEC_FAILS_ODD)
     if gm.opaque:
-        raise OpaqueMotiveError(
-            "motive still has opaque summands; Betti data is incomplete"
-        )
+        return sod.FecVerdict(sod.FEC_FAILS_ODD)
     betti = poincare(gm.tate)
     try:
         bound = len(exceptional_collection_of(e))

@@ -169,6 +169,30 @@ class TestSodSolve:
             got = run(capsys, "sod-solve", "Q(3)", "--collection", str(path), *extra)
             assert got == (2, "", "error: collection JSON is nested too deeply\n")
 
+    @pytest.mark.parametrize(
+        "text, status, message",
+        [
+            ('{"pieces": [{"label": "", "kind": "exceptional"}]}', 2, "piece label must be a non-empty string"),
+            ('{"pieces": [{"label": "O", "kind": "spherical"}]}', 2, "piece kind must be 'exceptional' or 'opaque'"),
+            ('{"pieces": [{"label": "O", "kind": "exceptional", "nc_rank": 2}]}', 2, "an exceptional piece has rank 1"),
+            ('{"pieces": [{"label": "O"}]}', 2, "piece JSON needs 'label' and 'kind'"),
+            ('{"pieces": {}}', 2, "collection JSON needs a 'pieces' list"),
+            (
+                json.dumps({"pieces": [{"label": "C", "kind": "opaque"}] + [{"label": "O", "kind": "exceptional"}] * 5}),
+                1,
+                "known ranks already sum to 5, more than the total rank 4",
+            ),
+        ],
+        ids=["empty-label", "unknown-kind", "exceptional-rank-2", "no-kind", "pieces-object", "ranks-past-total"],
+    )
+    def test_refused_collection(self, capsys, tmp_path, text, status, message):
+        # each check of a collection file, as sod-solve meets it
+        path = tmp_path / "collection.json"
+        path.write_text(text)
+        for extra in ((), ("--json",)):
+            got = run(capsys, "sod-solve", "Q(3)", "--collection", str(path), *extra)
+            assert got == (status, "", "error: %s\n" % message)
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sod-solve", "Q(3)")
         assert code == 2
@@ -246,6 +270,22 @@ class TestExitCodes:
             text=True,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("fano(1; odd_trivial x)", "syntax error at byte 20: expected '=', got 'x'"),
+            ("fano(1; 3)", "syntax error at byte 8: expected 'odd_trivial' or a boolean, got '3'"),
+            ("fano(1; x)", "syntax error at byte 8: expected 'true' or 'false', got 'x'"),
+            ("P(1) + )", "syntax error at byte 7: expected an expression, got ')'"),
+            ("blowup(P(2); P(2); 0)", "semantic error at $: blowup center must have codimension >= 2"),
+        ],
+        ids=["no-equals", "int-for-flag", "name-for-flag", "no-operand", "blowup-codim-0"],
+    )
+    def test_refused_expression(self, capsys, text, message):
+        # parser and constructor checks that crafted text reaches
+        for extra in ((), ("--json",)):
+            assert run(capsys, "motive", text, *extra) == (2, "", "error: %s\n" % message)
 
     def test_semantic_error(self, capsys):
         code, _, err = run(capsys, "motive", "Q(0)")

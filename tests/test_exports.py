@@ -13,9 +13,10 @@ reached when it is
 * read as ``lx.<name>`` in ``perfbench/*.py``.
 
 The same holds for input formats: every ``from_json`` that a class of
-``src/lefschetz`` defines, but the polynomials' ``SparsePoly.from_json``, is
-reached from a CLI verb, through calls of other functions of the package
-and of other decoders.
+``src/lefschetz`` defines is reached from a CLI verb, through calls of other
+functions of the package and of other decoders.  Unreached writers, and any
+other code that no claim runs, show in the line list of
+``tests/unexecuted.py``.
 
 The checks read the source with ``ast`` alone and import nothing.
 """
@@ -190,14 +191,12 @@ def unreached_decoders():
 
 
 def test_every_decoder_is_reached_from_a_verb():
-    # the polynomial decoder is the one that no verb reads; its removal,
-    # with the tests that read it, is open on ROADMAP
-    assert unreached_decoders() == ["SparsePoly"]
+    assert unreached_decoders() == []
 
 
 def test_the_decoder_rule_sees_verbs_and_inherited_decoders():
     assert "cmd_sod_solve" in _verbs(_package_trees()["cli"])
-    # a subclass's ``from_json`` is its base's, as TateMotive's is SparsePoly's
+    # a subclass's ``from_json`` is its base's
     tree = ast.parse("class A:\n    def from_json(cls): pass\nclass B(A): pass\nclass C: pass\n")
     classes = {node.name: node for node in tree.body}
     assert (_decoder_owner(classes, "A"), _decoder_owner(classes, "B")) == ("A", "A")

@@ -1,7 +1,7 @@
 """The input boundary: every reader of outside input raises ``InputError``.
 
-The JSON decoders of the library (``from_json`` of the four polynomial
-classes, ``SODPiece`` and ``Collection``), the collection loader of
+The JSON decoders of the library (``from_json`` of ``SODPiece`` and
+``Collection``), the collection loader of
 ``sod-solve`` and ``tate.integer``, the one reader of integer text, refuse
 malformed input with ``InputError`` and nothing else: no TypeError,
 AttributeError or KeyError leaks out of them, so the CLI can map exactly
@@ -23,7 +23,6 @@ from lefschetz import (
     InputError,
     InvalidParameterError,
     ParseError,
-    PoincarePoly,
     SODPiece,
     SemanticError,
     TateMotive,
@@ -32,34 +31,8 @@ from lefschetz import (
     render_expr,
 )
 from lefschetz.cli import main
-from lefschetz.measures import HodgeDelignePoly, K0Class
 from lefschetz.tate import INT_TOO_LONG, MAX_INT_DIGITS, integer
 from lefschetz.varieties import _KINDS, Point, Product, Quadric, VarietyExpr, _from_labels
-
-POLYS = (TateMotive, PoincarePoly, K0Class, HodgeDelignePoly)
-
-
-def _key(cls, text):
-    """``text`` as an exponent key, or as both halves of a bidegree key."""
-    return "%s,%s" % (text, text) if cls is HodgeDelignePoly else text
-
-
-def _poly_cases():
-    for cls in POLYS:
-        name = cls.__name__
-        for data in ([], 5, None, "terms", {}, {"nope": {}}, {"terms": []}, {"terms": 5}):
-            yield "%s-%r" % (name, data), cls.from_json, data
-        for value in ("x", None, 1.5, True, [], {}):
-            yield "%s-value-%r" % (name, value), cls.from_json, {"terms": {_key(cls, "0"): value}}
-        for key in ("x", "1_0", "٣", " 2 ", "+2", "", "-", "9" * (MAX_INT_DIGITS + 1)):
-            yield "%s-key-%r" % (name, key), cls.from_json, {"terms": {_key(cls, key): 1}}
-        yield "%s-int-key" % name, cls.from_json, {"terms": {3: 1}}
-    yield "HodgeDelignePoly-key-no-comma", HodgeDelignePoly.from_json, {"terms": {"1": 1}}
-    yield "HodgeDelignePoly-key-two-commas", HodgeDelignePoly.from_json, {"terms": {"1,2,3": 1}}
-    for cls in (TateMotive, PoincarePoly):
-        yield "%s-negative" % cls.__name__, cls.from_json, {"terms": {"0": -1}}
-    yield "PoincarePoly-negative-degree", PoincarePoly.from_json, {"terms": {"-1": 1}}
-
 
 def _piece_cases():
     pieces = (5, [], None, {}, {"label": "O"}, {"kind": "exceptional"},
@@ -80,7 +53,6 @@ def _collection_cases():
 
 
 DECODER_CASES = [
-    *[pytest.param(decode, data, id=name) for name, decode, data in _poly_cases()],
     *[pytest.param(SODPiece.from_json, data, id=name) for name, data in _piece_cases()],
     *[pytest.param(Collection.from_json, data, id=name) for name, data in _collection_cases()],
 ]
@@ -95,16 +67,14 @@ def test_every_decoder_refuses_with_input_error(decode, data):
 
 
 def test_decoded_round_trips_still_build():
-    for cls in POLYS:
-        p = cls({(1, 2) if cls is HodgeDelignePoly else 1: 2})
-        assert cls.from_json(p.to_json()) == p
     c = Collection((SODPiece("O"), SODPiece("C", "opaque", 2)))
     assert Collection.from_json(c.to_json()) == c
 
 
 def test_keys_that_spell_one_number_merge():
-    # the constructor merges equal exponents
-    assert TateMotive.from_json({"terms": {"7": 1, "07": 2}}) == TateMotive({7: 3})
+    # ``integer`` reads "7" and "07" as one number, and the constructor
+    # merges equal exponents
+    assert TateMotive([(integer("7"), 1), (integer("07"), 2)]) == TateMotive({7: 3})
 
 
 # the labels of ``point * Q(0)``, as a pickle holds them
@@ -131,7 +101,7 @@ class TestInteger:
          ("-" + "9" * 100, -int("9" * 100))],
     )
     def test_accepted(self, text, value):
-        assert integer(text) == value == integer(text, "exponent key")
+        assert integer(text) == value
 
     @pytest.mark.parametrize(
         "text",
@@ -139,9 +109,6 @@ class TestInteger:
         ids=repr,
     )
     def test_refused(self, text):
-        with pytest.raises(InputError) as info:
-            integer(text, "grade key")
-        assert str(info.value) == "invalid grade key %r" % (text,)
         with pytest.raises(InputError) as info:
             integer(text)
         assert str(info.value) == "invalid integer %r" % (text,)
@@ -152,8 +119,6 @@ class TestInteger:
         with pytest.raises(InputError) as info:
             integer(text)
         assert str(info.value) == INT_TOO_LONG
-        with pytest.raises(InputError, match="invalid exponent key"):
-            integer(text, "exponent key")
 
     def test_input_error_attributes(self):
         exc = InputError("bad", offset=4, path="$.left")

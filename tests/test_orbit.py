@@ -183,6 +183,14 @@ class TestOrbitMorphism:
         with pytest.raises(TypeError, match="grades must be exact"):
             OrbitMorphism(m, m, {grade: [[1]]})
 
+    @pytest.mark.parametrize("motive_end", ["source", "target"])
+    def test_one_endpoint_not_a_motive(self, motive_end):
+        # the other endpoint is a dict of the same terms, not a TateMotive
+        m = TateMotive({0: 1})
+        ends = (m, {0: 1}) if motive_end == "source" else ({0: 1}, m)
+        with pytest.raises(TypeError, match="source and target must be TateMotive"):
+            OrbitMorphism(*ends, {0: [[1]]})
+
     def test_matrix_is_read_only(self):
         f = identity_morphism(TateMotive({0: 2}))
         assert f.matrix == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -483,6 +491,16 @@ class TestDecompose:
         f, g = block_unit_iso(m)
         with pytest.raises(ValueError, match="must start at m"):
             decompose_via_orbit(other, f, g, 0)
+
+    @pytest.mark.parametrize("wrong", ["f-leaves-another", "g-ends-at-another"])
+    def test_one_wrong_endpoint(self, wrong):
+        # the other motive has the same rank, so f and g still meet at the units
+        m = TateMotive({0: 1, 1: 1})
+        f, g = block_unit_iso(m)
+        f_other, g_other = block_unit_iso(TateMotive({0: 1, 2: 1}))
+        pair = (f_other, g) if wrong == "f-leaves-another" else (f, g_other)
+        with pytest.raises(ValueError, match="f must start at m and g must end at m"):
+            decompose_via_orbit(m, *pair, 2)
 
     def test_dim_validation(self):
         m = TateMotive({0: 1})

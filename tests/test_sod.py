@@ -58,7 +58,6 @@ class TestCollection:
         c = Collection((SODPiece("A"), SODPiece("B", OPAQUE)))
         assert len(c) == 2
         assert c.labels == ("A", "B")
-        assert [p.label for p in c] == ["A", "B"]
 
     def test_json_round_trip(self):
         c = Collection((SODPiece("O(-1)"), SODPiece("O"), SODPiece("Cl0", OPAQUE)))
