@@ -52,7 +52,16 @@ def _collection_cases():
         yield "collection-of-%r" % (piece,), {"pieces": [{"label": "O", "kind": "exceptional"}, piece]}
 
 
+def _key_cases():
+    # ``TateMotive.to_json`` writes exponent keys as text, which reads back
+    # only through ``integer``
+    for key in ("x", "1_0", "٣", " 2 ", "+2", "", "-", "9" * (MAX_INT_DIGITS + 1)):
+        yield "TateMotive-key-%r" % (key,), key
+    yield "TateMotive-int-key", 3
+
+
 DECODER_CASES = [
+    *[pytest.param(integer, key, id=name) for name, key in _key_cases()],
     *[pytest.param(SODPiece.from_json, data, id=name) for name, data in _piece_cases()],
     *[pytest.param(Collection.from_json, data, id=name) for name, data in _collection_cases()],
 ]

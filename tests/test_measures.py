@@ -1,6 +1,7 @@
 """The two measures out of the Lefschetz subring and their compatibility."""
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -17,7 +18,8 @@ from lefschetz.measures import (
     hodge_tate,
     k0_class,
 )
-from lefschetz.tate import NonEffectiveError, PoincarePoly, TateMotive, integer, poincare
+from lefschetz.cli import main
+from lefschetz.tate import InputError, NonEffectiveError, PoincarePoly, TateMotive, integer, poincare
 from lefschetz.varieties import (
     Fano3fold,
     Grassmannian,
@@ -183,6 +185,25 @@ class TestHodgeDelignePoly:
             p.terms = {}
         p.terms[(0, 0)] = 1
         assert p == HodgeDelignePoly({(1, 1): 1})
+
+    def test_json_round_trip(self, capsys):
+        # ``hodge --json`` writes each bidegree as "p,q"; read back through
+        # ``integer``, its keys give the Hodge-Deligne polynomial of the class
+        cases = (("Q(3)", Quadric(3)), ("P(2) * Gr(2, 4)", Product(Projective(2), Grassmannian(2, 4))))
+        for text, expr in cases:
+            assert main(["hodge", text, "--json"]) == 0
+            table = json.loads(capsys.readouterr().out)["hodge_numbers"]
+            read = HodgeDelignePoly(
+                {tuple(integer(h) for h in key.split(",")): c for key, c in table.items()}
+            )
+            assert read == chi_hd(k0_class(expr))
+
+    @pytest.mark.parametrize("key", ["\u0663", "1_0", " 2 "], ids=repr)
+    def test_k0_json_keys_only_as_to_json_writes_them(self, key):
+        # the keys of ``K0Class.to_json`` read back through ``integer``,
+        # which takes no other script's digits, underscores or spaces
+        with pytest.raises(InputError, match="^invalid integer"):
+            integer(key)
 
     @pytest.mark.parametrize(
         "terms", [{(True, 0): 1}, {(0, False): 1}, {(1, 1): True}], ids=repr
