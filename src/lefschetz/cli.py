@@ -35,7 +35,7 @@ import argparse
 import sys
 
 from .exprlang import parse_expr, render_expr
-from .measures import hodge_numbers, k0_class
+from .measures import HodgeDelignePoly, hodge_numbers, hodge_tate, k0_class
 from .orbit import block_unit_iso, decompose_via_orbit
 from .sod import Collection, solve_nc_ranks
 from .tate import DomainError, InputError, integer, poincare
@@ -74,10 +74,9 @@ def cmd_poincare(e, args):
 
 def cmd_hodge(e, args):
     table = hodge_numbers(_pure_tate(e))
-    fields = {
-        "hodge_numbers": {"%d,%d" % pq: c for pq, c in table.items()},
-        "hodge_tate": all(p == q for p, q in table),
-    }
+    # the table is (l, l) keys ascending, the polynomial's own term order
+    poly = HodgeDelignePoly._trusted(table)
+    fields = {"hodge_numbers": poly.to_json()["terms"], "hodge_tate": hodge_tate(poly)}
     return fields, ["h^{%d,%d} = %d" % (p, q, c) for (p, q), c in table.items()], 0
 
 
@@ -142,8 +141,7 @@ def run(verb, args) -> int:
         payload = {"verb": args.verb, "expr": render_expr(e), **fields}
         print(json.dumps(payload, indent=2))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
     return status
 
 

@@ -63,8 +63,9 @@ class K0Class(SparsePoly):
 class HodgeDelignePoly(SparsePoly):
     """Integer Laurent polynomial in u and v, keyed by the (p, q) bidegree.
 
-    Terms are ordered by total degree p + q, then by q.  No verb writes one:
-    ``hodge`` prints its own table of Hodge numbers.
+    Terms are ordered by total degree p + q, then by q.  ``to_json`` spells
+    each bidegree key ``p,q``, as ``hodge --json`` writes its table of
+    Hodge numbers.
     """
 
     __slots__ = ()
@@ -84,6 +85,10 @@ class HodgeDelignePoly(SparsePoly):
     @staticmethod
     def _add_keys(a, b):
         return a[0] + b[0], a[1] + b[1]
+
+    def to_json(self) -> dict:
+        """The terms under ``"terms"``, each bidegree key written ``p,q``."""
+        return {"terms": {"%d,%d" % pq: c for pq, c in self._terms.items()}}
 
     @staticmethod
     def _monomial(pq) -> str:
@@ -136,7 +141,7 @@ def chi_hd(c: K0Class) -> HodgeDelignePoly:
 
 def hodge_tate(p: HodgeDelignePoly) -> bool:
     """Whether only diagonal monomials (u*v)^k occur."""
-    return all(pq[0] == pq[1] for pq in p.terms)
+    return all(pq[0] == pq[1] for pq in p._terms)
 
 
 def hodge_numbers(m: TateMotive) -> dict[tuple[int, int], int]:

@@ -22,8 +22,9 @@ is one integer matrix product that skips the zero entries of the left
 factor, the product of the two denominators and one gcd pass: exact
 arithmetic that stays in the integers, in the spirit of Bareiss (Math.
 Comp. 22, 1968), with no ``Fraction`` arithmetic and no float.  The graded
-constructor and the views ``component``, ``components`` and ``matrix``
-speak ``Fraction``.
+constructor takes a mapping of int grades to matrices of ``int`` and
+``Fraction`` entries, and the views ``component``, ``components`` and
+``matrix`` speak ``Fraction``.
 
 ``decompose_via_orbit`` inverts the collapse: given that a motive m becomes
 isomorphic to a direct sum of rank(m) unit objects after the twist is
@@ -113,12 +114,13 @@ class OrbitMorphism(Record):
     a tuple of integer rows, over ``den``, one positive denominator, with
     the gcd of ``den`` and all entries equal to 1, so the stored form is
     canonical and ``==`` compares it directly.  The constructor takes the
-    graded form instead: ``components`` maps an integer grade r (an int,
-    not a bool, as ``tate.is_int`` says) to a rank(target) x rank(source)
-    matrix whose entries are ints or Fractions (floats, bools and strings
-    are refused with TypeError).  Construction
-    validates shapes and the delta pattern.  ``matrix`` and ``component``
-    give Fraction views.  A morphism is an immutable record: ``==`` and
+    graded form instead: ``components`` is a mapping from an integer grade
+    r (an int, not a bool, as ``tate.is_int`` says) to a rank(target) x
+    rank(source) matrix whose entries are ints or Fractions.  Any other
+    ``components``, grade or entry (a list of pairs, a float, a bool, a
+    string, a Decimal) is refused with TypeError.  Construction validates
+    shapes and the delta pattern.  ``matrix`` and ``component`` give
+    Fraction views.  A morphism is an immutable record: ``==`` and
     ``hash`` follow ``(source, target, den, rows)``.  ``_trusted(source,
     target, den, rows)``, ``tate.Record``'s trusted constructor, takes
     canonical rows of the right shape and delta pattern as they are:
@@ -132,17 +134,17 @@ class OrbitMorphism(Record):
         self,
         source: TateMotive,
         target: TateMotive,
-        components: Mapping[int, Iterable[Iterable]] = (),
+        components: Mapping[int, Iterable[Iterable]],
     ):
         Fraction = _fraction_class()
         if not isinstance(source, TateMotive) or not isinstance(target, TateMotive):
             raise TypeError("source and target must be TateMotive")
+        if not isinstance(components, Mapping):
+            raise TypeError("components must be a mapping, got %s" % type(components).__name__)
         src = source.exponent_multiset()
         tgt = target.exponent_multiset()
         nonzero_entries = []
-        grades: set[int] = set()
-        items = components.items() if isinstance(components, Mapping) else components
-        for r, rows in items:
+        for r, rows in components.items():
             if not is_int(r):
                 raise TypeError("grades must be exact integers, got %r" % (r,))
             mat = [tuple(row) for row in rows]
@@ -150,28 +152,21 @@ class OrbitMorphism(Record):
                 raise ValueError(
                     "grade %d component must be %d x %d" % (r, len(tgt), len(src))
                 )
-            nonzero = False
             for i, row in enumerate(mat):
                 for j, entry in enumerate(row):
                     if type(entry) is not int and type(entry) is not Fraction:
-                        if isinstance(entry, (float, bool, str)):
-                            raise TypeError("matrix entries must be exact numbers, got %r" % (entry,))
-                        entry = Fraction(entry)
+                        raise TypeError("matrix entries must be exact numbers, got %r" % (entry,))
                     if not entry:
                         continue
-                    nonzero = True
                     if tgt[i] - r != src[j]:
                         raise ValueError(
                             "grade %d entry (%d, %d) violates the delta pattern: "
                             "target exponent %d - %d != source exponent %d"
                             % (r, i, j, tgt[i], r, src[j])
                         )
-                    # the delta pattern gives each slot a single grade
+                    # the delta pattern gives each slot a single grade, and
+                    # a mapping gives each grade once
                     nonzero_entries.append((i, j, entry))
-            if nonzero:
-                if r in grades:
-                    raise ValueError("duplicate grade %d" % r)
-                grades.add(r)
         # entries are in lowest terms, so over the lcm of their denominators
         # the rows are already canonical
         den = lcm(*{x.denominator for _, _, x in nonzero_entries})

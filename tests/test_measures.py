@@ -19,6 +19,7 @@ from lefschetz.measures import (
     k0_class,
 )
 from lefschetz.cli import main
+from lefschetz.exprlang import parse_expr
 from lefschetz.tate import InputError, NonEffectiveError, PoincarePoly, TateMotive, integer, poincare
 from lefschetz.varieties import (
     Fano3fold,
@@ -197,6 +198,28 @@ class TestHodgeDelignePoly:
                 {tuple(integer(h) for h in key.split(",")): c for key, c in table.items()}
             )
             assert read == chi_hd(k0_class(expr))
+
+    def test_to_json_keys_read_back(self, capsys):
+        # ``to_json`` spells each bidegree "p,q", and each side of the comma
+        # reads back through ``integer``: negative exponents and virtual
+        # classes included, and as ``hodge --json`` writes its table
+        classes = [
+            k0_class(Quadric(3)),
+            k0_class(Product(Projective(2), Grassmannian(2, 4))),
+            K0Class({-3: 2, 0: -1, 12: 5}),
+            K0Class(),
+        ]
+        for c in classes:
+            poly = chi_hd(c)
+            terms = poly.to_json()["terms"]
+            assert all(key.count(",") == 1 for key in terms)
+            read = {tuple(integer(h) for h in key.split(",")): n for key, n in terms.items()}
+            assert list(read.items()) == list(poly.terms.items())
+        for text in ("Q(3)", "P(2) * Gr(2, 4)"):
+            assert main(["hodge", text, "--json"]) == 0
+            table = json.loads(capsys.readouterr().out)["hodge_numbers"]
+            want = chi_hd(k0_class(parse_expr(text))).to_json()["terms"]
+            assert list(table.items()) == list(want.items())
 
     @pytest.mark.parametrize("key", ["\u0663", "1_0", " 2 "], ids=repr)
     def test_k0_json_keys_only_as_to_json_writes_them(self, key):

@@ -85,8 +85,10 @@ class TestConstruction:
             OrbitMorphism(m, m, {0: [[entry]]})
 
     def test_grade_given_twice_rejected(self):
+        # only a mapping, which gives each grade once, is a graded form; a
+        # list of (grade, matrix) pairs is refused, repeated grade or not
         one, l1 = TateMotive({0: 1}), lefschetz(1)
-        with pytest.raises(ValueError, match="duplicate grade 1"):
+        with pytest.raises(TypeError, match="components must be a mapping, got list"):
             OrbitMorphism(one, l1, [(1, [[1]]), (1, [[2]])])
 
     def test_component_accessor_returns_zero_matrix(self):
@@ -166,7 +168,7 @@ class TestOrbitMorphism:
         assert (zero.den, zero.rows) == (1, ((0, 0), (0, 0)))
 
     @pytest.mark.parametrize(
-        "entry", [0.1, 0.0, 1.0, float("nan"), True, False], ids=repr
+        "entry", [0.1, 0.0, 1.0, float("nan"), True, False, Decimal("0.5")], ids=repr
     )
     def test_float_and_bool_entries_rejected(self, entry):
         m = TateMotive({0: 1})
