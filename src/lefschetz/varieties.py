@@ -71,7 +71,7 @@ product with ``L^lo + ... + L^(hi-1)``, which packs (a sum of one twist
 shifts its Tate part instead), and each opaque part object is twisted
 once per exponent; the values, and the order of the opaque parts, are
 those of adding the products with ``L^i`` one at a time, so the cost is
-linear in the size of the sum.
+linear in the size of the sum, and the list of parts is built once.
 
 The formulas of ``Projective``, ``Quadric`` and ``Grassmannian`` give
 ascending exponents with positive multiplicities by construction, so they
@@ -90,13 +90,15 @@ Opaque summands are never converted into Betti numbers; operations that need
 complete cohomological data reject motives that still carry them.  A
 product twists each opaque part object once per distinct exponent of the
 other factor and repeats the twisted part by the exponent's multiplicity.
-A factor that is itself a product repeats its part objects, so a memo that
-lives for one product, keyed on the part object's identity, copies the run
-of twists of a part object seen before instead of twisting it again.
-Equal entries of ``GeneralizedMotive.opaque`` may therefore be one shared
-object: parts are immutable, and ``==``, ``hash``, text, JSON, copies and
-pickles see only their values.  The tuple still holds one reference per
-summand.
+A factor that is itself a product repeats its part objects, so a product
+and a sum of twists both read one table, ``_runs``, which maps each
+distinct part object, by identity, to its run of twists.  A product lists
+each part's run in turn (part-major), and a sum of twists takes entry t of
+every part's run for each twist t in turn (exponent-major); neither builds
+a list of parts it does not return.  Equal entries of
+``GeneralizedMotive.opaque`` may therefore be one shared object: parts are
+immutable, and ``==``, ``hash``, text, JSON, copies and pickles see only
+their values.  The tuple still holds one reference per summand.
 
 Nodes, ``OpaquePart`` and ``GeneralizedMotive`` derive from ``tate.Record``,
 which refuses assignment and deletion.  The two motive classes are plain
@@ -113,6 +115,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from math import comb
+from operator import itemgetter
 
 from .sod import EXCEPTIONAL, OPAQUE, Collection, SODPiece
 from .tate import (
@@ -209,58 +212,54 @@ class GeneralizedMotive(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def _twisted_parts(parts: tuple, tate: TateMotive) -> tuple:
-    """``parts`` times ``tate``: each part twisted by each exponent of ``tate``.
+def _runs(parts: tuple, tate: TateMotive) -> dict:
+    """Each distinct part object of ``parts``, by ``id``, to its run by ``tate``.
 
-    The order is each part in turn, its exponents ascending, each repeated
-    by its multiplicity.  A part object is twisted once per distinct
-    exponent and the twisted part is repeated, so equal entries of the
-    result may be one object.  ``spans`` keeps where each part object's run
-    of twists lies in ``out``, keyed on the object's identity, so a part
-    object that ``parts`` repeats, as a product's parts repeat, copies its
-    run instead of being twisted again; ``parts`` keeps every key's object
-    alive until the call returns, so no identity is reused meanwhile.
+    A run is the part twisted by each exponent of ``tate``, ascending, each
+    repeated by its multiplicity.  A part object is twisted once per
+    distinct exponent, however often ``parts`` repeats it, as a product's
+    parts repeat, so equal entries of a run, and the runs of one object,
+    share the twisted part.  The dict of keys keeps each keyed object
+    alive while the table is built, so no identity is reused meanwhile.
     """
+    terms = tate._terms.items()
+    # a list per run: a tuple grown from a chain of repeats, resized as it
+    # grows, raised the catalog workload's peak RSS by about 1 MB
+    return {
+        key: [q for l, c in terms for q in repeat(p.twisted(l), c)]
+        for key, p in dict(zip(map(id, parts), parts)).items()
+    }
+
+
+def _twisted_parts(parts: tuple, tate: TateMotive) -> tuple:
+    """``parts`` times ``tate``: each part's run of twists, part after part."""
     if not parts:
         return ()
-    terms = tate._terms.items()
-    spans: dict = {}
-    out: list = []
-    for p in parts:
-        span = spans.get(id(p))
-        if span is None:
-            start = len(out)
-            for l, c in terms:
-                out += repeat(p.twisted(l), c)
-            spans[id(p)] = slice(start, len(out))
-        else:
-            out += out[span]
-    return tuple(out)
+    runs = _runs(parts, tate)
+    return tuple(chain.from_iterable(map(runs.__getitem__, map(id, parts))))
 
 
 def _twist_sum(m: GeneralizedMotive, lo: int, hi: int) -> GeneralizedMotive:
     """m L^lo + m L^(lo+1) + ... + m L^(hi-1), for lo < hi, built once.
 
     The Tate part is one product with L^lo + ... + L^(hi-1), which packs
-    when m's Tate part is dense.  The opaque parts come exponent-major, as
-    adding the twists one at a time lists them: all of m's parts twisted
-    by lo, then by lo + 1, and so on.  ``_twisted_parts`` gives them
-    part-major, a run of hi - lo twists per part, so every (hi - lo)-th
-    entry from offset t is the parts twisted by lo + t; for one twist that
-    read is the identity, and the Tate part is a shift of the exponents,
-    cheaper than any product.
+    when m's Tate part is dense; for one twist it is a shift of the
+    exponents, cheaper than any product.  The opaque parts come
+    exponent-major, as adding the twists one at a time lists them: all of
+    m's parts twisted by lo, then by lo + 1, and so on.  They are read
+    from the same table of runs as a product's, entry t of each part's
+    run for each twist t in turn, straight into the tuple that is returned.
     """
     k = hi - lo
     if k == 1 and not lo:
         # values are immutable, so m L^0 is m itself
         return m
     run = TateMotive._trusted(dict.fromkeys(range(lo, hi), 1))
-    parts = _twisted_parts(m.opaque, run)
-    if parts:
-        parts = tuple(chain.from_iterable([parts[t::k] for t in range(k)]))
-    # after the parts: built first, the Tate part raised the peak RSS of
-    # projbundle(fano(1; false)*Gr(5,10); 2000) from 64 to 74 MB (glibc
-    # malloc; the peak of Python objects is the same either way)
+    parts = ()
+    if m.opaque:
+        runs = _runs(m.opaque, run)
+        cols = list(map(runs.__getitem__, map(id, m.opaque)))
+        parts = tuple(chain.from_iterable(map(itemgetter(t), cols) for t in range(k)))
     tate = m.tate.twisted(lo) if k == 1 else m.tate * run
     return GeneralizedMotive._trusted(tate, parts)
 

@@ -7,11 +7,14 @@ the expected values do not flow through the code paths under test.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import gcd
 from operator import mul
+from pathlib import Path
 from typing import Optional
 
 from lefschetz import sod, varieties
@@ -38,15 +41,15 @@ from lefschetz.varieties import (
     _fold,
 )
 
-
-def matmul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(rows)
-    ]
+# The exact linear algebra has one copy: the benchmark's independent oracle,
+# which imports nothing from ``lefschetz``.  ``perfbench`` is no package, so
+# the file is loaded by path.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracle", Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+)
+_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_oracle)
+invert, matmul = _oracle.invert, _oracle.matmul
 
 
 def fraction_matmul(a, b, ncols):
@@ -58,31 +61,6 @@ def fraction_matmul(a, b, ncols):
     cols = tuple(zip(*b)) if b else ((),) * ncols
     zero = Fraction(0)
     return tuple(tuple(sum(map(mul, row, col), zero) for col in cols) for row in a)
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def invert(mat):
-    """Exact inverse by Gaussian elimination, None when singular."""
-    n = len(mat)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def graded_compose(g, f):
@@ -493,6 +471,85 @@ def expanding_motive(e):
         return node._motive(*children)
 
     return _fold(e, step)
+
+
+def span_memo_twisted_parts(parts, tate):
+    """``parts`` times ``tate``, as ``varieties._twisted_parts`` once built it.
+
+    Each part in turn, its exponents ascending, each repeated by its
+    multiplicity.  ``spans`` keeps where each part object's run of twists
+    lies in ``out``, keyed on the object's identity, so a part object that
+    ``parts`` repeats copies its run instead of being twisted again.  The
+    library now reads every run from one table built before the list.
+    """
+    if not parts:
+        return ()
+    terms = tate.terms.items()
+    spans = {}
+    out = []
+    for p in parts:
+        span = spans.get(id(p))
+        if span is None:
+            start = len(out)
+            for l, c in terms:
+                out += repeat(p.twisted(l), c)
+            spans[id(p)] = slice(start, len(out))
+        else:
+            out += out[span]
+    return tuple(out)
+
+
+def strided_twist_sum(m, lo, hi):
+    """m L^lo + ... + m L^(hi-1), as ``varieties._twist_sum`` once built it.
+
+    The parts come part-major from ``span_memo_twisted_parts``, and every
+    (hi - lo)-th entry from offset t is read back as the parts twisted by
+    lo + t, so the result lists them exponent-major.  That held the parts
+    three times at its peak; the library now reads entry t of each part's
+    run from its table.
+    """
+    k = hi - lo
+    if k == 1 and not lo:
+        return m
+    run = TateMotive(dict.fromkeys(range(lo, hi), 1))
+    parts = span_memo_twisted_parts(m.opaque, run)
+    parts = tuple(chain.from_iterable([parts[t::k] for t in range(k)]))
+    tate = m.tate.twisted(lo) if k == 1 else tensor(m.tate, run)
+    return varieties.GeneralizedMotive(tate, parts)
+
+
+def span_memo_motive(e):
+    """``motive_of(e)`` with products, blowups and bundles built as they once were.
+
+    Products list their parts through ``span_memo_twisted_parts``, and
+    blowups and bundles through ``strided_twist_sum``; every other node
+    gives its own ``_motive``.
+    """
+
+    def step(node, *children):
+        if isinstance(node, Product):
+            a, b = children
+            if a.opaque and b.opaque:
+                raise OpaqueMotiveError("cannot multiply two motives that both have opaque summands")
+            if b.opaque:
+                parts = span_memo_twisted_parts(b.opaque, a.tate)
+            else:
+                parts = span_memo_twisted_parts(a.opaque, b.tate)
+            return varieties.GeneralizedMotive(tensor(a.tate, b.tate), parts)
+        if isinstance(node, Blowup):
+            base, center = children
+            return base + strided_twist_sum(center, 1, node.codim)
+        if isinstance(node, ProjBundle):
+            return strided_twist_sum(children[0], 0, node.fiber_rank)
+        return node._motive(*children)
+
+    return _fold(e, step)
+
+
+def identity_pattern(parts):
+    """Each part's index of the first entry that is the same object."""
+    first = {}
+    return [first.setdefault(id(p), i) for i, p in enumerate(parts)]
 
 
 def rebuilt_collection(collection):

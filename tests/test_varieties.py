@@ -6,6 +6,7 @@ import gc
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -19,7 +20,9 @@ from helpers import (
     fresh_motive,
     gaussian_binomial_pascal,
     grassmannian_oracle,
+    identity_pattern,
     rebuilt_collection,
+    span_memo_motive,
 )
 from lefschetz.exprlang import parse_expr, render_expr
 from lefschetz.measures import chi_gs, chi_hd, k0_class
@@ -948,6 +951,42 @@ def opaque_tree(rng, depth=1):
     return Blowup(base, Point() if rest == 0 else Projective(rest), codim)
 
 
+# Tate factors with a multiplicity above 1: a product with one repeats the
+# twisted part objects of the other factor
+REPEATING_LEAVES = (
+    lambda rng: Grassmannian(2, rng.randint(4, 5)),
+    lambda rng: Quadric(2 * rng.randint(1, 2)),
+)
+
+
+def shared_tree(rng, depth=1):
+    """A random tree whose bundles and blowups twist part objects that repeat.
+
+    A leaf is a Fano threefold's opaque parts times one or two Tate factors,
+    the first with a multiplicity above 1, so its parts repeat as objects.
+    Inner nodes are products with a Tate factor on either side, sums,
+    bundles of rank 3 or 4, and blowups of codimension 3 or 4 along a
+    subtree.
+    """
+    if depth >= 3 or rng.random() < 0.25:
+        e = Product(Fano3fold(rng.randint(0, 2), False), rng.choice(REPEATING_LEAVES)(rng))
+        if rng.random() < 0.5:
+            e = Product(e, Projective(rng.randint(1, 2)))
+        return e
+    kind = rng.randrange(4)
+    sub = shared_tree(rng, depth + 1)
+    if kind == 0:
+        tate = rng.choice(REPEATING_LEAVES + (lambda rng: Projective(rng.randint(1, 3)),))(rng)
+        return Product(sub, tate) if rng.random() < 0.5 else Product(tate, sub)
+    if kind == 1:
+        return DisjointUnion(sub, shared_tree(rng, depth + 1))
+    if kind == 2:
+        return ProjBundle(sub, rng.randint(3, 4))
+    codim = rng.randint(3, 4)
+    base = Product(Projective(codim), sub) if rng.random() < 0.5 else Projective(sub.dim + codim)
+    return Blowup(base, sub, codim)
+
+
 def parts_shown(m):
     """What a reader sees of ``m``'s opaque parts: values, text and JSON, in order."""
     return list(m.opaque), [p.text() for p in m.opaque], [p.to_json() for p in m.opaque]
@@ -1078,6 +1117,35 @@ class TestSharedParts:
         # a bundle twists each part object of its base once per twist
         m = motive_of(parse_expr("projbundle(fano(1; false)*Gr(5,10); 4)"))
         assert len(m.opaque) == 3024 and len({id(p) for p in m.opaque}) == 312
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_the_span_memo_oracle(self, seed):
+        rng = random.Random(3300 + seed)
+        sums_of_twists = 0
+        for _ in range(20):
+            e = shared_tree(rng)
+            got, want = motive_of(e), span_memo_motive(e)
+            assert got.tate == want.tate
+            # the same part values in the same order, and the same entries
+            # one shared object
+            assert list(got.opaque) == list(want.opaque)
+            assert identity_pattern(got.opaque) == identity_pattern(want.opaque)
+            sums_of_twists += isinstance(e, (Blowup, ProjBundle))
+        assert sums_of_twists >= 5
+
+    def test_sum_of_twists_holds_its_parts_about_once(self):
+        # 75600 parts in 7800 objects, each of the 78 objects of the product
+        # twisted 100 times; listing the parts part-major and then reading
+        # them back exponent-major held them twice at the peak
+        e = parse_expr("projbundle(fano(1; false)*Gr(5,10); 100)")
+        tracemalloc.start()
+        try:
+            m = motive_of(e)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(m.opaque) == 75600 and len(set(map(id, m.opaque))) == 7800
+        assert peak <= 1.3 * kept, (peak, kept)
 
     def test_shared_parts_pickle_copy_and_compare(self):
         shared = motive_of(parse_expr("fano(1; false)*Gr(3,6)*P(2)"))
