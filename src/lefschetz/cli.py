@@ -12,11 +12,10 @@ two forms.  ``main`` maps an exception to an exit status by its type alone:
   negative (an obstruction fired, ranks cannot be reconciled, opaque
   summands block the request);
 * 2 for a usage error that argparse finds (no verb or an unknown one, a
-  missing argument, a bad ``--dim``, an expression that starts with ``-``
-  and so reads as an option), an ``InputError`` (syntax, out-of-range
-  parameters, malformed collection JSON, a closed stdin), an ``OSError`` (a
-  file that cannot be read) or a ``UnicodeError`` (stdin or a file that is
-  not UTF-8);
+  missing argument, an unknown option next to an expression, a bad
+  ``--dim``), an ``InputError`` (syntax, out-of-range parameters, malformed
+  collection JSON, a closed stdin), an ``OSError`` (a file that cannot be
+  read) or a ``UnicodeError`` (stdin or a file that is not UTF-8);
 * ``EXIT_BROKEN_PIPE`` (141, 128 + SIGPIPE, as a shell reports a process
   killed by the signal), with nothing on stderr, when the reader of stdout
   closes it early;
@@ -24,6 +23,9 @@ two forms.  ``main`` maps an exception to an exit status by its type alone:
   a plain ``ValueError`` and ``MemoryError`` included.
 
 Every status but 0 and 141 comes with one ``error:`` line on stderr.
+A text that starts with ``-`` (other than ``-`` itself) reads to argparse
+as an option; where no expression was read, the first such leftover is the
+expression, so ``motive "-P(3)"`` is a syntax error at byte 0.
 
 ``json`` is imported by the two paths that use it, ``--json`` output and
 ``sod-solve``, so a text-mode run does not pay for it.
@@ -94,8 +96,9 @@ def cmd_check_fec(e, args):
         "bound": v.bound,
         "odd_degrees": list(v.odd_degrees),
     }
-    # the bound is the catalog collection's length, the Tate rank, which no
-    # Betti number exceeds: a failing verdict is printed as its status
+    # the bound is the Tate rank, which is the catalog collection's length
+    # by the paper's first theorem, so no collection is built; no Betti
+    # number exceeds it, so a failing verdict is printed as its status
     line = "ok (min length %d)" % v.min_length if v.ok else v.status
     return fields, [line], 0 if v.ok else 1
 
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str, func):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("expr", help="catalog expression, or '-' to read stdin")
+        sp.add_argument("expr", nargs="?", help="catalog expression, or '-' to read stdin")
         sp.add_argument(
             "--json", action="store_true", help="emit JSON instead of text"
         )
@@ -197,7 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        if args.expr is None and rest and rest[0].startswith("-"):
+            args.expr = rest.pop(0)
+        if rest or args.expr is None:
+            missing = "the following arguments are required: expr"
+            parser.error("unrecognized arguments: %s" % " ".join(rest) if rest else missing)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -25,11 +25,15 @@ written top down instead, by ``_expand`` on one explicit stack and joined once, 
 ``repr`` and ``exprlang.render_expr`` copy each piece of text once.  No
 depth of tree exhausts the Python stack.
 ``exceptional_collection_of`` folds a tree to the summands of its top-level
-disjoint union and asks each summand for its split ``_pieces`` and their
-``_kuznetsov`` form.  One function, ``_from_labels``, builds every tree
-that does not come from the constructors directly, on an explicit stack,
-from the flat post-order labels that ``_labels`` lists: a pickle holds
-them, and the text parser emits them.  Every node, from a constructor or a
+disjoint union, ``_summands_of``, and asks each summand for its split
+``_pieces`` and their ``_kuznetsov`` form.  A class that knows no
+collection has ``_pieces`` None, so whether a tree has one is read off its
+summands' classes: ``fec_verdict`` reads it so, takes the Tate rank as the
+collection's length, and builds no collection.  One function,
+``_from_labels``, builds every tree that does not come from the
+constructors directly, on an explicit stack, from the flat post-order
+labels that ``_labels`` lists: a pickle holds them, and the text parser
+emits them.  Every node, from a constructor or a
 label, is filled by one positional store, ``VarietyExpr._store``.
 
 ``motive_of`` and ``exceptional_collection_of`` each answer once per tree:
@@ -333,15 +337,15 @@ class VarietyExpr(Record):
     A node class also carries its ``kind``, the key of ``_KINDS``, its text
     ``syntax`` and its catalog entry: the methods ``_dimension`` and ``_motive``, which take
     the results of the node's children in field order, and ``_pieces()``,
-    the tuple of split pieces, where the catalog knows a collection.
+    the tuple of split pieces, where the catalog knows a collection (the
+    base class's ``_pieces`` is None: it knows none).
     ``_kuznetsov(pieces)`` gives the Kuznetsov form of those pieces; the
     base class returns them unchanged, and only ``Quadric`` differs.  No
     method visits a child: the constructor hands ``_dimension`` the
     children's ``dim``, and ``_fold`` does the rest, children first.  The
     base class is no catalog entry: its ``kind`` is None and it has no
     ``syntax``, ``_dimension`` or ``_motive``, so neither it nor a subclass
-    that sets no ``kind`` builds a node, and its ``_pieces`` raises
-    CollectionUnavailableError.
+    that sets no ``kind`` builds a node.
 
     ``syntax`` is ``(head, template, binding)``: the name or operator that
     ``exprlang`` reads, the canonical text with one ``%s`` per field, in
@@ -435,11 +439,9 @@ class VarietyExpr(Record):
         """The summands of this node as a disjoint union, left to right."""
         return [self]
 
-    def _pieces(self) -> tuple:
-        """The split pieces of this node's collection, where the catalog knows one."""
-        raise CollectionUnavailableError(
-            "no collection in the catalog for %s" % type(self).__name__
-        )
+    # a class whose catalog entry knows a collection defines ``_pieces()``,
+    # the tuple of that collection's split pieces
+    _pieces = None
 
     def _kuznetsov(self, pieces: tuple) -> tuple:
         """The Kuznetsov form of this node's split ``pieces``: the same but for a quadric."""
@@ -824,15 +826,24 @@ def motive_of(e: VarietyExpr) -> GeneralizedMotive:
 _VARIANTS = ("split", "kuznetsov")
 
 
+def _summands_of(e: VarietyExpr) -> list:
+    """The summands of ``e``'s top-level disjoint union, left to right."""
+    return _fold(e, lambda node, *parts: node._summands(*parts))
+
+
 def _fold_collections(e: VarietyExpr) -> tuple[Collection, Collection]:
     """The split and the Kuznetsov collection of ``e``, from one walk.
 
     Every summand is asked the same two questions: its split ``_pieces``,
     and then their ``_kuznetsov`` form, which differs only for a quadric.
-    A summand without a collection fails both.
+    A summand whose class has no ``_pieces`` fails without being asked,
+    and a ``Fano3fold`` whose odd part is not asserted trivial fails when
+    asked.
     """
     split, kuznetsov = [], []
-    for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
+    for summand in _summands_of(e):
+        if summand._pieces is None:
+            raise CollectionUnavailableError("no collection in the catalog for %s" % type(summand).__name__)
         pieces = summand._pieces()
         split += pieces
         kuznetsov += summand._kuznetsov(pieces)
@@ -870,15 +881,16 @@ def fec_verdict(e: VarietyExpr) -> sod.FecVerdict:
 
     An opaque summand fails at once, since each has odd weight (only
     ``Fano3fold`` makes them, all odd); otherwise the Betti data of the
-    Tate part is checked, against the catalog collection length when one
-    exists and unconditionally when none does.
+    Tate part is checked, against the catalog collection's length when one
+    exists and unconditionally when none does.  By the paper's first
+    theorem, a full exceptional collection of length n makes the motive a
+    sum of n Lefschetz powers, so that length is the Tate rank: the bound
+    is read off the motive, and no collection is built.  A collection
+    exists when every summand's class defines ``_pieces``; the one
+    instance that refuses, an opaque ``Fano3fold``, has failed already.
     """
     gm = motive_of(e)
     if gm.opaque:
         return sod.FecVerdict(sod.FEC_FAILS_ODD)
-    betti = poincare(gm.tate)
-    try:
-        bound = len(exceptional_collection_of(e))
-    except CollectionUnavailableError:
-        bound = None
-    return sod.fec_obstruction(betti, bound)
+    known = all(summand._pieces is not None for summand in _summands_of(e))
+    return sod.fec_obstruction(poincare(gm.tate), gm.tate.rank if known else None)

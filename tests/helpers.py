@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from pathlib import Path
 from typing import Optional
@@ -28,17 +28,27 @@ from lefschetz.orbit import (
     identity_morphism,
 )
 from lefschetz.sod import EXCEPTIONAL, FEC_OK, OPAQUE, _is_count
-from lefschetz.tate import INT_TOO_LONG, MAX_INT_DIGITS, TateMotive, direct_sum, lefschetz, tensor
+from lefschetz.tate import INT_TOO_LONG, MAX_INT_DIGITS, TateMotive, direct_sum, lefschetz, poincare, tensor
 from lefschetz.varieties import (
     Blowup,
+    CollectionUnavailableError,
     DisjointUnion,
+    Fano3fold,
+    Grassmannian,
     InvalidParameterError,
+    ModuliM0,
     OpaqueMotiveError,
+    Point,
     Product,
     ProjBundle,
+    Projective,
+    Quadric,
+    Toric,
     VarietyExpr,
     _KINDS,
     _fold,
+    exceptional_collection_of,
+    motive_of,
 )
 
 # The exact linear algebra has one copy: the benchmark's independent oracle,
@@ -405,6 +415,80 @@ def fresh_collection(e, variant):
     for summand in _fold(e, lambda node, *parts: node._summands(*parts)):
         pieces += _summand_pieces(summand, variant)
     return sod.Collection(tuple(pieces))
+
+
+def _random_toric(rng):
+    """Cone counts from random Betti numbers, or now and then a negative one."""
+    if rng.random() < 0.1:
+        return Toric((1, 1, rng.randint(1, 3)))
+    n = rng.randint(1, 3)
+    betti = [rng.randint(0, 3) for _ in range(n)] + [1]
+    return Toric(
+        tuple(sum(b * comb(j, n - k) for j, b in enumerate(betti)) for k in range(n + 1))
+    )
+
+
+LEAVES = (
+    lambda rng: Point(),
+    lambda rng: Projective(rng.randint(0, 6)),
+    lambda rng: Quadric(rng.randint(1, 6)),
+    lambda rng: Grassmannian(rng.randint(1, 3), rng.randint(4, 7)),
+    _random_toric,
+    lambda rng: ModuliM0(rng.randint(3, 5)),
+    lambda rng: Fano3fold(rng.randint(0, 3), rng.random() < 0.5),
+)
+
+
+def random_tree(rng, depth=1):
+    """A random catalog tree of at most four levels.
+
+    Some trees raise when evaluated: a product of two opaque motives, or a
+    toric variety with a negative Betti number.
+    """
+    if depth >= 4 or rng.random() < 0.35:
+        return rng.choice(LEAVES)(rng)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Product(random_tree(rng, depth + 1), random_tree(rng, depth + 1))
+    if kind == 1:
+        return DisjointUnion(random_tree(rng, depth + 1), random_tree(rng, depth + 1))
+    base = random_tree(rng, depth + 1)
+    if kind == 2:
+        return ProjBundle(base, rng.randint(1, 3))
+    dim = fresh_dimension(base)
+    if dim < 2:
+        dim = rng.randint(2, 5)
+        base = Projective(dim)
+    codim = rng.randint(2, min(dim, 3))
+    center = Point() if dim == codim else Projective(dim - codim)
+    return Blowup(base, center, codim)
+
+
+def outcome(f, e):
+    """``f(e)``'s value, or the type and message of what it raised."""
+    try:
+        return "value", f(e)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def collection_length_verdict(e):
+    """``varieties.fec_verdict`` as it was while it built the collection.
+
+    The bound was the length of the catalog's split collection, and None
+    where ``exceptional_collection_of`` refused; the verdict now reads the
+    same bound off the Tate rank, by the paper's first theorem, and builds
+    no collection.
+    """
+    gm = motive_of(e)
+    if gm.opaque:
+        return sod.FecVerdict(sod.FEC_FAILS_ODD)
+    betti = poincare(gm.tate)
+    try:
+        bound = len(exceptional_collection_of(e))
+    except CollectionUnavailableError:
+        bound = None
+    return sod.fec_obstruction(betti, bound)
 
 
 def pairwise_tensor(a, b):

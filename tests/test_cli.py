@@ -279,8 +279,11 @@ class TestExitCodes:
             ("fano(1; x)", "syntax error at byte 8: expected 'true' or 'false', got 'x'"),
             ("P(1) + )", "syntax error at byte 7: expected an expression, got ')'"),
             ("blowup(P(2); P(2); 0)", "semantic error at $: blowup center must have codimension >= 2"),
+            # argparse leaves it over as an unknown option, and it is read as
+            # the expression, since no other was given
+            ("-P(3)", "syntax error at byte 0: unexpected character '-'"),
         ],
-        ids=["no-equals", "int-for-flag", "name-for-flag", "no-operand", "blowup-codim-0"],
+        ids=["no-equals", "int-for-flag", "name-for-flag", "no-operand", "blowup-codim-0", "leading-minus"],
     )
     def test_refused_expression(self, capsys, text, message):
         # parser and constructor checks that crafted text reaches
@@ -306,6 +309,20 @@ class TestExitCodes:
     def test_orbit_demo_dim_override_ok(self, capsys):
         code, out, _ = run(capsys, "orbit-demo", "P(1)", "--dim", "5")
         assert (code, out) == (0, "{0, 1}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["motive"], "the following arguments are required: expr"),
+            (["motive", "--json"], "the following arguments are required: expr"),
+            (["motive", "--jsn", "P(1)"], "unrecognized arguments: --jsn"),
+            (["motive", "P(1)", "extra"], "unrecognized arguments: extra"),
+            (["motive", "P(1)", "-P(3)"], "unrecognized arguments: -P(3)"),
+        ],
+        ids=["no-expression", "json-no-expression", "unknown-option", "extra-argument", "second-expression"],
+    )
+    def test_usage_error_message(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
     def test_unknown_verb(self, capsys):
         assert run(capsys, "frobnicate", "P(1)")[0] == 2

@@ -265,8 +265,8 @@ _VERBS = ["motive", "poincare", "hodge", "k0", "check-fec", "orbit-demo"]
 
 @given(_texts, st.sampled_from(_VERBS), st.booleans())
 def test_cli_exits_0_1_or_2_with_at_most_one_error_line(text, verb, as_json):
-    # '-' reads stdin; argparse reads any other text that starts with '-' as
-    # an option, and refuses it on one line
+    # '-' reads stdin; any other text that starts with '-' is left over by
+    # argparse as an unknown option and then read as the expression
     assume(text != "-")
     if verb == "orbit-demo":
         # its time is quadratic in the rank, and one edit can make a

@@ -15,12 +15,14 @@ derandomizes every run, so a failure is found again on the next one; a
 counterexample is a catalog bug, not a reason to narrow the strategy.
 """
 
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import example, given, reject, settings, target
 from hypothesis import strategies as st
 
+from helpers import collection_length_verdict, outcome, random_tree
 from lefschetz.exprlang import parse_expr
 from lefschetz.sod import OPAQUE, Collection, SODPiece, UnderdeterminedError, solve_nc_ranks
 from lefschetz.varieties import (
@@ -142,3 +144,30 @@ def test_tate_plus_sod_implies_sums_of_units(e):
     else:
         with pytest.raises(UnderdeterminedError):
             solve_nc_ranks(kuznetsov, total)
+
+
+def _assert_verdict_as_the_oracle(e):
+    # the verdict runs first, so the oracle's collection memo cannot help it
+    assert outcome(fec_verdict, e) == outcome(collection_length_verdict, e)
+
+
+# unions that mix summands with and without a collection, opaque Fano
+# threefolds, and toric varieties with a negative Betti number
+@given(catalog_sums)
+@example(EVERY_COLLECTION)
+@example(parse_expr("P(1) + Gr(2,4) + Q(4)"))
+@example(parse_expr("fano(1; false)"))
+@example(parse_expr("P(1) + fano(1; false) * fano(2; false)"))
+@example(parse_expr("P(2) + fano(0; false) + Q(3)"))
+@example(parse_expr("fano(2; true) + blowup(P(3); point; 3)"))
+@example(parse_expr("toric[1,1,3]"))
+@example(parse_expr("P(1) + toric[1,1,3] + Gr(2,4)"))
+def test_verdict_reads_the_bound_the_collection_gives(e):
+    _assert_verdict_as_the_oracle(e)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verdict_on_random_trees_as_the_collection_gives(seed):
+    rng = random.Random(3400 + seed)
+    for _ in range(60):
+        _assert_verdict_as_the_oracle(random_tree(rng))

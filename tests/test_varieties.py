@@ -13,6 +13,7 @@ import pytest
 
 from helpers import (
     checked_rebuild,
+    collection_length_verdict,
     expanding_motive,
     expanding_mul,
     fresh_collection,
@@ -21,6 +22,8 @@ from helpers import (
     gaussian_binomial_pascal,
     grassmannian_oracle,
     identity_pattern,
+    outcome,
+    random_tree,
     rebuilt_collection,
     span_memo_motive,
 )
@@ -626,61 +629,6 @@ class TestNodes:
         )
 
 
-def _random_toric(rng):
-    """Cone counts from random Betti numbers, or now and then a negative one."""
-    if rng.random() < 0.1:
-        return Toric((1, 1, rng.randint(1, 3)))
-    n = rng.randint(1, 3)
-    betti = [rng.randint(0, 3) for _ in range(n)] + [1]
-    return Toric(
-        tuple(sum(b * math.comb(j, n - k) for j, b in enumerate(betti)) for k in range(n + 1))
-    )
-
-
-LEAVES = (
-    lambda rng: Point(),
-    lambda rng: Projective(rng.randint(0, 6)),
-    lambda rng: Quadric(rng.randint(1, 6)),
-    lambda rng: Grassmannian(rng.randint(1, 3), rng.randint(4, 7)),
-    _random_toric,
-    lambda rng: ModuliM0(rng.randint(3, 5)),
-    lambda rng: Fano3fold(rng.randint(0, 3), rng.random() < 0.5),
-)
-
-
-def random_tree(rng, depth=1):
-    """A random catalog tree of at most four levels.
-
-    Some trees raise when evaluated: a product of two opaque motives, or a
-    toric variety with a negative Betti number.
-    """
-    if depth >= 4 or rng.random() < 0.35:
-        return rng.choice(LEAVES)(rng)
-    kind = rng.randrange(4)
-    if kind == 0:
-        return Product(random_tree(rng, depth + 1), random_tree(rng, depth + 1))
-    if kind == 1:
-        return DisjointUnion(random_tree(rng, depth + 1), random_tree(rng, depth + 1))
-    base = random_tree(rng, depth + 1)
-    if kind == 2:
-        return ProjBundle(base, rng.randint(1, 3))
-    dim = fresh_dimension(base)
-    if dim < 2:
-        dim = rng.randint(2, 5)
-        base = Projective(dim)
-    codim = rng.randint(2, min(dim, 3))
-    center = Point() if dim == codim else Projective(dim - codim)
-    return Blowup(base, center, codim)
-
-
-def outcome(f, e):
-    """``f(e)``'s value, or the type and message of what it raised."""
-    try:
-        return "value", f(e)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 def split(e):
     return exceptional_collection_of(e)
 
@@ -822,11 +770,15 @@ def memos(e):
 class TestOneWalk:
     @pytest.fixture
     def asked(self, monkeypatch):
-        """Each call of a ``_pieces`` or ``_kuznetsov`` method, as (node, hook)."""
+        """Each call of a ``_pieces`` or ``_kuznetsov`` method, as (node, hook).
+
+        Only hooks that are functions are wrapped: a class without a
+        collection keeps the base class's ``_pieces``, None.
+        """
         calls = []
         for cls in (VarietyExpr, *VarietyExpr.__subclasses__()):
             for hook in ("_pieces", "_kuznetsov"):
-                if hook in vars(cls):
+                if callable(vars(cls).get(hook)):
                     def counted(node, *args, hook=hook, method=vars(cls)[hook]):
                         calls.append((node, hook))
                         return method(node, *args)
@@ -840,9 +792,12 @@ class TestOneWalk:
         for _ in range(40):
             e = random_tree(rng)
             # one walk asks each summand both questions, up to the first
-            # summand without a collection, which is asked only the first
+            # summand without a collection: one whose class has none is
+            # asked nothing, and an opaque Fano threefold only the first
             want = []
             for node in summands(e):
+                if node._pieces is None:
+                    break
                 want.append((id(node), "_pieces"))
                 if outcome(lambda node: node._pieces(), node)[0] != "value":
                     break
@@ -872,15 +827,23 @@ class TestOneWalk:
             messages.append(str(info.value))
             assert memos(e) == []
         assert messages == ["no collection in the catalog for Grassmannian"] * 4
-        # each call asks P(1) and Q(3) both questions, then the Grassmannian
-        # for its pieces
+        # each call asks P(1) and Q(3) both questions; the Grassmannian's
+        # class has no ``_pieces``, so it is asked nothing
         assert [(type(n).__name__, hook) for n, hook in asked] == [
             ("Projective", "_pieces"),
             ("Projective", "_kuznetsov"),
             ("Quadric", "_pieces"),
             ("Quadric", "_kuznetsov"),
-            ("Grassmannian", "_pieces"),
         ] * 4
+
+    @pytest.mark.parametrize("text", ["P(3) + Q(4) + toric[1,4,4]", "P(1) + Gr(2,4)"])
+    def test_verdict_builds_no_collection(self, asked, text):
+        # the bound is the Tate rank, so the verdict asks no summand for a
+        # collection and keeps none on the node
+        e = parse_expr(text)
+        verdict = fec_verdict(e)
+        assert asked == [] and memos(e) == ["_motive_memo"]
+        assert verdict == collection_length_verdict(parse_expr(text))
 
 
 class TestSharedTerms:
