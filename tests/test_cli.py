@@ -1,9 +1,11 @@
 """CLI behaviour: golden text output, exit codes, JSON schema conformance."""
 
 import ast
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -318,8 +320,14 @@ class TestExitCodes:
             (["motive", "--jsn", "P(1)"], "unrecognized arguments: --jsn"),
             (["motive", "P(1)", "extra"], "unrecognized arguments: extra"),
             (["motive", "P(1)", "-P(3)"], "unrecognized arguments: -P(3)"),
+            # a leftover that starts with "--" is a mistyped option, never the expression
+            (["motive", "--jsn"], "the following arguments are required: expr"),
+            (["motive", "--jsn", "--json"], "the following arguments are required: expr"),
         ],
-        ids=["no-expression", "json-no-expression", "unknown-option", "extra-argument", "second-expression"],
+        ids=[
+            "no-expression", "json-no-expression", "unknown-option", "extra-argument",
+            "second-expression", "unknown-option-no-expression", "unknown-option-no-expression-json",
+        ],
     )
     def test_usage_error_message(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
@@ -425,6 +433,58 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + L + L^2 + L^3\n"
+
+
+# Run the module as ``python -m`` does, and report the exit status and
+# whether the heap was frozen by the time the process would exit.
+MAIN_PROBE = """
+import gc
+import runpy
+import sys
+
+sys.argv = ["lefschetz", *sys.argv[1:]]
+try:
+    runpy.run_module("lefschetz.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0)
+"""
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize(
+        "expr, status, out, err",
+        [
+            ("P(1)", 0, "1 + L\n", ""),
+            ("P(1))", 2, "", "error: syntax error at byte 4: unexpected trailing input ')'\n"),
+        ],
+        ids=["ok", "syntax-error"],
+    )
+    def test_module_run_freezes_after_main(self, expr, status, out, err):
+        proc = subprocess.run(
+            [sys.executable, "-c", MAIN_PROBE, "motive", expr], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "%d True\n" % status, err)
+
+    def test_main_never_freezes(self, capsys):
+        # the in-process API: pytest and the benchmark's traced run call it
+        # in a process that goes on collecting
+        before = gc.get_freeze_count()
+        assert run(capsys, "motive", "P(1)") == (0, "1 + L\n", "")
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_module_entry(self):
+        root = Path(__file__).resolve().parent.parent
+        (target,) = re.findall(
+            r'^lefschetz = "lefschetz\.cli:(\w+)"$',
+            (root / "pyproject.toml").read_text(encoding="utf-8"),
+            re.M,
+        )
+        tree = ast.parse((root / "src" / "lefschetz" / "cli.py").read_text(encoding="utf-8"))
+        (block,) = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(node) for node in block.body] == ["sys.exit(%s())" % target]
 
 
 # Run in a child without ``site``: the modules each import pulls in, and
