@@ -3,9 +3,12 @@
 Every verb takes one catalog expression (or ``-`` to read it from stdin) and
 prints a deterministic text form; ``--json`` switches to a JSON document that
 validates against ``schemas/cli_output.json``.  Each verb is one function
-from the parsed expression and the arguments to its JSON fields, its text
-lines and its exit status; ``run`` loads the expression and emits one of the
-two forms.  ``main`` maps an exception to an exit status by its type alone:
+from the parsed expression and the arguments to ``(out, status)``: with
+``--json``, ``out`` is the dict of the verb's JSON fields, and otherwise the
+text to print.  A verb builds only the form that ``args.json`` asks for,
+never the other to drop it.  ``run`` loads the expression and prints
+``out``, or the JSON document that wraps it, in one ``print``.  ``main``
+maps an exception to an exit status by its type alone:
 
 * 0 on success;
 * 1 for a ``DomainError``: the computation ran but the domain verdict is
@@ -22,7 +25,10 @@ two forms.  ``main`` maps an exception to an exit status by its type alone:
 * ``EXIT_INTERNAL`` (70, ``EX_SOFTWARE`` of sysexits.h) for anything else,
   a plain ``ValueError`` and ``MemoryError`` included.
 
-Every status but 0 and 141 comes with one ``error:`` line on stderr.
+Every status but 0 and 141 comes with one ``error:`` line on stderr.  A
+refusal for opaque summands names the first ``tate.LISTED`` of them and
+counts the rest (``tate.listing``), so its line stays short whatever the
+number of parts.
 A text that starts with ``-`` (other than ``-`` itself) reads to argparse
 as an option; where no expression was read, a first leftover that starts
 with a single ``-`` is the expression, so ``motive "-P(3)"`` is a syntax
@@ -53,7 +59,7 @@ from .exprlang import parse_expr, render_expr
 from .measures import HodgeDelignePoly, hodge_numbers, hodge_tate, k0_class
 from .orbit import block_unit_iso, decompose_via_orbit
 from .sod import Collection, solve_nc_ranks
-from .tate import DomainError, InputError, integer, poincare
+from .tate import DomainError, InputError, integer, listing, poincare
 from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
 
 EXIT_BROKEN_PIPE = 141
@@ -65,55 +71,52 @@ def _pure_tate(e):
     if gm.opaque:
         raise OpaqueMotiveError(
             "motive of %s has opaque summands: %s"
-            % (render_expr(e), ", ".join(p.text() for p in gm.opaque))
+            % (render_expr(e), listing((p.text() for p in gm.opaque), len(gm.opaque)))
         )
     return gm.tate
 
 
 def cmd_motive(e, args):
     gm = motive_of(e)
-    text = gm.text()
-    fields = {
-        "terms": gm.tate.to_json()["terms"],
-        "opaque": [p.to_json() for p in gm.opaque],
-        "text": text,
-    }
-    return fields, [text], 0
+    if not args.json:
+        return gm.text(), 0
+    opaque = [p.to_json() for p in gm.opaque]
+    return {"terms": gm.tate.to_json()["terms"], "opaque": opaque, "text": gm.text()}, 0
 
 
 def cmd_poincare(e, args):
     p = poincare(_pure_tate(e))
-    text = p.text()
-    return {"coefficients": p.to_json()["terms"], "text": text}, [text], 0
+    return ({"coefficients": p.to_json()["terms"], "text": p.text()} if args.json else p.text()), 0
 
 
 def cmd_hodge(e, args):
     table = hodge_numbers(_pure_tate(e))
+    if not args.json:
+        return "\n".join("h^{%d,%d} = %d" % (p, q, c) for (p, q), c in table.items()), 0
     # the table is (l, l) keys ascending, the polynomial's own term order
     poly = HodgeDelignePoly._trusted(table)
-    fields = {"hodge_numbers": poly.to_json()["terms"], "hodge_tate": hodge_tate(poly)}
-    return fields, ["h^{%d,%d} = %d" % (p, q, c) for (p, q), c in table.items()], 0
+    return {"hodge_numbers": poly.to_json()["terms"], "hodge_tate": hodge_tate(poly)}, 0
 
 
 def cmd_k0(e, args):
     c = k0_class(e)
-    text = c.text()
-    return {"terms": c.to_json()["terms"], "text": text}, [text], 0
+    return ({"terms": c.to_json()["terms"], "text": c.text()} if args.json else c.text()), 0
 
 
 def cmd_check_fec(e, args):
     v = fec_verdict(e)
-    fields = {
-        "verdict": v.status,
-        "min_length": v.min_length,
-        "bound": v.bound,
-        "odd_degrees": list(v.odd_degrees),
-    }
+    status = 0 if v.ok else 1
+    if args.json:
+        return {
+            "verdict": v.status,
+            "min_length": v.min_length,
+            "bound": v.bound,
+            "odd_degrees": list(v.odd_degrees),
+        }, status
     # the bound is the Tate rank, which is the catalog collection's length
     # by the paper's first theorem, so no collection is built; no Betti
     # number exceeds it, so a failing verdict is printed as its status
-    line = "ok (min length %d)" % v.min_length if v.ok else v.status
-    return fields, [line], 0 if v.ok else 1
+    return ("ok (min length %d)" % v.min_length if v.ok else v.status), status
 
 
 def cmd_sod_solve(e, args):
@@ -131,8 +134,9 @@ def cmd_sod_solve(e, args):
     collection = Collection.from_json(data)
     total = _pure_tate(e)
     solved = solve_nc_ranks(collection, total)
-    fields = {"total_rank": total.rank, "pieces": solved.to_json()["pieces"]}
-    return fields, ["%s: n_j = %d" % (p.label, p.nc_rank) for p in solved.pieces], 0
+    if args.json:
+        return {"total_rank": total.rank, "pieces": solved.to_json()["pieces"]}, 0
+    return "\n".join("%s: n_j = %d" % (p.label, p.nc_rank) for p in solved.pieces), 0
 
 
 def cmd_orbit_demo(e, args):
@@ -140,24 +144,23 @@ def cmd_orbit_demo(e, args):
     dim = args.dim if args.dim is not None else dimension_of(e)
     f, g = block_unit_iso(m)
     exponents = decompose_via_orbit(m, f, g, dim)
-    line = "{%s}" % ", ".join(str(l) for l in exponents)
-    return {"dim": dim, "exponents": list(exponents)}, [line], 0
+    if args.json:
+        return {"dim": dim, "exponents": list(exponents)}, 0
+    return "{%s}" % ", ".join(str(l) for l in exponents), 0
 
 
 def run(verb, args) -> int:
-    """Load the expression, run ``verb`` on it, emit JSON or text lines."""
+    """Load the expression, run ``verb`` on it, print its output or the JSON document."""
     if args.expr == "-" and sys.stdin is None:
         # the interpreter found descriptor 0 closed at start-up
         raise InputError("stdin is closed, so there is no expression to read")
     e = parse_expr(sys.stdin.read() if args.expr == "-" else args.expr)
-    fields, lines, status = verb(e, args)
+    out, status = verb(e, args)
     if args.json:
         import json
 
-        payload = {"verb": args.verb, "expr": render_expr(e), **fields}
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+        out = json.dumps({"verb": args.verb, "expr": render_expr(e), **out}, indent=2)
+    print(out)
     return status
 
 

@@ -253,15 +253,12 @@ def canonical_unit_iso(l: int) -> tuple[OrbitMorphism, OrbitMorphism]:
     """The mutually inverse pair between the unit and L^l in the orbit category.
 
     Returns (u, v) with u: 1 -> L^l concentrated at grade l and v: L^l -> 1
-    at grade -l; both directions compose to identities.
+    at grade -l; both directions compose to identities.  It is
+    ``block_unit_iso`` of L^l, whose pair runs the other way, reversed.
     """
     if not is_int(l) or l < 0:
         raise ValueError("twist level must be a non-negative integer")
-    one = TateMotive({0: 1})
-    ll = TateMotive({l: 1})
-    u = OrbitMorphism(one, ll, {l: ((1,),)})
-    v = OrbitMorphism(ll, one, {-l: ((1,),)})
-    return u, v
+    return block_unit_iso(TateMotive({l: 1}))[::-1]
 
 
 def block_unit_iso(m: TateMotive) -> tuple[OrbitMorphism, OrbitMorphism]:

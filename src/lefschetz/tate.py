@@ -49,6 +49,8 @@ The two error bases of the package live here too.  ``InputError`` is
 malformed input: every reader of outside input raises it, and ``integer``
 is the one reader of integer text.  ``DomainError`` is a negative verdict
 of a computation that ran.  The CLI maps each to its exit status by type.
+A message that names the items of a list as long as the input goes through
+``listing``: the first ``LISTED`` items, then ``and N more``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from __future__ import annotations
 import copyreg
 import operator
 from collections.abc import Iterable, Mapping
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 
 class InputError(ValueError):
@@ -91,6 +93,20 @@ class DomainError(ValueError):
 
 class NonEffectiveError(DomainError):
     """Raised by operations defined only for effective motives."""
+
+
+# Most items that a message lists, whatever the input's size
+LISTED = 20
+
+
+def listing(texts: Iterable[str], count: int) -> str:
+    """The first ``LISTED`` of ``count`` texts, joined by ``, ``, then ``and N more``.
+
+    A message that names the items of a list as long as the input stays one
+    bounded line: no text past the first ``LISTED`` is read.
+    """
+    head = ", ".join(islice(texts, LISTED))
+    return head if count <= LISTED else "%s, and %d more" % (head, count - LISTED)
 
 
 def is_int(x) -> bool:

@@ -15,6 +15,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from lefschetz.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main
+from lefschetz.tate import LISTED
 
 SCHEMA = json.loads(
     resources.files("lefschetz").joinpath("schemas/cli_output.json").read_text()
@@ -299,6 +300,19 @@ class TestExitCodes:
     def test_domain_failure_poincare_on_opaque(self, capsys):
         code, _, err = run(capsys, "poincare", "fano(1; odd_trivial=false)")
         assert code == 1 and "opaque" in err
+
+    @pytest.mark.parametrize("verb", ["poincare", "hodge", "orbit-demo"])
+    @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+    def test_opaque_parts_listed_up_to_the_cap(self, capsys, verb, extra):
+        # 3000 opaque parts: the message names the first LISTED, then the rest's count
+        code, out, err = run(capsys, verb, "fano(1; false)*P(999)", *extra)
+        assert (code, out) == (1, "")
+        prefix = "error: motive of fano(1; odd_trivial=false) * P(999) has opaque summands: "
+        assert err.startswith(prefix) and err.count("\n") == 1 and len(err) < 1000
+        parts = err[len(prefix):-1].split(", ")
+        assert parts[:2] == ["[M^1(X)]", "[M^1(X)*L]"]
+        assert parts[LISTED - 1] == "[M^1(X)*L^%d]" % (LISTED - 1)
+        assert parts[LISTED:] == ["and %d more" % (3000 - LISTED)]
 
     def test_domain_failure_k0_on_opaque(self, capsys):
         code, _, err = run(capsys, "k0", "fano(0; odd_trivial=false)")

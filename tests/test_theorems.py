@@ -10,20 +10,27 @@ PAPER.md proves two statements that every catalog answer must respect:
 
 Each test checks one of them on the trees of ``catalog_trees``, a strategy
 built from ``varieties._KINDS`` and each class's ``_fields``, so a new node
-class is generated with no edit here.  The profile in ``conftest.py``
+class is generated with no edit here.  On the same trees, every verb of the
+CLI prints the same answer in text and in ``--json`` mode.  The profile in ``conftest.py``
 derandomizes every run, so a failure is found again on the next one; a
 counterexample is a catalog bug, not a reason to narrow the strategy.
 """
 
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, reject, settings, target
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from helpers import collection_length_verdict, outcome, random_tree
-from lefschetz.exprlang import parse_expr
+from lefschetz.cli import main
+from lefschetz.exprlang import parse_expr, render_expr
 from lefschetz.sod import OPAQUE, Collection, SODPiece, UnderdeterminedError, solve_nc_ranks
 from lefschetz.varieties import (
     CollectionUnavailableError,
@@ -171,3 +178,48 @@ def test_verdict_on_random_trees_as_the_collection_gives(seed):
     rng = random.Random(3400 + seed)
     for _ in range(60):
         _assert_verdict_as_the_oracle(random_tree(rng))
+
+
+VALIDATOR = Draft202012Validator(
+    json.loads(resources.files("lefschetz").joinpath("schemas/cli_output.json").read_text())
+)
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(list(argv))
+    return status, out.getvalue(), err.getvalue()
+
+
+def _text_of_json(verb, doc):
+    """The text that ``verb`` prints, read off its JSON document."""
+    if verb == "hodge":
+        table = doc["hodge_numbers"]
+        return "\n".join("h^{%s,%s} = %d" % (*pq.split(","), c) for pq, c in table.items())
+    if verb == "check-fec":
+        return "ok (min length %d)" % doc["min_length"] if doc["verdict"] == "ok" else doc["verdict"]
+    if verb == "orbit-demo":
+        return "{%s}" % ", ".join(map(str, doc["exponents"]))
+    return doc["text"]
+
+
+# each verb builds only the form it prints, on its own branch: both must
+# give one answer, one exit status and one diagnostic
+@given(catalog_trees)
+@example(parse_expr("fano(1; false) * P(1)"))
+@example(parse_expr("toric[1,1,3]"))
+@example(EVERY_COLLECTION)
+def test_text_and_json_forms_agree(e):
+    expr = render_expr(e)
+    for verb in ("motive", "poincare", "hodge", "k0", "check-fec", "orbit-demo"):
+        status, text, err = _cli(verb, expr)
+        json_status, doc, json_err = _cli(verb, expr, "--json")
+        assert (status, err) == (json_status, json_err), verb
+        if not doc:
+            assert text == "" and status in (1, 2) and err.startswith("error: "), verb
+            continue
+        doc = json.loads(doc)
+        VALIDATOR.validate(doc)
+        assert (doc["verb"], doc["expr"]) == (verb, expr)
+        assert text == _text_of_json(verb, doc) + "\n", verb
