@@ -27,8 +27,9 @@ maps an exception to an exit status by its type alone:
 
 Every status but 0 and 141 comes with one ``error:`` line on stderr.  A
 refusal for opaque summands names the first ``tate.LISTED`` of them and
-counts the rest (``tate.listing``), so its line stays short whatever the
-number of parts.
+counts the rest (``tate.listing``), and echoes the expression through
+``tate.elided``, so its line stays short whatever the number of parts and
+the length of the expression.
 A text that starts with ``-`` (other than ``-`` itself) reads to argparse
 as an option; where no expression was read, a first leftover that starts
 with a single ``-`` is the expression, so ``motive "-P(3)"`` is a syntax
@@ -59,7 +60,7 @@ from .exprlang import parse_expr, render_expr
 from .measures import HodgeDelignePoly, hodge_numbers, hodge_tate, k0_class
 from .orbit import block_unit_iso, decompose_via_orbit
 from .sod import Collection, solve_nc_ranks
-from .tate import DomainError, InputError, integer, listing, poincare
+from .tate import DomainError, InputError, elided, integer, listing, poincare
 from .varieties import OpaqueMotiveError, dimension_of, fec_verdict, motive_of
 
 EXIT_BROKEN_PIPE = 141
@@ -71,7 +72,7 @@ def _pure_tate(e):
     if gm.opaque:
         raise OpaqueMotiveError(
             "motive of %s has opaque summands: %s"
-            % (render_expr(e), listing((p.text() for p in gm.opaque), len(gm.opaque)))
+            % (elided(render_expr(e)), listing((p.text() for p in gm.opaque), len(gm.opaque)))
         )
     return gm.tate
 
@@ -165,10 +166,14 @@ def run(verb, args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints a usage error as one ``error:`` line, without the usage text."""
+    """Prints a usage error as one ``error:`` line, without the usage text.
+
+    argparse echoes a refused value or leftover whole, so the line goes
+    through ``tate.elided``.
+    """
 
     def error(self, message):
-        self.exit(2, "error: %s\n" % message)
+        self.exit(2, "error: %s\n" % elided(message))
 
 
 def build_parser() -> argparse.ArgumentParser:

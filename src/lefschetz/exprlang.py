@@ -48,8 +48,10 @@ when the child binds less tightly than its place asks.
 Syntax problems raise ParseError carrying the byte offset into the UTF-8
 encoded input; out-of-range parameters raise SemanticError carrying the node
 path (like ``$.right.center``) so a caller can point at the offending
-subexpression; both are ``tate.InputError``s.  ``render_expr`` is the
-inverse of ``parse_expr`` up to whitespace.
+subexpression; both are ``tate.InputError``s.  ``offset`` and ``path`` are
+exact, while the message echoes a token or a path through ``tate.elided``,
+so a long one keeps only its head and tail.  ``render_expr`` is the inverse
+of ``parse_expr`` up to whitespace.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .tate import INT_TOO_LONG, MAX_INT_DIGITS, InputError
+from .tate import INT_TOO_LONG, MAX_INT_DIGITS, InputError, elided
 from .varieties import InvalidParameterError, VarietyExpr, _KINDS, _expand, _from_labels, _node
 
 
@@ -65,14 +67,14 @@ class ParseError(InputError):
     """Syntax error; ``offset`` is the byte position in the UTF-8 input."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__("syntax error at byte %d: %s" % (offset, message), offset=offset)
+        super().__init__("syntax error at byte %d: %s" % (offset, elided(message)), offset=offset)
 
 
 class SemanticError(InputError):
     """Parameter out of range; ``path`` points at the node, root is ``$``."""
 
     def __init__(self, message: str, path: str):
-        super().__init__("semantic error at %s: %s" % (path, message), path=path)
+        super().__init__("semantic error at %s: %s" % (elided(path), message), path=path)
 
 
 # Head -> (node class, its steps after the head: each character of the

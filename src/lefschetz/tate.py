@@ -8,14 +8,17 @@ exponents are allowed, since a Tate twist, the product with
 ``lefschetz(-r)``, produces them, but a motive is called *effective* when
 every exponent is >= 0; everything in the variety catalog is effective.
 
-The immutable values here, in ``sod``, ``orbit`` and in ``varieties``
-derive from one base, ``Record``: it refuses assignment and deletion, and
-is the one home of field stores.  A class lists its fields in
-``__slots__``; ``Record`` collects each slot's own setter once per class,
-every checking ``__init__`` ends with ``_store(*values)``, and
-``_trusted(*values)`` is the one constructor that takes values with no
-check.  It gives ``repr``, ``==``, ``hash``, copies and pickles that follow
-those fields, as a frozen dataclass's do.
+The immutable values here, in ``sod``, ``orbit`` and the motives of
+``varieties`` derive from one base, ``Record``: it refuses assignment and
+deletion, and is the one home of field stores.  A record class lists its
+fields in ``__slots__``, and one whose values would have a ``__dict__``
+raises TypeError when it is defined; ``Record`` collects each slot's own
+setter once per class, every checking ``__init__`` ends with
+``_store(*values)``, and ``_trusted(*values)`` is the one constructor that
+takes values with no check.  It gives ``repr``, ``==``, ``hash``, copies
+and pickles that follow those fields, as a frozen dataclass's do.  The
+expression nodes of ``varieties`` are no records: they borrow only the
+guard, ``Record.__setattr__``.
 
 Tate motives, Poincare polynomials, and the two polynomial rings of
 ``measures`` (classes in Z[Lv^+-1] and Hodge-Deligne polynomials in
@@ -50,7 +53,11 @@ malformed input: every reader of outside input raises it, and ``integer``
 is the one reader of integer text.  ``DomainError`` is a negative verdict
 of a computation that ran.  The CLI maps each to its exit status by type.
 A message that names the items of a list as long as the input goes through
-``listing``: the first ``LISTED`` items, then ``and N more``.
+``listing``: the first ``LISTED`` items, then ``and N more``.  One that
+echoes a text as long as the input, such as an expression, a node path, a
+token or a toric variety's cone counts, goes through ``elided``: its first
+and last ``ECHOED // 2`` characters around ``... (N characters elided)
+...``.
 """
 
 from __future__ import annotations
@@ -109,6 +116,23 @@ def listing(texts: Iterable[str], count: int) -> str:
     return head if count <= LISTED else "%s, and %d more" % (head, count - LISTED)
 
 
+# Most characters of a text that a message echoes, whatever the text's length
+ECHOED = 200
+
+
+def elided(text: str) -> str:
+    """``text``, or, past ``ECHOED`` characters, its head and tail around the count left out.
+
+    A message that echoes a text as long as the input stays one bounded
+    line: ``head ... (N characters elided) ... tail``, with ``ECHOED // 2``
+    characters at each end.
+    """
+    if len(text) <= ECHOED:
+        return text
+    keep = ECHOED // 2
+    return "%s ... (%d characters elided) ... %s" % (text[:keep], len(text) - 2 * keep, text[-keep:])
+
+
 def is_int(x) -> bool:
     """An int that is not a bool, though Python says a bool is an int."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -159,23 +183,21 @@ class Record:
     of the tuple of fields: the results of a frozen dataclass, without
     importing ``dataclasses``.  Copies and pickles rebuild a value through
     ``_trusted``, with no check: a pickle can already run any code it names,
-    so trusting its fields opens no door that was shut.  Expression nodes
-    keep their fields in ``__dict__`` instead and override the store and
-    those four; a class whose values have a ``__dict__`` gets a ``_trusted``
-    that raises TypeError naming the class, since it has no setters to
-    store through.  ``_trusted`` does not count its values: a count per
-    build would cost every record build, and those are the hot path.
+    so trusting its fields opens no door that was shut.  A class whose
+    values would have a ``__dict__``, one that declares no ``__slots__``,
+    raises TypeError when it is defined: a field kept there would have no
+    setter to store through.  ``_trusted`` does not count its values: a
+    count per build would cost every record build, and those are the hot
+    path.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        if cls.__dictoffset__:
+            raise TypeError("record class %s has a __dict__; list its fields in __slots__" % cls.__name__)
         cls._slot_names = tuple([n for k in reversed(cls.__mro__) for n in vars(k).get("__slots__", ())])
         cls._slot_setters = tuple([getattr(cls, name).__set__ for name in cls._slot_names])
-        if cls.__dictoffset__:
-            # fields kept in ``__dict__`` have no setter for ``_trusted``
-            # to store through, so it would build an empty value
-            cls._trusted = classmethod(_refuse_trusted)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -217,14 +239,6 @@ class Record:
     def __reduce__(self):
         # the default would restore the slots through the guard above
         return type(self)._trusted, self._values()
-
-
-def _refuse_trusted(cls, *values):
-    """``_trusted`` of a record class that keeps its fields in ``__dict__``."""
-    raise TypeError(
-        "%s keeps its fields in __dict__ and has no trusted constructor; build it through %s()"
-        % (cls.__name__, cls.__name__)
-    )
 
 
 class SparsePoly(Record):

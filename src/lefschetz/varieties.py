@@ -104,15 +104,15 @@ a list of parts it does not return.  Equal entries of
 immutable, and ``==``, ``hash``, text, JSON, copies and pickles see only
 their values.  The tuple still holds one reference per summand.
 
-Nodes, ``OpaquePart`` and ``GeneralizedMotive`` derive from ``tate.Record``,
-which refuses assignment and deletion.  The two motive classes are plain
-records: their ``__init__`` ends with ``Record._store``, sums, products
-and twists, whose fields are valid by construction, build through
-``Record._trusted``, and ``repr``, ``==``, ``hash``, copies and pickles
-follow their ``__slots__``.  Nodes
-keep their fields, ``dim`` and the memos in ``__dict__``: their own
-``_store`` and the two memo writers store straight into it, and they
-define those four through ``_fold`` and ``_expand`` instead.
+``OpaquePart`` and ``GeneralizedMotive`` are records (``tate.Record``):
+their ``__init__`` ends with ``Record._store``, sums, products and twists,
+whose fields are valid by construction, build through ``Record._trusted``,
+and ``repr``, ``==``, ``hash``, copies and pickles follow their
+``__slots__``.  Nodes are no records.  They keep their fields, ``dim`` and
+the memos in ``__dict__``, where their own ``_store`` and the two memo
+writers store straight, and they define those four through ``_fold`` and
+``_expand``.  From ``Record`` they take only ``__setattr__``, the guard
+that refuses assignment and deletion.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ from .tate import (
     Record,
     TateMotive,
     direct_sum,
+    elided,
     is_int,
     poincare,
     tensor,
@@ -314,25 +315,24 @@ def _generic_labels(count: int) -> tuple:
     return tuple([piece("E%d" % i, EXCEPTIONAL, 1) for i in range(1, count + 1)])
 
 
-class VarietyExpr(Record):
+class VarietyExpr:
     """Base class for catalog expressions.
 
     Each node class lists its fields in ``_fields`` as ``(name, type)``
     pairs, in order; the type is ``VarietyExpr`` for a child expression,
     else ``int``, ``tuple`` (of ints) or ``bool``.  The base class builds a
-    node from them: ``__init__`` takes them positionally or by name and
-    checks that each child is an expression, then ends in the one
-    positional store, ``_store``, which ``_from_labels`` calls on each new
-    node too; it stands in for ``tate.Record``'s, since a node keeps its
-    fields in ``__dict__``, not in slots.  The store refuses a class without
-    a ``kind`` with TypeError, stores a tuple field as a tuple, runs the
-    class's ``_check`` and then stores ``dim``, the class's ``_dimension``
-    of its children's ``dim``, writing straight into the node's
-    ``__dict__``; ``tate.Record`` refuses assignment.  ``==``, ``hash`` and
-    ``repr`` follow the fields, not ``dim``.  A node builds through
-    ``__init__`` or ``_from_labels`` only: the ``_trusted`` that every
-    record has raises TypeError naming the node's class, since a node's
-    fields have no slot setters to store through.
+    node from them: ``__init__`` takes them by position only, one per
+    field, and checks that each child is an expression, then ends in the
+    one positional store, ``_store``, which ``_from_labels`` calls on each
+    new node too.  The store refuses a class without a ``kind`` with
+    TypeError, stores a tuple field as a tuple, runs the class's ``_check``
+    and then stores ``dim``, the class's ``_dimension`` of its children's
+    ``dim``, writing straight into the node's ``__dict__``.  A node is no
+    ``tate.Record``: it keeps its fields, ``dim`` and the memos in
+    ``__dict__``, and takes from ``Record`` only the guard that refuses
+    assignment and deletion.  ``==``, ``hash`` and ``repr`` follow the
+    fields, not ``dim``, and a node builds through ``__init__`` or
+    ``_from_labels`` only.
 
     A node class also carries its ``kind``, the key of ``_KINDS``, its text
     ``syntax`` and its catalog entry: the methods ``_dimension`` and ``_motive``, which take
@@ -358,16 +358,14 @@ class VarietyExpr(Record):
     _fields: tuple = ()
     _children: tuple = ()
 
+    __setattr__ = __delattr__ = Record.__setattr__
+
     def __init_subclass__(cls):
-        super().__init_subclass__()
         cls._children = tuple(name for name, typ in cls._fields if typ is VarietyExpr)
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            names = [name for name, _ in self._fields]
-            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
-            if kwargs or len(args) != len(names):
-                raise TypeError("%s takes the fields %s" % (type(self).__name__, names))
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError("%s takes the fields %s" % (type(self).__name__, [name for name, _ in self._fields]))
         for (name, typ), value in zip(self._fields, args):
             if typ is VarietyExpr and not isinstance(value, VarietyExpr):
                 raise InvalidParameterError("expected a variety expression, got %r" % (value,))
@@ -657,7 +655,7 @@ class Toric(VarietyExpr):
         betti = _toric_betti(self.cone_counts)
         if any(b < 0 for b in betti):
             raise InvalidParameterError(
-                "cone counts %r give a negative Betti number" % (self.cone_counts,)
+                "cone counts %s give a negative Betti number" % elided(repr(self.cone_counts))
             )
         return GeneralizedMotive(TateMotive(dict(enumerate(betti))))
 

@@ -314,6 +314,28 @@ class TestExitCodes:
         assert parts[LISTED - 1] == "[M^1(X)*L^%d]" % (LISTED - 1)
         assert parts[LISTED:] == ["and %d more" % (3000 - LISTED)]
 
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (["poincare", "P(1) + " * 2999 + "fano(1; false)"], 1, "error: motive of P(1) + P(1) + "),
+            (["motive", "point + (" * 3000 + "Gr(3,2)" + ")" * 3000], 2, "error: semantic error at $.right.right."),
+            (["motive", "P(1) " + "x" * 3000], 2, "error: syntax error at byte 5: unexpected trailing input 'xxx"),
+            (["motive", "a" * 3000], 2, "error: syntax error at byte 0: unknown constructor 'aaa"),
+            (["motive", "P(1)", "y" * 3000], 2, "error: unrecognized arguments: yyy"),
+            (["orbit-demo", "P(1)", "--dim", "z" * 3000], 2, "error: argument --dim: invalid integer value: 'zzz"),
+            (["motive", "toric[1,%s]" % ",".join(["1"] * 250)], 2, "error: cone counts (1, 1, 1,"),
+        ],
+        ids=["chain-3000", "path-3000", "trailing-token-3000", "name-3000", "leftover-3000", "dim-3000", "toric-250"],
+    )
+    @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+    def test_long_echoes_are_elided(self, capsys, argv, code, prefix, extra):
+        # the expression, node path, token or argument keeps its head and
+        # its tail, and the line counts the characters it left out
+        got, out, err = run(capsys, *argv, *extra)
+        assert (got, out) == (code, "")
+        assert err.startswith(prefix) and err.count("\n") == 1 and len(err) < 1000
+        assert re.search(r"[^.] \.\.\. \(\d+ characters elided\) \.\.\. [^.]", err)
+
     def test_domain_failure_k0_on_opaque(self, capsys):
         code, _, err = run(capsys, "k0", "fano(0; odd_trivial=false)")
         assert code == 1

@@ -269,6 +269,20 @@ class TestSemanticErrors:
             parse_expr("blowup(P(2); point; 3)")
         assert exc.value.path == "$"
 
+    def test_deep_path_exact_message_elided(self):
+        # ``path`` is the whole path; only the message shortens it
+        path = "$" + ".right" * 3000
+        with pytest.raises(SemanticError) as exc:
+            parse_expr("point + (" * 3000 + "Gr(3,2)" + ")" * 3000)
+        assert exc.value.path == path
+        assert str(exc.value) == "semantic error at %s ... (%d characters elided) ... %s: Grassmannian needs 0 < k < n" % (
+            path[:100], len(path) - 200, path[-100:]
+        )
+        # a short path is echoed whole
+        with pytest.raises(SemanticError) as exc:
+            parse_expr("point + (" * 10 + "Gr(3,2)" + ")" * 10)
+        assert str(exc.value) == "semantic error at $%s: Grassmannian needs 0 < k < n" % (".right" * 10)
+
 
 CANONICAL = [
     "point",

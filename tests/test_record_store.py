@@ -19,7 +19,7 @@ from lefschetz.orbit import OrbitMorphism
 from lefschetz.sod import FEC_FAILS_LENGTH, FEC_FAILS_ODD, FEC_OK, OPAQUE
 from lefschetz.sod import Collection, FecVerdict, SODPiece
 from lefschetz.tate import PoincarePoly, Record, SparsePoly, TateMotive
-from lefschetz.varieties import GeneralizedMotive, OpaquePart, Projective, VarietyExpr
+from lefschetz.varieties import GeneralizedMotive, OpaquePart, Projective
 
 
 def _terms(rng, key, low):
@@ -86,16 +86,17 @@ def test_every_slotted_record_has_a_sample():
     assert slotted == set(SAMPLES)
 
 
-def test_a_record_with_a_dict_has_no_trusted_path():
-    # expression nodes keep their fields in ``__dict__``, where no slot
-    # setter stores them, so ``_trusted`` refuses rather than build a node
-    # with no fields
-    unslotted = [cls for cls in _subclasses(Record) if cls.__dictoffset__]
-    assert VarietyExpr in unslotted and Projective in unslotted
-    for cls in unslotted:
-        with pytest.raises(TypeError, match="^%s keeps its fields in __dict__" % cls.__name__):
-            cls._trusted(3)
-    assert repr(Projective(3)) == "Projective(n=3)"
+def test_a_record_class_without_slots_is_refused():
+    # a field kept in ``__dict__`` would have no slot setter to store
+    # through, so such a class is refused when it is defined
+    with pytest.raises(TypeError, match="^record class Loose has a __dict__; list its fields in __slots__$"):
+        class Loose(Record):
+            pass
+    with pytest.raises(TypeError, match="^record class LooseTate has a __dict__"):
+        class LooseTate(TateMotive):
+            __slots__ = ("__dict__",)
+    # expression nodes are no records, so none has a trusted path
+    assert not hasattr(Projective, "_trusted")
 
 
 def _values(cls, seed):

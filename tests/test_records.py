@@ -223,13 +223,17 @@ def test_motive_arithmetic_matches_oracle(seed):
 
 
 def test_one_immutability_idiom():
-    for cls in (*NEW.values(), SparsePoly, VarietyExpr):
+    for cls in (*NEW.values(), SparsePoly):
         assert issubclass(cls, Record)
+    # a node is no record: it borrows only the guard
+    assert not issubclass(VarietyExpr, Record)
+    assert VarietyExpr.__setattr__ is Record.__setattr__
+    assert VarietyExpr.__delattr__ is Record.__setattr__
     for x in (sod.SODPiece("O"), varieties.OpaquePart("J", True), TateMotive({0: 1})):
         assert not hasattr(x, "__dict__")
     for x in (TateMotive({0: 1}), PoincarePoly({1: 2}), Projective(2)):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % type(x).__name__):
             x._terms = {}
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % type(x).__name__):
             del x._terms
 

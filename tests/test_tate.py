@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import pairwise_tensor
 from lefschetz.tate import (
+    ECHOED,
     INT_TOO_LONG,
     InputError,
     NonEffectiveError,
@@ -16,6 +17,7 @@ from lefschetz.tate import (
     SparsePoly,
     TateMotive,
     direct_sum,
+    elided,
     integer,
     lefschetz,
     poincare,
@@ -387,3 +389,21 @@ class TestEffective:
         results = [m.is_effective for m in seen]
         assert results == [all(l >= 0 for l in m.terms) for m in seen]
         assert True in results and False in results
+
+
+class TestElided:
+    """A long echoed text keeps its head and tail, and counts what it left out."""
+
+    def test_up_to_the_cap_unchanged(self):
+        for n in (0, 1, ECHOED - 1, ECHOED):
+            text = "".join(chr(97 + i % 26) for i in range(n))
+            assert elided(text) == text
+
+    @pytest.mark.parametrize("n", [ECHOED + 1, ECHOED + 2, 10 * ECHOED, 300000])
+    def test_past_the_cap(self, n):
+        text = "".join(chr(97 + i % 26) for i in range(n))
+        keep = ECHOED // 2
+        out = elided(text)
+        assert out == "%s ... (%d characters elided) ... %s" % (text[:keep], n - 2 * keep, text[-keep:])
+        # the length depends on the input only through the count's digits
+        assert len(out) == ECHOED + len(" ...  characters elided) ... (") + len(str(n - 2 * keep))

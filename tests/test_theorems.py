@@ -10,8 +10,14 @@ PAPER.md proves two statements that every catalog answer must respect:
 
 Each test checks one of them on the trees of ``catalog_trees``, a strategy
 built from ``varieties._KINDS`` and each class's ``_fields``, so a new node
-class is generated with no edit here.  On the same trees, every verb of the
-CLI prints the same answer in text and in ``--json`` mode.  The profile in ``conftest.py``
+class is generated with no edit here.  On the same trees, the paper's
+application holds in the simplified form of Dubrovin's conjecture (a
+collection makes the Hodge-Deligne measure diagonal, with as many objects
+as Hodge numbers, and the measure into Tate motives gives the motive back),
+the orbit lift recovers the exponents and refuses a perturbed inverse, the
+converse of the first theorem refuses every tree with an odd opaque part,
+and every verb of the CLI prints the same answer in text and in ``--json``
+mode.  The profile in ``conftest.py``
 derandomizes every run, so a failure is found again on the next one; a
 counterexample is a catalog bug, not a reason to narrow the strategy.
 """
@@ -31,15 +37,21 @@ from jsonschema import Draft202012Validator
 from helpers import collection_length_verdict, outcome, random_tree
 from lefschetz.cli import main
 from lefschetz.exprlang import parse_expr, render_expr
-from lefschetz.sod import OPAQUE, Collection, SODPiece, UnderdeterminedError, solve_nc_ranks
+from lefschetz.measures import chi_gs, chi_hd, hodge_numbers, hodge_tate, k0_class
+from lefschetz.orbit import NotAnIsomorphismError, OrbitMorphism, block_unit_iso, decompose_via_orbit
+from lefschetz.sod import FEC_FAILS_ODD, OPAQUE, Collection, SODPiece, UnderdeterminedError, solve_nc_ranks
 from lefschetz.varieties import (
     CollectionUnavailableError,
     DisjointUnion,
+    Fano3fold,
     InvalidParameterError,
+    OpaqueMotiveError,
+    Product,
     Quadric,
     VarietyExpr,
     _KINDS,
     _fold,
+    dimension_of,
     exceptional_collection_of,
     fec_verdict,
     motive_of,
@@ -151,6 +163,81 @@ def test_tate_plus_sod_implies_sums_of_units(e):
     else:
         with pytest.raises(UnderdeterminedError):
             solve_nc_ranks(kuznetsov, total)
+
+
+# Dubrovin's conjecture, simplified: the paper's application
+@given(catalog_trees)
+@example(EVERY_COLLECTION)
+def test_a_collection_makes_the_measures_tate(e):
+    collection = _split_collection(e)
+    if collection is None:
+        return
+    c = k0_class(e)
+    assert hodge_tate(chi_hd(c))
+    assert chi_gs(c) == motive_of(e).tate
+    # as many objects in the collection as Hodge numbers, all on the diagonal
+    table = hodge_numbers(motive_of(e).tate)
+    assert all(p == q for p, q in table) and sum(table.values()) == len(collection)
+
+
+def _tate_or_none(e):
+    """The Tate motive of ``e``, or None where it has opaque parts or no motive."""
+    try:
+        m = motive_of(e)
+    except (OpaqueMotiveError, InvalidParameterError):
+        # two opaque factors, or a fan with a negative Betti number
+        return None
+    return None if m.opaque else m.tate
+
+
+@given(catalog_trees, st.integers(0, 2**16))
+@example(EVERY_COLLECTION, 0)
+@example(parse_expr("Gr(2,5) * P(2)"), 29)
+def test_orbit_lift_recovers_the_exponents(e, entry):
+    m = _tate_or_none(e)
+    if m is None:
+        return
+    dim = dimension_of(e)
+    f, g = block_unit_iso(m)
+    assert decompose_via_orbit(m, f, g, dim) == m.exponent_multiset()
+    # g's source is units, so every entry sits on the delta pattern, at the
+    # grade of its row's exponent, inside the window [0..dim]
+    i, j = divmod(entry % (m.rank * m.rank), m.rank)
+    rows = [list(row) for row in g.rows]
+    rows[i][j] += g.den
+    # den 1 and integer rows: the moved rows are still canonical
+    moved = OrbitMorphism._trusted(g.source, g.target, g.den, tuple(map(tuple, rows)))
+    with pytest.raises(NotAnIsomorphismError):
+        decompose_via_orbit(m, f, moved, dim)
+
+
+# trees with an odd opaque part: a catalog tree beside or times a Fano
+# threefold whose odd part is not asserted trivial
+opaque_trees = st.builds(
+    lambda tree, b, join: join(tree, Fano3fold(b, False)),
+    catalog_trees,
+    st.integers(0, 5),
+    st.sampled_from([DisjointUnion, Product, lambda tree, fano: DisjointUnion(fano, tree)]),
+)
+
+
+# the converse of the first theorem (criterion 2)
+@given(st.one_of(catalog_trees, opaque_trees))
+@example(parse_expr("fano(1; false)"))
+@example(parse_expr("P(2) + fano(0; false) * Gr(2,4)"))
+@example(parse_expr("projbundle(fano(2; false); 2)"))
+def test_an_odd_opaque_part_has_no_collection(e):
+    try:
+        m = motive_of(e)
+    except (OpaqueMotiveError, InvalidParameterError):
+        return
+    if not m.opaque:
+        return
+    assert all(part.odd for part in m.opaque)
+    with pytest.raises(CollectionUnavailableError):
+        exceptional_collection_of(e)
+    verdict = fec_verdict(e)
+    assert not verdict.ok and verdict.status == FEC_FAILS_ODD
 
 
 def _assert_verdict_as_the_oracle(e):

@@ -174,6 +174,21 @@ class TestDimension:
                     build()
                 assert str(info.value) == "unknown expression node %r" % cls.__name__
 
+    def test_fields_by_position_only(self):
+        # one value per field, by position: no name, no more, no fewer
+        for build in (
+            lambda: Projective(n=3),
+            lambda: Projective(3, 4),
+            lambda: Projective(),
+            lambda: Blowup(Projective(3), Projective(1), codim=2),
+        ):
+            with pytest.raises(TypeError):
+                build()
+        with pytest.raises(TypeError) as info:
+            Projective(3, 4)
+        assert str(info.value) == "Projective takes the fields ['n']"
+        assert Projective(3) == parse_expr("P(3)")
+
     def test_attribute_outside_the_fields(self):
         e = parse_expr("blowup(P(3); P(1); 2) * Q(2) + point")
         assert e.dim == 5
@@ -570,9 +585,15 @@ class TestNodes:
             (ModuliM0(4), "ModuliM0(n=4)"),
             (Fano3fold(2, False), "Fano3fold(b=2, odd_trivial=False)"),
         ]
+        # the repr names every field in order; a constructor takes them by
+        # position, so each class name reads the named values into place
+        by_position = {
+            cls.__name__: lambda cls=cls, **named: cls(*[named.pop(name) for name, _ in cls._fields], **named)
+            for cls in {type(e) for e, _ in expected}
+        }
         for e, text in expected:
             assert repr(e) == text
-            assert eval(text) == e
+            assert eval(text, by_position) == e
 
     def test_equal_and_hash_three_ways(self):
         text = "blowup(P(1) * P(1); point + point; 2) + toric[1,4,4] * fano(2; true)"
